@@ -10,7 +10,6 @@ from .bt1 import (
     check_polarization,
     direct_sum,
     dual,
-    find_polarization,
     from_json,
     invariants,
     orthogonal_complement,
@@ -29,7 +28,6 @@ from .words import (
     census_of_type,
     decompose,
     superspecial_rank,
-    symmetric_word,
     word_module,
 )
 from .build import (

@@ -280,7 +280,10 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
     matrix, then sweeps the solution space in a fixed deterministic order for
     a nondegenerate representative: exhaustive lexicographic enumeration when
     the space is small, otherwise single vectors, prefix sums, and a
-    fixed-seed sample.  Returns None when no nondegenerate solution turns up.
+    fixed-seed sample.  Returns None only when no nondegenerate form exists:
+    the system has no nonzero solution, every solution vanishes on some
+    row, or the exhaustive sweep found none.  A sampled sweep that finds
+    nothing proves nothing and raises PolarizationSearchError.
     """
     require_valid(m)
     n = m.dim
@@ -316,6 +319,10 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
         gram = _gram_from_coefficients(m.field, n, pairs, vec)
         if gram.rank() == n:
             return gram
+    if p ** d > _LEX_SWEEP_CAP:
+        raise PolarizationSearchError(
+            f"no compatible nondegenerate form found; the sampled search over "
+            f"{p}^{d} candidates was not exhaustive")
     return None
 
 

@@ -6,19 +6,17 @@ from dataclasses import dataclass
 
 from .bt1 import (
     DieudonneModule,
-    PolarizationSearchError,
     a_number,
     check_polarization,
     direct_sum,
     direct_sum_all,
     dual,
-    find_polarization,
     p_rank,
     zero_module,
 )
 from .eo import EOType, canonical_module
 from .ffmat import Matrix, PrimeField
-from .words import CyclicWord, superspecial_rank, symmetric_word, word_module
+from .words import CyclicWord, superspecial_rank, word_module
 
 
 class InfeasibleProfileError(ValueError):
@@ -80,13 +78,24 @@ def j_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
 
 
 def h_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
-    """Polarized companion of j_rs: self-dual for r = s, doubled otherwise."""
+    """Polarized companion of j_rs: self-dual for r = s, doubled otherwise.
+
+    For r = s the form on j_rr is <x, F^r x> = 1 and <F^i x, V^(r-i) x> = -1
+    for 1 <= i <= r - 1, extended antisymmetrically; otherwise j_rs is paired
+    with its dual.
+    """
     if r == s:
         core = j_rs(r, r, field)
-        gram = find_polarization(core)
-        if gram is None:
-            raise PolarizationSearchError(f"no form found on the (r,r)=({r},{r}) module over F_{field.p}")
-        return core.with_form(gram)
+        n = 2 * r
+        rows = [[0] * n for _ in range(n)]
+        rows[0][r] = 1
+        rows[r][0] = -1
+        for i in range(1, r):
+            rows[i][2 * r - i] = -1     # <F^i x, V^(r-i) x>; V^k x has index r + k
+            rows[2 * r - i][i] = 1
+        paired = core.with_form(Matrix.build(field, rows, n))
+        assert check_polarization(paired)
+        return paired
     left = j_rs(r, s, field)
     right = dual(left)
     total = direct_sum(left, right)
@@ -145,30 +154,32 @@ def feasible(q: ProfileQuery) -> bool:
 
 
 def realize(q: ProfileQuery, field: PrimeField) -> DieudonneModule:
-    """Build a module with the exact invariants of a feasible query.
+    """Build a polarized module with the exact invariants of a feasible query.
 
-    Ordinary and supersingular blocks cover f and s; the remainder is the
-    symmetric-word module of half-dimension g - f - s and a-number a - s.
-    The result is re-measured before being returned.
+    Ordinary and supersingular blocks cover f and s.  Off the boundary
+    a = g - f, the remainder is the canonical module of a type nu of length
+    h = g - f - s with a-number a1 = a - s and no FV word: with c = h - a1,
+    nu is 0, 1, ..., c - 2, then c - 1 repeated floor((a1 + 1) / 2) times,
+    then c repeated floor((a1 + 2) / 2) times.  Proof sketch: nu_i < i
+    everywhere, so f = 0, and a = h - nu_h = h - c = a1.  Walking the node
+    maps gives the census: for odd a1 = 2k + 1 the single self-dual word
+    F^(c+1) (VF)^k V^(c+1) (FV)^k, for even a1 = 2k the word
+    F^(c+1) (VF)^(k-1) V and its dual.  Each word contains F^(c+1) with
+    c >= 1, so none is FV and s = 0 (checked for every 2 <= h < 40).
 
-    A form is attached when every component carries one rationally.  That is
-    always the case for a - s <= 1; the symmetric words with two or more
-    Frobenius runs admit their compatible form only after base extension (the
-    rational compatibility system has no nondegenerate solution), so those
-    realizations come back without a form.
+    Every part carries its constructed form; the result is re-measured
+    before being returned.
     """
     if not feasible(q):
         raise InfeasibleProfileError(f"profile {q} is not feasible")
     parts = [ord1(field) for _ in range(q.f)]
     parts += [i11(field) for _ in range(q.s)]
+    # in the boundary case a == g - f the supersingular blocks already cover a = s
     if q.a < q.g - q.f:
-        remainder = word_module(symmetric_word(q.g - q.f - q.s, q.a - q.s), field)
-        gram = find_polarization(remainder)
-        if gram is not None:
-            remainder = remainder.with_form(gram)
-        parts.append(remainder)
-    # in the boundary case a == g - f the supersingular blocks already cover a = s;
-    # a formless part makes the whole sum formless
+        a1 = q.a - q.s
+        c = q.g - q.f - q.s - a1
+        nu = list(range(c - 1)) + [c - 1] * ((a1 + 1) // 2) + [c] * ((a1 + 2) // 2)
+        parts.append(canonical_module(EOType.of(nu), field))
     module = direct_sum_all(parts, field)
     measured = (p_rank(module), a_number(module), superspecial_rank(module))
     if measured != (q.f, q.a, q.s):
@@ -190,11 +201,7 @@ def supersingular_profile(g: int, s: int, field: PrimeField) -> DieudonneModule:
     for _ in range(s):
         module = direct_sum(module, i11(field))
     if s < g:
-        core = canonical_module(EOType.of(range(g - s)), field, with_form=False)
-        gram = find_polarization(core)
-        if gram is not None:
-            core = core.with_form(gram)
-        module = direct_sum(module, core)
+        module = direct_sum(module, canonical_module(EOType.of(range(g - s)), field))
     if superspecial_rank(module) != s:
         raise RuntimeError("constructed module has the wrong superspecial rank")
     return module

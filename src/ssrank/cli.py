@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import bt1, build, curves, eo, words
@@ -28,11 +27,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; affects wall-clock only, never output order")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ssrank", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
@@ -43,7 +37,6 @@ def build_parser() -> _Parser:
     eo_list.add_argument("--g", type=int, required=True)
     eo_list.add_argument("--filter", default=None, metavar="f=..,a=..,s=..")
     eo_list.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_jobs(eo_list)
     eo_module = eo_sub.add_parser("module", help="canonical module of one type")
     eo_module.add_argument("--nu", required=True, metavar="a,b,c")
     eo_module.add_argument("--p", type=int, default=2)
@@ -93,7 +86,6 @@ def build_parser() -> _Parser:
     atlas_cmd = top.add_parser("atlas", help="write the EO atlas CSV")
     atlas_cmd.add_argument("--g-max", type=int, required=True)
     atlas_cmd.add_argument("--out", required=True, metavar="PATH")
-    _add_jobs(atlas_cmd)
 
     return parser
 
@@ -128,12 +120,8 @@ def _type_row(t: eo.EOType) -> dict:
     }
 
 
-def _rows_for_g(g: int, jobs: int) -> list[dict]:
-    types = list(eo.enumerate_types(g))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_type_row, types))
-    return [_type_row(t) for t in types]
+def _rows_for_g(g: int) -> list[dict]:
+    return [_type_row(t) for t in eo.enumerate_types(g)]
 
 
 def _csv_line(row: dict) -> str:
@@ -144,7 +132,7 @@ def _csv_line(row: dict) -> str:
     return f"{row['g']},{nu},{row['f']},{row['a']},{row['s']},{';'.join(word_list)}"
 
 
-def emit_atlas(g_max: int, path: str, jobs: int = 1) -> None:
+def emit_atlas(g_max: int, path: str) -> None:
     """Write the atlas CSV: columns g, nu, f, a, s, words; g ascending, nu lex."""
     if g_max > ATLAS_G_CAP:
         raise ValueError(f"g_max is capped at {ATLAS_G_CAP}")
@@ -152,7 +140,7 @@ def emit_atlas(g_max: int, path: str, jobs: int = 1) -> None:
         raise ValueError("g_max must be at least 1")
     lines = []
     for g in range(1, g_max + 1):
-        lines.extend(_csv_line(row) for row in _rows_for_g(g, jobs))
+        lines.extend(_csv_line(row) for row in _rows_for_g(g))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -181,7 +169,7 @@ def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
         if args.g < 0:
             raise ValueError("g must be nonnegative")
-        rows = _rows_for_g(args.g, args.jobs)
+        rows = _rows_for_g(args.g)
         wanted = _parse_filter(args.filter)
         rows = [r for r in rows if all(r[k] == v for k, v in wanted.items())]
         if args.format == "csv":
@@ -291,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.group == "table":
             return _run_table(args)
         if args.group == "atlas":
-            emit_atlas(args.g_max, args.out, args.jobs)
+            emit_atlas(args.g_max, args.out)
             return 0
         raise UsageError("unknown command group")
     except UsageError as exc:

@@ -131,7 +131,7 @@ def hyp2_module_oracle(divisor: PoleDivisor) -> DieudonneModule:
     for d in divisor.orders:
         c = (d - 1) // 2
         if c >= 1:
-            module = direct_sum(module, canonical_module(hyp2_rank0_type(c), GF2, with_form=False))
+            module = direct_sum(module, canonical_module(hyp2_rank0_type(c), GF2))
     return module
 
 

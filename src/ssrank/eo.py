@@ -3,9 +3,10 @@
 An EO type of length g is a sequence nu with nu_1 in {0, 1} and
 nu_i <= nu_{i+1} <= nu_i + 1; there are exactly 2^g of them.  Each type
 extends symmetrically to a final profile psi on 0..2g, from which a
-canonical module is assembled whose operators are partial permutation
-matrices.  The reverse direction recovers the type of an arbitrary valid
-module from its canonical filtration.
+canonical module is assembled whose operators are signed partial
+permutation matrices and whose form is written down, not searched for.
+The reverse direction recovers the type of an arbitrary valid module from
+its canonical filtration.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bt1 import (
-    Bt1ValidationError,
-    DieudonneModule,
-    PolarizationSearchError,
-    find_polarization,
-    require_valid,
-    validate_bt1,
-)
+from .bt1 import Bt1ValidationError, DieudonneModule, require_valid, validate_bt1
 from .ffmat import Matrix, PrimeField, Subspace
 
 
@@ -154,35 +148,38 @@ def node_maps(t: EOType) -> tuple[list[int | None], list[int | None]]:
     return f_next, v_next
 
 
-def _matrix_from_map(field: PrimeField, nxt: list[int | None]) -> Matrix:
-    n = len(nxt)
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        if nxt[j] is not None:
-            col[nxt[j]] = 1
-        cols.append(col)
-    return Matrix.from_columns(field, n, cols)
+def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:
+    """The canonical module of an EO type with its constructed form.
 
-
-def canonical_module(t: EOType, field: PrimeField, with_form: bool = True) -> DieudonneModule:
-    """The canonical module of an EO type, all structure constants +1.
-
-    The output always satisfies the BT1 axioms (asserted).  When with_form is
-    set, a compatible nondegenerate alternating form is searched for and
-    attached; failure to find one raises rather than passing silently.
+    F is +1 on every F edge of the node maps.  The form is anti-diagonal,
+    <e_i, e_(2g-1-i)> = sigma(i) with sigma(i) = +1 for i < g and -1 for
+    i >= g, which makes it alternating and nondegenerate.  Because psi is
+    symmetric, the reflection i -> 2g-1-i turns every F edge j -> k into a
+    V edge 2g-1-k -> 2g-1-j, so the anti-diagonal pairing matches the node
+    maps; <Fx, y> = <x, Vy> then fixes the sign of the V edge j -> k as
+    sigma(2g-1-j) * sigma(2g-1-k).  Mod 2 every sign is +1.  The output
+    satisfies the BT1 axioms and the form conditions (asserted).
     """
     f_next, v_next = node_maps(t)
-    m = DieudonneModule(_matrix_from_map(field, f_next), _matrix_from_map(field, v_next))
+    n = 2 * t.g
+
+    def sigma(i: int) -> int:
+        return 1 if i < t.g else -1
+
+    frob = [[0] * n for _ in range(n)]
+    ver = [[0] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    for j in range(n):
+        if f_next[j] is not None:
+            frob[f_next[j]][j] = 1
+        if v_next[j] is not None:
+            ver[v_next[j]][j] = sigma(n - 1 - j) * sigma(n - 1 - v_next[j])
+        gram[j][n - 1 - j] = sigma(j)
+    m = DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n),
+                        Matrix.build(field, gram, n))
     violations = validate_bt1(m)
     if violations:
         raise Bt1ValidationError(violations)
-    if with_form:
-        gram = find_polarization(m)
-        if gram is None:
-            raise PolarizationSearchError(
-                f"no compatible nondegenerate form found for type {t} over F_{field.p}")
-        m = m.with_form(gram)
     return m
 
 

@@ -137,14 +137,6 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     return DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n))
 
 
-def symmetric_word(g1: int, a1: int) -> CyclicWord:
-    """The symmetric word F^(g1-a1+1) (VF)^(a1-1) V^(g1-a1+1) of length 2 g1."""
-    if a1 < 1 or g1 - a1 < 1:
-        raise ValueError("need a1 >= 1 and g1 - a1 >= 1")
-    k = g1 - a1 + 1
-    return CyclicWord.of("F" * k + "VF" * (a1 - 1) + "V" * k)
-
-
 def _word_maps(m: DieudonneModule) -> tuple[list[int | None], dict[int, int]] | None:
     """Extract successor maps when every operator column is a signed unit.
 

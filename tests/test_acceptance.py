@@ -134,6 +134,7 @@ def test_a4_profile_realization_and_necessity(capsys):
                         assert code == 0
                         m = bt1.from_json(out.strip())
                         assert (p_rank(m), a_number(m), superspecial_rank(m)) == (f, a, s)
+                        assert check_polarization(m)
                         realized += 1
         assert realized == 126
 

@@ -161,7 +161,7 @@ def test_found_polarizations_always_check(gf2, gf3):
     candidates = [
         j_rs(2, 2, gf2), j_rs(3, 3, gf2), j_rs(4, 4, gf3),
         word_module(CyclicWord("FFVV"), gf3),
-        canonical_module(EOType.of([0, 1, 1, 2]), gf2, with_form=False),
+        canonical_module(EOType.of([0, 1, 1, 2]), gf2),
         direct_sum(i11(gf2).with_form(None), j_rs(2, 2, gf2)),
     ]
     for m in candidates:

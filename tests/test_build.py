@@ -24,7 +24,7 @@ from ssrank.build import (
     supersingular_profile,
 )
 from ssrank.eo import EOType, enumerate_types, eo_type_of
-from ssrank.ffmat import Matrix
+from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import census_of_type, decompose, superspecial_rank
 
 
@@ -69,6 +69,9 @@ def test_h_rs_fixtures(gf2, gf3):
         h = h_rs(r, s, gf3)
         assert check_polarization(h)
         assert validate_bt1(h) == []
+    for field in (gf3, PrimeField(97)):
+        for r in range(1, 7):
+            assert check_polarization(h_rs(r, r, field))
 
 
 def test_m11_embedding(gf2, gf3):
@@ -110,10 +113,13 @@ def test_realize_examples(gf2):
     assert decompose(m).as_dict() == {"FV": 3}
 
     m = realize(ProfileQuery(5, 0, 2, 0), gf2)
-    assert decompose(m).as_dict() == {"FFFFVFVVVV": 1}
+    assert decompose(m).as_dict() == {"FFFFV": 1, "FVVVV": 1}
     assert (a_number(m), superspecial_rank(m)) == (2, 0)
-    # two Frobenius runs: the compatible form lives only over the closure
-    assert m.form is None
+    assert m.form is not None and check_polarization(m)
+
+    m = realize(ProfileQuery(5, 0, 3, 0), gf2)
+    assert decompose(m).as_dict() == {"FFFVFVVVFV": 1}
+    assert m.form is not None and check_polarization(m)
 
     with pytest.raises(InfeasibleProfileError):
         realize(ProfileQuery(4, 1, 3, 2), gf2)
@@ -129,8 +135,8 @@ def test_realize_all_feasible_small(gf2):
                         continue
                     m = realize(q, gf2)
                     assert (p_rank(m), a_number(m), superspecial_rank(m)) == (f, a, s)
-                    # a single Frobenius run (or no word block at all) polarizes rationally
-                    assert check_polarization(m) == (a == g - f or a - s == 1)
+                    assert check_polarization(m)
+                    eo_type_of(m)  # raises unless the module is quasipolarizable
 
 
 def test_realize_odd_characteristic(gf3):

@@ -23,8 +23,8 @@ def test_eo_list_counts_and_csv(capsys):
     code, out, _ = run(capsys, "eo", "list", "--g", "5", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 32
-    code, parallel, _ = run(capsys, "eo", "list", "--g", "5", "--format", "csv", "--jobs", "4")
-    assert code == 0 and parallel == out
+    code, again, _ = run(capsys, "eo", "list", "--g", "5", "--format", "csv")
+    assert code == 0 and again == out
 
 
 def test_eo_list_json_and_filter(capsys):
@@ -46,6 +46,10 @@ def test_eo_module_roundtrip(capsys):
     assert module.dim == 4
     assert bt1.check_polarization(module)
     assert bt1.to_json(module) == out.strip()
+
+    code, out, _ = run(capsys, "eo", "module", "--nu", "0", "--p", "3")
+    assert code == 0
+    assert bt1.check_polarization(bt1.from_json(out.strip()))
 
 
 def test_module_subcommands(tmp_path, capsys):
@@ -72,6 +76,19 @@ def test_module_subcommands(tmp_path, capsys):
     code, out, _ = run(capsys, "module", "polarize", "--in", str(path2))
     assert code == 0
     assert bt1.check_polarization(bt1.from_json(out.strip()))
+
+
+def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys):
+    # FFVFVV has a 3-dimensional space of compatible forms, all degenerate
+    for p, message in ((2, "no compatible nondegenerate form exists"),        # 8 candidates, all tried
+                       (97, "the sampled search over 97^3 candidates was not exhaustive")):
+        code, out, _ = run(capsys, "build", "word", "--w", "FFVFVV", "--p", str(p))
+        assert code == 0
+        path = tmp_path / f"ffvfvv{p}.json"
+        path.write_text(out, encoding="ascii")
+        code, _, err = run(capsys, "module", "polarize", "--in", str(path))
+        assert code == 2 and message in err
+    assert "exists" not in err
 
 
 def test_module_check_rejects_invalid(tmp_path, capsys):
@@ -113,6 +130,10 @@ def test_build_subcommands(capsys):
     code, _, err = run(capsys, "build", "ss", "--g", "4", "--s", "3", "--p", "2")
     assert code == 3
 
+    code, out, _ = run(capsys, "build", "ss", "--g", "3", "--s", "0", "--p", "3")
+    assert code == 0
+    assert bt1.check_polarization(bt1.from_json(out.strip()))
+
     code, _, err = run(capsys, "build", "jrs", "--r", "0", "--s", "1", "--p", "2")
     assert code == 2
 
@@ -151,7 +172,7 @@ def test_atlas_idempotent(tmp_path, capsys):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
     assert main(["atlas", "--g-max", "3", "--out", str(path_a)]) == 0
-    assert main(["atlas", "--g-max", "3", "--out", str(path_b), "--jobs", "4"]) == 0
+    assert main(["atlas", "--g-max", "3", "--out", str(path_b)]) == 0
     capsys.readouterr()
     first = path_a.read_bytes()
     assert first == path_b.read_bytes()

@@ -145,7 +145,7 @@ def test_rank0_census_matches_a_number():
     # decomposition of the rank-0 hyperelliptic type agrees with its a-number
     for g in range(1, 12):
         t = hyp2_rank0_type(g)
-        m = canonical_module(t, GF2, with_form=False)
+        m = canonical_module(t, GF2)
         assert a_number(m) == (g + 1) // 2
         census = census_of_type(t)
         assert census.multiplicity(CyclicWord("FV")) == (1 if g % 3 == 1 else 0)

@@ -16,6 +16,7 @@ from ssrank.eo import (
     extend_final,
     validate_sequence,
 )
+from ssrank.ffmat import PrimeField
 from ssrank.words import decompose
 
 
@@ -78,17 +79,19 @@ def test_canonical_module_smallest_types(gf2):
 
 
 def test_canonical_module_is_valid_and_polarized(gf2):
-    for g in range(0, 5):
-        for t in enumerate_types(g):
-            m = canonical_module(t, gf2)
-            assert validate_bt1(m) == []
-            assert check_polarization(m)
+    for field in (gf2, PrimeField(3), PrimeField(5), PrimeField(97)):
+        for g in range(0, 6):
+            for t in enumerate_types(g):
+                m = canonical_module(t, field)
+                assert validate_bt1(m) == []
+                assert check_polarization(m)
+                assert eo_type_of(m) == t
 
 
 def test_round_trip_small(gf2):
     for g in range(0, 5):
         for t in enumerate_types(g):
-            m = canonical_module(t, gf2, with_form=False)
+            m = canonical_module(t, gf2)
             assert eo_type_of(m) == t
             assert t.p_rank() == p_rank(m)
             assert t.a_number() == a_number(m)
@@ -103,7 +106,7 @@ def test_round_trip_sampled_large(gf2):
                 prev = nu[-1] if nu else 0
                 nu.append(prev + rng.randrange(2) if nu else rng.randrange(2))
             t = EOType.of(nu)
-            assert eo_type_of(canonical_module(t, gf2, with_form=False)) == t
+            assert eo_type_of(canonical_module(t, gf2)) == t
 
 
 def test_eo_type_of_fixtures(gf2):
@@ -123,7 +126,7 @@ def test_three_way_invariant_agreement_sampled(gf2):
             prev = nu[-1] if nu else 0
             nu.append(prev + rng.randrange(2) if nu else rng.randrange(2))
         t = EOType.of(nu)
-        m = canonical_module(t, gf2, with_form=False)
+        m = canonical_module(t, gf2)
         bundle = census_invariants(census_of_type(t))
         assert t.p_rank() == p_rank(m) == bundle.f
         assert t.a_number() == a_number(m) == bundle.a
@@ -132,7 +135,7 @@ def test_three_way_invariant_agreement_sampled(gf2):
 def test_duality_fixes_types(gf2):
     for g in range(1, 5):
         for t in enumerate_types(g):
-            m = canonical_module(t, gf2, with_form=False)
+            m = canonical_module(t, gf2)
             assert eo_type_of(dual(m)) == t
 
 

@@ -11,7 +11,7 @@ from ssrank.bt1 import (
 )
 from ssrank.build import h_rs, i11, j_rs
 from ssrank.eo import EOType, canonical_module, enumerate_types
-from ssrank.ffmat import GF2, Matrix
+from ssrank.ffmat import Matrix
 from ssrank.words import (
     CyclicWord,
     DecompositionError,
@@ -21,7 +21,6 @@ from ssrank.words import (
     census_of_type,
     decompose,
     superspecial_rank,
-    symmetric_word,
     word_module,
 )
 
@@ -68,20 +67,6 @@ def test_word_modules_are_valid_bt1(gf2, gf3):
             assert validate_bt1(word_module(w, gf3)) == []
 
 
-def test_symmetric_word():
-    assert symmetric_word(2, 1) == CyclicWord("FFVV")
-    assert symmetric_word(3, 2) == CyclicWord.of("FFVFVV")
-    w = symmetric_word(4, 2)
-    assert len(w) == 8
-    m = word_module(w, GF2)
-    assert a_number(m) == 2
-    assert superspecial_rank(m) == 0
-    with pytest.raises(ValueError):
-        symmetric_word(2, 2)
-    with pytest.raises(ValueError):
-        symmetric_word(3, 0)
-
-
 def test_decompose_canonical_examples(gf2):
     assert census_of_type(EOType.of([0, 0, 1])).as_dict() == {"FV": 1, "FFVV": 1}
     assert census_of_type(EOType.of([0, 1, 1])).as_dict() == {"FFV": 1, "FVV": 1}
@@ -100,13 +85,13 @@ def test_decompose_round_trip_words(gf2):
 def test_decompose_matches_type_census(gf2):
     for g in range(1, 6):
         for t in enumerate_types(g):
-            m = canonical_module(t, gf2, with_form=False)
+            m = canonical_module(t, gf2)
             assert decompose(m) == census_of_type(t)
 
 
 def test_decompose_falls_back_to_canonicalization(gf2):
     # conjugating by a change of basis destroys word form but not the census
-    m = canonical_module(EOType.of([0, 1]), gf2, with_form=False)
+    m = canonical_module(EOType.of([0, 1]), gf2)
     basis_change = Matrix.build(gf2, [[1, 1, 0, 0],
                                       [0, 1, 0, 1],
                                       [0, 0, 1, 1],
@@ -132,7 +117,7 @@ def test_decompose_survives_random_conjugation(gf2):
 
     for g in range(1, 6):
         for t in enumerate_types(g):
-            m = canonical_module(t, gf2, with_form=False)
+            m = canonical_module(t, gf2)
             change = random_invertible(2 * g)
             inv = change.inverse()
             twisted = type(m)(change @ m.frobenius @ inv,
@@ -196,7 +181,7 @@ def test_census_invariants_match_module_invariants(gf2):
             assert bundle.f == t.p_rank()
             assert bundle.a == t.a_number()
             assert census.total_length() == 2 * g
-            m = canonical_module(t, gf2, with_form=False)
+            m = canonical_module(t, gf2)
             assert bundle.f == p_rank(m)
             assert bundle.a == a_number(m)
 
