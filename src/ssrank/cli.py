@@ -1,8 +1,11 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 infeasible
-request.  All output is deterministic, ordered, and free of locale or
-color dependence so it can be golden-file tested.
+Exit codes: 0 success; 1 usage error, when the command line does not parse
+or a --nu, --w or --poles value names no EO type, cyclic word or pole
+divisor; 2 validation failure, when a parsed request fails a check (module
+axioms, an unsupported p, an out-of-range parameter, a size cap); 3
+infeasible request.  All output is deterministic, ordered, and free of
+locale or color dependence so it can be golden-file tested.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from . import bt1, build, curves, eo, words
 from .ffmat import PrimeField
 
 ATLAS_G_CAP = 12
+# doubling_orbits allocates 2^n + 1 flags (0.34 s at n = 20)
+HERMITIAN_N_CAP = 20
 
 
 class UsageError(Exception):
@@ -165,10 +170,20 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"{what} must be a comma-separated list of integers") from None
 
 
+def _parse_value(make, value):
+    """make(value), with a value it rejects reported as a usage error."""
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
         if args.g < 0:
             raise ValueError("g must be nonnegative")
+        if args.g > ATLAS_G_CAP:
+            raise ValueError(f"g is capped at {ATLAS_G_CAP}")
         rows = _rows_for_g(args.g)
         wanted = _parse_filter(args.filter)
         rows = [r for r in rows if all(r[k] == v for k, v in wanted.items())]
@@ -179,7 +194,7 @@ def _run_eo(args: argparse.Namespace) -> int:
             _emit_report(rows)
         return 0
     if args.cmd == "module":
-        t = eo.EOType.of(_parse_int_list(args.nu, "--nu"))
+        t = _parse_value(eo.EOType.of, _parse_int_list(args.nu, "--nu"))
         module = eo.canonical_module(t, PrimeField(args.p))
         _print(bt1.to_json(module))
         return 0
@@ -215,7 +230,7 @@ def _run_module(args: argparse.Namespace) -> int:
 def _run_build(args: argparse.Namespace) -> int:
     field = PrimeField(args.p)
     if args.cmd == "word":
-        module = words.word_module(words.CyclicWord.of(args.w), field)
+        module = words.word_module(_parse_value(words.CyclicWord.of, args.w), field)
     elif args.cmd == "jrs":
         module = build.j_rs(args.r, args.s, field)
     elif args.cmd == "profile":
@@ -230,7 +245,7 @@ def _run_build(args: argparse.Namespace) -> int:
 
 def _run_curve(args: argparse.Namespace) -> int:
     if args.cmd == "hyp2":
-        divisor = curves.PoleDivisor.of(_parse_int_list(args.poles, "--poles"))
+        divisor = _parse_value(curves.PoleDivisor.of, _parse_int_list(args.poles, "--poles"))
         report = curves.hyp2_analyze(divisor)
         payload = report.as_dict()
         if args.oracle:
@@ -243,6 +258,8 @@ def _run_curve(args: argparse.Namespace) -> int:
         _emit_report(payload)
         return 0
     if args.cmd == "hermitian":
+        if args.n > HERMITIAN_N_CAP:
+            raise ValueError(f"n is capped at {HERMITIAN_N_CAP}")
         _emit_report(curves.hermitian_analyze(args.p, args.n).as_dict())
         return 0
     raise UsageError("unknown curve subcommand")

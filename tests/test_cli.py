@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from ssrank import bt1
+from ssrank import bt1, curves, eo
 from ssrank.build import feasible, ProfileQuery, i11
 from ssrank.cli import main
 from ssrank.ffmat import GF2, Matrix
@@ -138,7 +138,7 @@ def test_build_subcommands(capsys):
     assert code == 2
 
     code, _, err = run(capsys, "build", "word", "--w", "FXV")
-    assert code == 2
+    assert code == 1
 
 
 def test_curve_subcommands(capsys):
@@ -153,7 +153,7 @@ def test_curve_subcommands(capsys):
     assert payload["s"] == 2 and payload["oracle_s"] == 2
 
     code, _, err = run(capsys, "curve", "hyp2", "--poles", "4")
-    assert code == 2
+    assert code == 1
 
     code, _, err = run(capsys, "curve", "hermitian", "--p", "6", "--n", "1")
     assert code == 2
@@ -201,6 +201,20 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys)
     assert code == 1
+    code, _, err = run(capsys, "eo", "module", "--nu", "0,2")
+    assert code == 1 and "not a valid EO type" in err
+
+
+def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("heavy work started before the cap was checked")
+
+    monkeypatch.setattr(eo, "enumerate_types", refuse)
+    monkeypatch.setattr(curves, "doubling_orbits", refuse)
+    code, _, err = run(capsys, "eo", "list", "--g", "13")
+    assert code == 2 and "capped" in err
+    code, _, err = run(capsys, "curve", "hermitian", "--p", "2", "--n", "21")
+    assert code == 2 and "capped" in err
 
 
 def test_json_output_reparses_canonically(capsys):

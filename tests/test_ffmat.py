@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, solve_linear_system
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _rref_modp, solve_linear_system
 
 # F and V of the 2-dimensional supersingular block over F_2: x -> y, y -> 0.
 I11_OP = Matrix.build(GF2, [[0, 0], [1, 0]])
@@ -169,3 +171,116 @@ def test_zero_dimensional_edges():
     assert empty.kernel() == Subspace.zero(GF2, 0)
     assert empty.image() == Subspace.zero(GF2, 0)
     assert Subspace.full(GF2, 0) == Subspace.zero(GF2, 0)
+
+
+# Dense reference over F_2: every lattice operation written on entry tuples
+# and the dense `_rref_modp` sweep, independent of the packed-int rows.
+
+def _dense_span(vectors, n):
+    reduced, _ = _rref_modp([list(v) for v in vectors], n, 2)
+    return tuple(tuple(r) for r in reduced)
+
+
+def _dense_mul(a, b, inner, ncols):
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) % 2 for j in range(ncols)]
+            for i in range(len(a))]
+
+
+def _dense_kernel(rows, n):
+    reduced, pivots = _rref_modp([list(r) for r in rows], n, 2)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = row[free]
+        basis.append(v)
+    return _dense_span(basis, n)
+
+
+def _dense_intersect(a, b, n):
+    # Zassenhaus: reduce [a | a] and [b | 0]; rows with a zero left half span a ∩ b
+    stacked = [list(v) + list(v) for v in a] + [list(v) + [0] * n for v in b]
+    reduced, _ = _rref_modp(stacked, 2 * n, 2)
+    return _dense_span([r[n:] for r in reduced if not any(r[:n])], n)
+
+
+def _random_rows(rng, nrows, ncols):
+    """Random 0/1 rows, sometimes of low rank so kernels and preimages are large."""
+    if ncols and rng.random() < 0.4:
+        k = rng.randrange(ncols + 1)
+        left = [[rng.randrange(2) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(2) for _ in range(ncols)] for _ in range(k)]
+        return _dense_mul(left, right, k, ncols)
+    density = rng.random()
+    return [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _assert_same_subspace(packed, dense_basis, n):
+    assert packed.basis == dense_basis
+    checked = Subspace(GF2, n, dense_basis)  # the public, validating constructor
+    assert packed == checked and hash(packed) == hash(checked)
+
+
+def test_packed_gf2_matches_dense_reference():
+    rng = random.Random(2024)
+    for _ in range(220):
+        nrows, ncols = rng.randrange(25), rng.randrange(25)
+        rows = _random_rows(rng, nrows, ncols)
+        m = Matrix.build(GF2, rows, ncols)
+        dense_rows, pivots = _rref_modp([list(r) for r in rows], ncols, 2)
+        assert m.rank() == len(pivots)
+        _assert_same_subspace(m.kernel(), _dense_kernel(rows, ncols), ncols)
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        _assert_same_subspace(m.image(), _dense_span(columns, nrows), nrows)
+
+        src = _dense_span(_random_rows(rng, rng.randrange(ncols + 1), ncols), ncols)
+        s = Subspace.span(GF2, ncols, src)
+        _assert_same_subspace(s, src, ncols)
+        images = [[sum(row[k] * v[k] for k in range(ncols)) % 2 for row in rows] for v in src]
+        _assert_same_subspace(m.map_subspace(s), _dense_span(images, nrows), nrows)
+
+        a_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
+        b_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
+        a, b = Subspace.span(GF2, nrows, a_basis), Subspace.span(GF2, nrows, b_basis)
+        ann = _dense_kernel(a_basis, nrows)
+        _assert_same_subspace(a.annihilator(), ann, nrows)
+        constraint = _dense_mul(ann, rows, nrows, ncols)
+        _assert_same_subspace(m.preimage(a), _dense_kernel(constraint, ncols), ncols)
+        total = _dense_span(list(a_basis) + list(b_basis), nrows)
+        _assert_same_subspace(a.sum_with(b), total, nrows)
+        meet = _dense_intersect(a_basis, b_basis, nrows)
+        _assert_same_subspace(a.intersect(b), meet, nrows)
+        assert a.contains(b) == (total == a_basis)
+        assert a.sum_with(b).contains(b) and a.contains(a.intersect(b))
+
+        inner = rng.randrange(25)
+        other = _random_rows(rng, ncols, inner)
+        product = m @ Matrix.build(GF2, other, inner)
+        expected = Matrix(GF2, nrows, inner,
+                          tuple(map(tuple, _dense_mul(rows, other, ncols, inner))))
+        assert product.entries == expected.entries
+        assert product == expected and hash(product) == hash(expected)
+
+
+def test_public_constructors_check_input():
+    with pytest.raises(ValueError):
+        Matrix.build(GF2, [[1, 0], [1]])  # ragged rows
+    with pytest.raises(ValueError):
+        Matrix.from_columns(GF2, 2, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        Subspace.span(GF2, 3, [[1, 0]])
+    with pytest.raises(ValueError):
+        Subspace(PrimeField(3), 2, ((1, 3),))  # not reduced mod p
+    assert Matrix.build(PrimeField(3), [[4, -1]]).entries == ((1, 2),)
+    for make in (lambda: Matrix.zeros(GF2, -1, 2), lambda: Matrix.identity(GF2, -1),
+                 lambda: Subspace.zero(GF2, -1), lambda: Subspace.full(GF2, -1)):
+        with pytest.raises(ValueError):
+            make()
+    m = Matrix.identity(GF2, 2)
+    with pytest.raises(AttributeError):
+        m.nrows = 3
+    assert Matrix(GF2, 2, 2, ((1, 0), (0, 1))) == m
+    s = Subspace.span(PrimeField(5), 3, [[1, 2, 3]])
+    for value in (m, s):
+        assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
