@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable
 
 from .ffmat import Matrix, PrimeField, Subspace, block_diag, solve_linear_system
@@ -42,11 +42,17 @@ _SAMPLE_SEED = 0x2977
 
 @dataclass(frozen=True)
 class DieudonneModule:
-    """F_p-space with Frobenius and Verschiebung actions and optional form."""
+    """F_p-space with Frobenius and Verschiebung actions and optional form.
+
+    Immutable, so once `require_valid` passes it stays valid; the success is
+    recorded on the instance.  Every new instance (`with_form`, `direct_sum`,
+    `from_json`, ...) starts unvalidated.
+    """
 
     frobenius: Matrix
     verschiebung: Matrix
     form: Matrix | None = None
+    _validated: bool = dataclass_field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         f, v = self.frobenius, self.verschiebung
@@ -138,9 +144,13 @@ def _form_violations(m: DieudonneModule) -> list[str]:
 
 
 def require_valid(m: DieudonneModule) -> None:
+    """Raise Bt1ValidationError unless m is valid; checks each instance once."""
+    if m._validated:
+        return
     violations = validate_bt1(m)
     if violations:
         raise Bt1ValidationError(violations)
+    object.__setattr__(m, "_validated", True)
 
 
 def _stable_image_dim(op: Matrix) -> int:

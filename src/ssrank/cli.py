@@ -6,11 +6,18 @@ divisor; 2 validation failure, when a parsed request fails a check (module
 axioms, an unsupported p, an out-of-range parameter, a size cap); 3
 infeasible request.  All output is deterministic, ordered, and free of
 locale or color dependence so it can be golden-file tested.
+
+Size caps, checked before any work starts (exit 2): `atlas --g-max` and
+`eo list --g` at 12; `curve hermitian --n` at 20; modules, which are dense
+matrices, at g = 64: `build profile --g`, `build ss --g`, the length of
+`eo module --nu` and the genus of `curve hyp2 --poles` with `--oracle`;
+r + s of `build jrs` and the length of `build word --w` at 2g = 128.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -21,6 +28,8 @@ from .ffmat import PrimeField
 ATLAS_G_CAP = 12
 # doubling_orbits allocates 2^n + 1 flags (0.34 s at n = 20)
 HERMITIAN_N_CAP = 20
+# modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 2.7 s)
+MODULE_G_CAP = 64
 
 
 class UsageError(Exception):
@@ -32,8 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ssrank", description=__doc__)
+    """The parser, built on the first call and shared by every later request.
+
+    parse_args leaves it unchanged, so nothing carries from one request to
+    the next.  --help shows the module docstring up to its size caps.
+    """
+    description = (__doc__ or "").partition("\n\nSize caps")[0] or None
+    parser = _Parser(prog="ssrank", description=description)
     top = parser.add_subparsers(dest="group", required=True)
 
     eo_cmd = top.add_parser("eo", help="Ekedahl-Oort type catalogue")
@@ -95,6 +111,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_cap(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} is capped at {cap}")
+
+
 def _parse_filter(text: str | None) -> dict[str, int]:
     if not text:
         return {}
@@ -139,8 +160,7 @@ def _csv_line(row: dict) -> str:
 
 def emit_atlas(g_max: int, path: str) -> None:
     """Write the atlas CSV: columns g, nu, f, a, s, words; g ascending, nu lex."""
-    if g_max > ATLAS_G_CAP:
-        raise ValueError(f"g_max is capped at {ATLAS_G_CAP}")
+    _check_cap("g_max", g_max, ATLAS_G_CAP)
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
     lines = []
@@ -182,8 +202,7 @@ def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
         if args.g < 0:
             raise ValueError("g must be nonnegative")
-        if args.g > ATLAS_G_CAP:
-            raise ValueError(f"g is capped at {ATLAS_G_CAP}")
+        _check_cap("g", args.g, ATLAS_G_CAP)
         rows = _rows_for_g(args.g)
         wanted = _parse_filter(args.filter)
         rows = [r for r in rows if all(r[k] == v for k, v in wanted.items())]
@@ -194,7 +213,9 @@ def _run_eo(args: argparse.Namespace) -> int:
             _emit_report(rows)
         return 0
     if args.cmd == "module":
-        t = _parse_value(eo.EOType.of, _parse_int_list(args.nu, "--nu"))
+        nu = _parse_int_list(args.nu, "--nu")
+        _check_cap("nu length", len(nu), MODULE_G_CAP)
+        t = _parse_value(eo.EOType.of, nu)
         module = eo.canonical_module(t, PrimeField(args.p))
         _print(bt1.to_json(module))
         return 0
@@ -230,12 +251,16 @@ def _run_module(args: argparse.Namespace) -> int:
 def _run_build(args: argparse.Namespace) -> int:
     field = PrimeField(args.p)
     if args.cmd == "word":
+        _check_cap("word length", len(args.w), 2 * MODULE_G_CAP)
         module = words.word_module(_parse_value(words.CyclicWord.of, args.w), field)
     elif args.cmd == "jrs":
+        _check_cap("r + s", args.r + args.s, 2 * MODULE_G_CAP)
         module = build.j_rs(args.r, args.s, field)
     elif args.cmd == "profile":
+        _check_cap("g", args.g, MODULE_G_CAP)
         module = build.realize(build.ProfileQuery(g=args.g, f=args.f, a=args.a, s=args.s), field)
     elif args.cmd == "ss":
+        _check_cap("g", args.g, MODULE_G_CAP)
         module = build.supersingular_profile(args.g, args.s, field)
     else:
         raise UsageError("unknown build subcommand")
@@ -246,6 +271,8 @@ def _run_build(args: argparse.Namespace) -> int:
 def _run_curve(args: argparse.Namespace) -> int:
     if args.cmd == "hyp2":
         divisor = _parse_value(curves.PoleDivisor.of, _parse_int_list(args.poles, "--poles"))
+        if args.oracle:
+            _check_cap("genus", divisor.genus, MODULE_G_CAP)
         report = curves.hyp2_analyze(divisor)
         payload = report.as_dict()
         if args.oracle:
@@ -258,8 +285,7 @@ def _run_curve(args: argparse.Namespace) -> int:
         _emit_report(payload)
         return 0
     if args.cmd == "hermitian":
-        if args.n > HERMITIAN_N_CAP:
-            raise ValueError(f"n is capped at {HERMITIAN_N_CAP}")
+        _check_cap("n", args.n, HERMITIAN_N_CAP)
         _emit_report(curves.hermitian_analyze(args.p, args.n).as_dict())
         return 0
     raise UsageError("unknown curve subcommand")

@@ -39,6 +39,11 @@ class PoleDivisor:
     def r(self) -> int:
         return len(self.orders) - 1
 
+    @property
+    def genus(self) -> int:
+        """g = r + sum of c_j, where d_j = 2 c_j + 1."""
+        return self.r + sum((d - 1) // 2 for d in self.orders)
+
 
 @dataclass(frozen=True)
 class HyperellipticReport:
@@ -107,7 +112,7 @@ def hyp2_analyze(divisor: PoleDivisor) -> HyperellipticReport:
     """Closed-form invariants of y^2 + y = h(x) from the pole orders of h."""
     c = tuple((d - 1) // 2 for d in divisor.orders)
     r = divisor.r
-    g = r + sum(c)
+    g = divisor.genus
     s = sum(1 for cj in c if cj % 3 == 1)
     s_bound = 1 + r
     e_bound = min(1 + 2 * r, r + s)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bt1 import Bt1ValidationError, DieudonneModule, require_valid, validate_bt1
+from .bt1 import DieudonneModule, require_valid
 from .ffmat import Matrix, PrimeField, Subspace
 
 
@@ -177,9 +177,7 @@ def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:
         gram[j][n - 1 - j] = sigma(j)
     m = DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n),
                         Matrix.build(field, gram, n))
-    violations = validate_bt1(m)
-    if violations:
-        raise Bt1ValidationError(violations)
+    require_valid(m)
     return m
 
 

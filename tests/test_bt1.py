@@ -27,7 +27,7 @@ from ssrank.bt1 import (
 from ssrank.build import h_rs, i11, j_rs, ord1
 from ssrank.eo import EOType, canonical_module, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField, Subspace
-from ssrank.words import decompose
+from ssrank.words import decompose, superspecial_rank
 
 
 def test_validate_fixtures(gf2):
@@ -36,6 +36,25 @@ def test_validate_fixtures(gf2):
     zero_ops = Matrix.zeros(gf2, 2, 2)
     violations = validate_bt1(DieudonneModule(zero_ops, zero_ops))
     assert "ker(F) != im(V)" in violations
+
+
+def test_invalid_module_is_rejected_by_every_entry_point(gf2):
+    zero_ops = Matrix.zeros(gf2, 2, 2)
+    bad = DieudonneModule(zero_ops, zero_ops)
+    for _ in range(2):  # a failed check is not recorded as a pass
+        for entry in (p_rank, a_number, unpolarized_ss_rank, invariants, eo_type_of, decompose,
+                      superspecial_rank):
+            with pytest.raises(Bt1ValidationError):
+                entry(bad)
+
+
+def test_validation_is_recorded_per_instance(gf2):
+    m = i11(gf2)
+    assert p_rank(m) == 0
+    with pytest.raises(Bt1ValidationError, match="form is degenerate"):
+        p_rank(m.with_form(Matrix.zeros(gf2, 2, 2)))
+    fresh = i11(gf2)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
 
 
 def test_validate_form_violations(gf2):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
-from ssrank import bt1, curves, eo
+import pytest
+
+import ssrank
+from ssrank import bt1, build, curves, eo, words
 from ssrank.build import feasible, ProfileQuery, i11
-from ssrank.cli import main
+from ssrank.cli import build_parser, main
 from ssrank.ffmat import GF2, Matrix
 
 
@@ -99,6 +103,46 @@ def test_module_check_rejects_invalid(tmp_path, capsys):
     code, out, _ = run(capsys, "module", "check", "--in", str(path))
     assert code == 2
     assert "ker(F) != im(V)" in json.loads(out)["violations"]
+    for cmd in ("invariants", "decompose", "polarize"):
+        code, out, err = run(capsys, "module", cmd, "--in", str(path))
+        assert (code, out, err) == (2, "", "error: ker(F) != im(V); ker(V) != im(F)\n"), cmd
+
+
+def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
+    t = eo.EOType.of([0, 1, 1])
+    m = eo.canonical_module(t, GF2)
+    change = Matrix.build(GF2, [[1, 1, 0, 1, 0, 0],
+                                [0, 1, 1, 0, 0, 1],
+                                [0, 0, 1, 1, 0, 0],
+                                [0, 0, 0, 1, 1, 0],
+                                [0, 0, 0, 0, 1, 1],
+                                [0, 0, 0, 0, 0, 1]])
+    inv = change.inverse()
+    twisted = bt1.DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv,
+                                  inv.transpose() @ m.form @ inv)
+    assert words._word_maps(twisted) is None  # decompose must go through eo_type_of
+    path = tmp_path / "twisted.json"
+    path.write_text(bt1.to_json(twisted), encoding="ascii")
+
+    calls = [0]
+    original = bt1.validate_bt1
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    for name, namespace in list(sys.modules.items()):
+        if name.split(".")[0] == "ssrank" and vars(namespace).get("validate_bt1") is original:
+            monkeypatch.setattr(namespace, "validate_bt1", counted)
+    expected = {"invariants": {"p": 2, "dim": 6, "g": 3, "f": 0, "a": 2, "u": 0},
+                "decompose": {"census": words.census_of_type(t).as_dict(),
+                              "g": 3, "f": 0, "a": 2, "s": 0},
+                "check": {"valid": True, "violations": []}}
+    for cmd, payload in expected.items():
+        calls[0] = 0
+        code, out, _ = run(capsys, "module", cmd, "--in", str(path))
+        assert (code, json.loads(out)) == (0, payload)
+        assert calls[0] == 1, cmd
 
 
 def test_module_missing_file(capsys):
@@ -206,15 +250,82 @@ def test_usage_errors(capsys):
 
 
 def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("heavy work started before the cap was checked")
+    def refuse(*args, **kwargs):
+        raise ValueError("heavy work started")
 
-    monkeypatch.setattr(eo, "enumerate_types", refuse)
-    monkeypatch.setattr(curves, "doubling_orbits", refuse)
-    code, _, err = run(capsys, "eo", "list", "--g", "13")
-    assert code == 2 and "capped" in err
-    code, _, err = run(capsys, "curve", "hermitian", "--p", "2", "--n", "21")
-    assert code == 2 and "capped" in err
+    for owner, name in ((eo, "enumerate_types"), (curves, "doubling_orbits"),
+                        (build, "realize"), (build, "supersingular_profile"), (build, "j_rs"),
+                        (words, "word_module"), (eo, "canonical_module"),
+                        (curves, "hyp2_analyze"), (curves, "hyp2_module_oracle")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(Matrix, "build", refuse)
+
+    for at_cap, above in (
+            (("eo", "list", "--g", "12"), ("eo", "list", "--g", "13")),
+            (("curve", "hermitian", "--p", "2", "--n", "20"),
+             ("curve", "hermitian", "--p", "2", "--n", "21")),
+            (("build", "profile", "--g", "64", "--f", "0", "--a", "1", "--s", "0"),
+             ("build", "profile", "--g", "65", "--f", "0", "--a", "1", "--s", "0")),
+            (("build", "ss", "--g", "64", "--s", "0"), ("build", "ss", "--g", "65", "--s", "0")),
+            (("build", "jrs", "--r", "64", "--s", "64"),
+             ("build", "jrs", "--r", "64", "--s", "65")),
+            (("build", "word", "--w", "FV" * 64), ("build", "word", "--w", "FV" * 64 + "F")),
+            (("eo", "module", "--nu", "0," * 63 + "0"), ("eo", "module", "--nu", "0," * 64 + "0")),
+            (("curve", "hyp2", "--poles", "129", "--oracle"),
+             ("curve", "hyp2", "--poles", "1,1,127", "--oracle"))):
+        code, _, err = run(capsys, *above)
+        assert code == 2 and "capped" in err, above
+        code, _, err = run(capsys, *at_cap)
+        assert code == 2 and "heavy work started" in err, at_cap
+    # without --oracle no module is built, so the genus is not capped
+    code, _, err = run(capsys, "curve", "hyp2", "--poles", "1,1,127")
+    assert code == 2 and "heavy work started" in err
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "eo", "list", "--g", "2", "--format", "csv")
+    assert code == 0 and out.startswith("2,0;0,0,2,2,")
+    code, out, _ = run(capsys, "eo", "list", "--g", "2")
+    assert code == 0 and len(json.loads(out)) == 4
+    code, out, _ = run(capsys, "build", "ss", "--g", "3", "--s", "0", "--p", "3")
+    assert code == 0 and bt1.from_json(out).field.p == 3
+    code, out, _ = run(capsys, "build", "ss", "--g", "3", "--s", "0")
+    assert code == 0 and bt1.from_json(out).field.p == 2
+    code, _, err = run(capsys, "eo", "list", "--g", "2", "--bogus")
+    assert code == 1 and "usage error" in err
+    assert run(capsys, "eo", "list", "--g", "2")[0] == 0
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: ssrank")
+
+
+def test_in_process_responses_match_a_fresh_process(capsys):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ssrank.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def fresh(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, timeout=120, env=env)
+
+    lazy = fresh("-c", "import ssrank.cli as c; print(c.build_parser.cache_info().currsize)")
+    assert lazy.stdout == b"0\n"  # importing the CLI builds no parser
+    commands = (("eo", "list", "--g", "3", "--format", "csv"),
+                ("eo", "module", "--nu", "0,1", "--p", "3"),
+                ("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"),
+                ("curve", "hyp2", "--poles", "3,9", "--oracle"),
+                ("eo", "module", "--nu", "0,2"))
+    for argv in commands:
+        run(capsys, *argv)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        result = fresh("-m", "ssrank", *argv)
+        assert (code, out.encode(), err.encode()) == (result.returncode, result.stdout,
+                                                      result.stderr), argv
 
 
 def test_json_output_reparses_canonically(capsys):
