@@ -8,10 +8,11 @@ infeasible request.  All output is deterministic, ordered, and free of
 locale or color dependence so it can be golden-file tested.
 
 Size caps, checked before any work starts (exit 2): `atlas --g-max` and
-`eo list --g` at 12; `curve hermitian --n` at 20; modules, which are dense
-matrices, at g = 64: `build profile --g`, `build ss --g`, the length of
-`eo module --nu` and the genus of `curve hyp2 --poles` with `--oracle`;
-r + s of `build jrs` and the length of `build word --w` at 2g = 128.
+`eo list --g` at 12; `curve hermitian --n` at 20; `table feasibility --g`,
+whose rows grow as g^3, at 64; modules, which are dense matrices, at
+g = 64: `build profile --g`, `build ss --g`, the length of `eo module --nu`
+and the genus of `curve hyp2 --poles` with `--oracle`; r + s of `build jrs`
+and the length of `build word --w` at 2g = 128.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import bt1, build, curves, eo, words
 from .ffmat import PrimeField
@@ -28,7 +29,8 @@ from .ffmat import PrimeField
 ATLAS_G_CAP = 12
 # doubling_orbits allocates 2^n + 1 flags (0.34 s at n = 20)
 HERMITIAN_N_CAP = 20
-# modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 2.7 s)
+# modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 2.7 s);
+# also bounds table feasibility, whose O(g^3) rows are 3.8 MB of JSON at g = 64
 MODULE_G_CAP = 64
 
 
@@ -134,28 +136,45 @@ def _parse_filter(text: str | None) -> dict[str, int]:
     return out
 
 
-def _type_row(t: eo.EOType) -> dict:
-    census = words.census_of_type(t)
-    return {
-        "g": t.g,
-        "nu": list(t.nu),
-        "f": t.p_rank(),
-        "a": t.a_number(),
-        "s": census.multiplicity(words.CyclicWord("FV")),
-        "words": census.as_dict(),
-    }
+def _type_rows(g: int, wanted: Mapping[str, int]) -> Iterator[tuple]:
+    """(type, f, a, s, census) for each type of length g that passes the filter.
+
+    f and a are read off nu, so a type they reject costs no census walk.
+    """
+    for t in eo.enumerate_types(g):
+        f, a = t.p_rank(), t.a_number()
+        if wanted.get("f", f) != f or wanted.get("a", a) != a:
+            continue
+        census = words.census_of_type(t)
+        s = census.multiplicity(words.FV)
+        if wanted.get("s", s) == s:
+            yield t, f, a, s, census
 
 
-def _rows_for_g(g: int) -> list[dict]:
-    return [_type_row(t) for t in eo.enumerate_types(g)]
+def _csv_line(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
+    nu = ";".join(str(v) for v in t.nu)
+    return f"{t.g},{nu},{f},{a},{s},{census.joined()}"
 
 
-def _csv_line(row: dict) -> str:
-    nu = ";".join(str(v) for v in row["nu"])
-    word_list = []
-    for letters in sorted(row["words"], key=lambda w: (len(w), w)):
-        word_list.extend([letters] * row["words"][letters])
-    return f"{row['g']},{nu},{row['f']},{row['a']},{row['s']},{';'.join(word_list)}"
+def _json_row(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
+    """One row laid out exactly as json.dumps(rows, indent=2) lays out a list item.
+
+    Word keys are letters F and V only, so they need no escaping.
+    """
+    nu = "[" + ",".join(f"\n      {v}" for v in t.nu) + "\n    ]" if t.nu else "[]"
+    counts = ("{" + ",".join(f'\n      "{w.letters}": {m}' for w, m in census.counts) + "\n    }"
+              if census.counts else "{}")
+    return (f'  {{\n    "g": {t.g},\n    "nu": {nu},\n    "f": {f},\n    "a": {a},\n'
+            f'    "s": {s},\n    "words": {counts}\n  }}')
+
+
+def _write_json_rows(rows: Iterable[tuple]) -> None:
+    """Write rows as they come, byte for byte as json.dumps(list(rows), indent=2)."""
+    separator = "[\n"
+    for row in rows:
+        sys.stdout.write(separator + _json_row(*row))
+        separator = ",\n"
+    sys.stdout.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def emit_atlas(g_max: int, path: str) -> None:
@@ -163,11 +182,9 @@ def emit_atlas(g_max: int, path: str) -> None:
     _check_cap("g_max", g_max, ATLAS_G_CAP)
     if g_max < 1:
         raise ValueError("g_max must be at least 1")
-    lines = []
-    for g in range(1, g_max + 1):
-        lines.extend(_csv_line(row) for row in _rows_for_g(g))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for g in range(1, g_max + 1):
+            handle.writelines(_csv_line(*row) + "\n" for row in _type_rows(g, {}))
 
 
 def _print(text: str) -> None:
@@ -203,14 +220,12 @@ def _run_eo(args: argparse.Namespace) -> int:
         if args.g < 0:
             raise ValueError("g must be nonnegative")
         _check_cap("g", args.g, ATLAS_G_CAP)
-        rows = _rows_for_g(args.g)
-        wanted = _parse_filter(args.filter)
-        rows = [r for r in rows if all(r[k] == v for k, v in wanted.items())]
+        rows = _type_rows(args.g, _parse_filter(args.filter))
         if args.format == "csv":
             for row in rows:
-                _print(_csv_line(row))
+                _print(_csv_line(*row))
         else:
-            _emit_report(rows)
+            _write_json_rows(rows)
         return 0
     if args.cmd == "module":
         nu = _parse_int_list(args.nu, "--nu")
@@ -278,7 +293,7 @@ def _run_curve(args: argparse.Namespace) -> int:
         if args.oracle:
             oracle_module = curves.hyp2_module_oracle(divisor)
             census = words.decompose(oracle_module)
-            payload["oracle_s"] = census.multiplicity(words.CyclicWord("FV"))
+            payload["oracle_s"] = census.multiplicity(words.FV)
             payload["oracle_census"] = census.as_dict()
             if payload["oracle_s"] != report.s:
                 raise RuntimeError("oracle disagrees with the closed form")
@@ -296,6 +311,7 @@ def _run_table(args: argparse.Namespace) -> int:
         g = args.g
         if g < 0:
             raise ValueError("g must be nonnegative")
+        _check_cap("g", g, MODULE_G_CAP)
         rows = []
         for f in range(g + 1):
             for a in range(g - f + 1):

@@ -8,7 +8,6 @@ that census.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,14 +32,21 @@ class CyclicWord:
     letters: str
 
     def __post_init__(self) -> None:
-        if not self.letters or any(c not in "FV" for c in self.letters):
-            raise ValueError("word letters must be a nonempty string over {F, V}")
+        _check_letters(self.letters)
         if self.letters != _least_rotation(self.letters):
             raise ValueError("word is not in canonical rotation; use CyclicWord.of")
 
     @classmethod
     def of(cls, letters: str) -> "CyclicWord":
-        return cls(_least_rotation(letters))
+        _check_letters(letters)
+        return cls._trusted(_least_rotation(letters))
+
+    @classmethod
+    def _trusted(cls, letters: str) -> "CyclicWord":
+        """Trusted constructor for letters already over {F, V} in least rotation."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -58,10 +64,32 @@ class CyclicWord:
         return sum(1 for i in range(n) if s[i] == "F" and s[(i + 1) % n] == "V")
 
 
+def _check_letters(letters: str) -> None:
+    if not letters or letters.strip("FV"):
+        raise ValueError("word letters must be a nonempty string over {F, V}")
+
+
 def _least_rotation(s: str) -> str:
-    if not s:
+    """Least rotation of a word over {F, V}.
+
+    A pure word is its own least rotation.  A mixed one starts with F, and
+    among its rotations that do, one starting at an F-run start (an F after a
+    V) beats any starting inside that run, so only those are compared: each
+    "VF" at j < n in s + s gives the rotation starting at j + 1.
+    """
+    if "F" not in s or "V" not in s:
         return s
-    return min(s[i:] + s[:i] for i in range(len(s)))
+    n = len(s)
+    doubled = s + s
+    j = doubled.find("VF")
+    best = doubled[j + 1:j + 1 + n]
+    j = doubled.find("VF", j + 1)
+    while -1 < j < n:
+        rotation = doubled[j + 1:j + 1 + n]
+        if rotation < best:
+            best = rotation
+        j = doubled.find("VF", j + 1)
+    return best
 
 
 def all_cyclic_words(length: int) -> list[CyclicWord]:
@@ -73,6 +101,14 @@ def all_cyclic_words(length: int) -> list[CyclicWord]:
     return [CyclicWord(s) for s in sorted(seen)]
 
 
+def _word_key(letters: str) -> tuple[int, str]:
+    return len(letters), letters
+
+
+def _census_key(item: tuple[CyclicWord, int]) -> tuple[int, str]:
+    return _word_key(item[0].letters)
+
+
 @dataclass(frozen=True)
 class WordCensus:
     """Multiset of cyclic words with multiplicities, canonically ordered."""
@@ -80,15 +116,23 @@ class WordCensus:
     counts: tuple[tuple[CyclicWord, int], ...]
 
     def __post_init__(self) -> None:
-        expected = tuple(sorted(self.counts, key=lambda wc: (len(wc[0]), wc[0].letters)))
+        expected = tuple(sorted(self.counts, key=_census_key))
         if self.counts != expected or any(mult <= 0 for _, mult in self.counts):
             raise ValueError("census must be sorted with positive multiplicities")
 
     @classmethod
     def from_counter(cls, counter: Mapping[CyclicWord, int]) -> "WordCensus":
-        items = tuple(sorted(((w, m) for w, m in counter.items() if m),
-                             key=lambda wc: (len(wc[0]), wc[0].letters)))
-        return cls(items)
+        items = sorted(((w, m) for w, m in counter.items() if m), key=_census_key)
+        if any(m < 0 for _, m in items):
+            raise ValueError("census must be sorted with positive multiplicities")
+        return cls._trusted(tuple(items))
+
+    @classmethod
+    def _trusted(cls, counts: tuple[tuple[CyclicWord, int], ...]) -> "WordCensus":
+        """Trusted constructor for counts already sorted with positive multiplicities."""
+        census = object.__new__(cls)
+        object.__setattr__(census, "counts", counts)
+        return census
 
     def multiplicity(self, word: CyclicWord) -> int:
         for w, m in self.counts:
@@ -107,7 +151,8 @@ class WordCensus:
         return ";".join(w.letters for w, m in self.counts for _ in range(m))
 
 
-_FV = CyclicWord("FV")
+# the word of the supersingular block; its multiplicity is the superspecial rank
+FV = CyclicWord("FV")
 
 
 def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
@@ -137,11 +182,11 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     return DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n))
 
 
-def _word_maps(m: DieudonneModule) -> tuple[list[int | None], dict[int, int]] | None:
+def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] | None:
     """Extract successor maps when every operator column is a signed unit.
 
-    Returns (f_next, v_pre) where v_pre maps a node to the unique node V
-    sends onto it; None when the module is not in word form.
+    Returns (f_next, v_pre) where v_pre[k] is the unique node V sends onto
+    k (None if there is none); None when the module is not in word form.
     """
     n = m.dim
     p = m.field.p
@@ -168,45 +213,59 @@ def _word_maps(m: DieudonneModule) -> tuple[list[int | None], dict[int, int]] | 
         hit = [t for t in nxt if t is not None]
         if len(hit) != len(set(hit)):
             return None
-    v_pre = {t: j for j, t in enumerate(v_next) if t is not None}
-    return f_next, v_pre
+    return f_next, _preimages(v_next)
 
 
-def _census_from_maps(f_next: list[int | None], v_pre: Mapping[int, int]) -> WordCensus:
+def _preimages(v_next: list[int | None]) -> list[int | None]:
+    """Invert an injective partial map on 0..n-1."""
+    v_pre: list[int | None] = [None] * len(v_next)
+    for j, tgt in enumerate(v_next):
+        if tgt is not None:
+            v_pre[tgt] = j
+    return v_pre
+
+
+def _census_from_maps(f_next: list[int | None], v_pre: list[int | None]) -> WordCensus:
+    """Walk each cycle once, forward along F and backward along V.
+
+    Every word is put in its least rotation once, and the census is built
+    through the trusted constructors: the walk yields only letters F and V.
+    """
     n = len(f_next)
     visited = [False] * n
-    counter: Counter[CyclicWord] = Counter()
+    counts: dict[str, int] = {}
     for start in range(n):
         if visited[start]:
             continue
-        letters = []
+        letters = ""
         node = start
         for _ in range(n + 1):
             visited[node] = True
-            if f_next[node] is not None:
-                letters.append("F")
-                node = f_next[node]
+            nxt = f_next[node]
+            if nxt is not None:
+                letters += "F"
             else:
-                pre = v_pre.get(node)
-                if pre is None:
+                nxt = v_pre[node]
+                if nxt is None:
                     raise DecompositionError("node has neither F-image nor V-preimage")
-                letters.append("V")
-                node = pre
+                letters += "V"
+            node = nxt
             if node == start:
                 break
             if visited[node]:
                 raise DecompositionError("walk re-entered a visited node; graph is not a disjoint cycle union")
         else:
             raise DecompositionError("walk did not close")
-        counter[CyclicWord.of("".join(letters))] += 1
-    return WordCensus.from_counter(counter)
+        word = _least_rotation(letters)
+        counts[word] = counts.get(word, 0) + 1
+    return WordCensus._trusted(tuple((CyclicWord._trusted(w), counts[w])
+                                     for w in sorted(counts, key=_word_key)))
 
 
 def census_of_type(t: EOType) -> WordCensus:
     """Word census of the canonical module of a type, without building matrices."""
     f_next, v_next = node_maps(t)
-    v_pre = {tgt: j for j, tgt in enumerate(v_next) if tgt is not None}
-    return _census_from_maps(f_next, v_pre)
+    return _census_from_maps(f_next, _preimages(v_next))
 
 
 def decompose(m: DieudonneModule) -> WordCensus:
@@ -228,7 +287,7 @@ def decompose(m: DieudonneModule) -> WordCensus:
 
 def superspecial_rank(m: DieudonneModule) -> int:
     """Multiplicity of the word FV in the canonical decomposition."""
-    return decompose(m).multiplicity(_FV)
+    return decompose(m).multiplicity(FV)
 
 
 def census_invariants(census: WordCensus) -> InvariantBundle:
@@ -244,7 +303,7 @@ def census_invariants(census: WordCensus) -> InvariantBundle:
     if etale != toric:
         raise ValueError(f"census is not self-balanced: etale {etale} != multiplicative {toric}")
     a_num = sum(w.frobenius_runs() * mult for w, mult in census.counts if w.is_mixed())
-    s_rank = census.multiplicity(_FV)
+    s_rank = census.multiplicity(FV)
     total = census.total_length()
     g = total // 2 if total % 2 == 0 else None
     return InvariantBundle(g=g, f=etale, a=a_num, s=s_rank)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -249,6 +251,66 @@ def test_usage_errors(capsys):
     assert code == 1 and "not a valid EO type" in err
 
 
+GOLDEN_SHA256 = {
+    ("eo", "list", "--g", "12"): "d594824203bde7a245bd67f68ac6fc866c186bf27463d121c222d1eb0b9031ff",
+    ("eo", "list", "--g", "12", "--format", "csv"):
+        "fb9f36fdee06ac6b0a9f9799859c3c933ea1c1765878f5ba574714fcd4e4e7d1",
+    ("eo", "list", "--g", "0"): "3cd838dc58b9bf6901fee21b661d5e7d81268bc384fb0d3ad822bfda6aab4563",
+}
+ATLAS_12_SHA256 = "df45206493ddb7bc83aa2bc0eab2055d0ef8a0c7525a89ae2116707f82f2679c"
+
+
+def test_catalogue_output_is_golden(tmp_path, capsys):
+    for argv, digest in GOLDEN_SHA256.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    path = tmp_path / "atlas.csv"
+    assert run(capsys, "atlas", "--g-max", "12", "--out", str(path)) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ATLAS_12_SHA256
+
+
+def test_filtered_rows_match_a_filtered_list(capsys):
+    # reference: the full row list built from the library, filtered afterwards
+    for g in range(8):
+        rows = []  # (row, semicolon-joined census)
+        for t in eo.enumerate_types(g):
+            census = words.census_of_type(t)
+            rows.append(({"g": g, "nu": list(t.nu), "f": t.p_rank(), "a": t.a_number(),
+                          "s": census.multiplicity(words.CyclicWord("FV")),
+                          "words": census.as_dict()}, census.joined()))
+        empty_seen = False
+        for keys in itertools.chain.from_iterable(
+                itertools.combinations("fas", k) for k in range(4)):
+            for values in itertools.product(range(g + 2), repeat=len(keys)):
+                wanted = dict(zip(keys, values))
+                kept = [(r, joined) for r, joined in rows
+                        if all(r[k] == v for k, v in wanted.items())]
+                empty_seen |= not kept
+                argv = ["eo", "list", "--g", str(g)]
+                if wanted:
+                    argv += ["--filter", ",".join(f"{k}={v}" for k, v in wanted.items())]
+                text = json.dumps([r for r, _ in kept], indent=2) + "\n"
+                assert run(capsys, *argv) == (0, text, ""), argv
+                csv = "".join(f"{g},{';'.join(map(str, r['nu']))},{r['f']},{r['a']},{r['s']},"
+                              f"{joined}\n" for r, joined in kept)
+                assert run(capsys, *argv, "--format", "csv") == (0, csv, ""), argv
+        assert empty_seen
+
+
+def test_bad_requests_write_nothing(tmp_path, capsys):
+    for clause in ("q=1", "a=x", "f=0,s"):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "eo", "list", "--g", "12", "--filter", clause,
+                                 "--format", fmt)
+            assert (code, out) == (1, "") and "filter" in err, (clause, fmt)
+    for g_max, message in (("13", "capped"), ("0", "at least 1")):
+        path = tmp_path / f"atlas{g_max}.csv"
+        code, out, err = run(capsys, "atlas", "--g-max", g_max, "--out", str(path))
+        assert (code, out) == (2, "") and message in err
+        assert not path.exists()
+
+
 def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise ValueError("heavy work started")
@@ -256,7 +318,8 @@ def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
     for owner, name in ((eo, "enumerate_types"), (curves, "doubling_orbits"),
                         (build, "realize"), (build, "supersingular_profile"), (build, "j_rs"),
                         (words, "word_module"), (eo, "canonical_module"),
-                        (curves, "hyp2_analyze"), (curves, "hyp2_module_oracle")):
+                        (curves, "hyp2_analyze"), (curves, "hyp2_module_oracle"),
+                        (build, "feasible")):
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(Matrix, "build", refuse)
 
@@ -272,7 +335,8 @@ def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
             (("build", "word", "--w", "FV" * 64), ("build", "word", "--w", "FV" * 64 + "F")),
             (("eo", "module", "--nu", "0," * 63 + "0"), ("eo", "module", "--nu", "0," * 64 + "0")),
             (("curve", "hyp2", "--poles", "129", "--oracle"),
-             ("curve", "hyp2", "--poles", "1,1,127", "--oracle"))):
+             ("curve", "hyp2", "--poles", "1,1,127", "--oracle")),
+            (("table", "feasibility", "--g", "64"), ("table", "feasibility", "--g", "65"))):
         code, _, err = run(capsys, *above)
         assert code == 2 and "capped" in err, above
         code, _, err = run(capsys, *at_cap)

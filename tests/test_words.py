@@ -37,6 +37,25 @@ def test_cyclic_word_canonical_rotation():
         CyclicWord.of("FX")
 
 
+def test_least_rotation_matches_brute_force():
+    for length in range(1, 15):
+        for bits in range(2 ** length):
+            s = "".join("V" if (bits >> i) & 1 else "F" for i in range(length))
+            w = CyclicWord.of(s)
+            assert w.letters == min(s[i:] + s[:i] for i in range(length)), s
+            assert w == CyclicWord(w.letters)
+
+
+def test_trusted_census_matches_public_constructors():
+    for g in range(9):
+        for t in enumerate_types(g):
+            census = census_of_type(t)
+            rebuilt = WordCensus(tuple((CyclicWord(w.letters), m) for w, m in census.counts))
+            assert census == rebuilt and hash(census) == hash(rebuilt)
+            assert all(type(w) is CyclicWord and m > 0 for w, m in census.counts)
+            assert census.total_length() == 2 * g
+
+
 def test_necklace_counts():
     assert [len(all_cyclic_words(n)) for n in range(1, 7)] == [2, 3, 4, 6, 8, 14]
 
@@ -168,6 +187,10 @@ def test_census_invariants_examples():
 
     with pytest.raises(ValueError):
         census_invariants(WordCensus.from_counter({CyclicWord("F"): 1}))
+    with pytest.raises(ValueError):
+        WordCensus.from_counter({CyclicWord("F"): 1, CyclicWord("V"): -1})
+    with pytest.raises(ValueError):
+        WordCensus(((CyclicWord("FV"), 1), (CyclicWord("F"), 1)))
     # pure cycles weigh by their length (a Frobenius k-cycle is etale of rank p^k)
     c = WordCensus.from_counter({CyclicWord("FF"): 1, CyclicWord("V"): 2})
     assert census_invariants(c).f == 2
