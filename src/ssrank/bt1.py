@@ -408,7 +408,7 @@ def to_json(m: DieudonneModule) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def from_json(text: str) -> DieudonneModule:
+def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
     """Parse the canonical module serialization; entries are reduced mod p."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -422,6 +422,8 @@ def from_json(text: str) -> DieudonneModule:
         raise ValueError(f"module JSON is missing key {missing}") from None
     except TypeError:
         raise ValueError("module JSON has non-numeric p or dim") from None
+    if max_dim is not None and dim > max_dim:
+        raise ValueError(f"module dim is capped at {max_dim}")
     raw_form = obj.get("form")
 
     def matrix_of(raw) -> Matrix:

@@ -11,8 +11,10 @@ Size caps, checked before any work starts (exit 2): `atlas --g-max` and
 `eo list --g` at 12; `curve hermitian --n` at 20; `table feasibility --g`,
 whose rows grow as g^3, at 64; modules, which are dense matrices, at
 g = 64: `build profile --g`, `build ss --g`, the length of `eo module --nu`
-and the genus of `curve hyp2 --poles` with `--oracle`; r + s of `build jrs`
-and the length of `build word --w` at 2g = 128.
+and the genus of `curve hyp2 --poles` with `--oracle`; r + s of `build jrs`,
+the length of `build word --w` and the dim of a `module ... --in` file at
+2g = 128, except for `module polarize`, capped at dim 24 (g = 12); the
+genus of `curve hyp2 --poles` without `--oracle` at 100000.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ HERMITIAN_N_CAP = 20
 # modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 2.7 s);
 # also bounds table feasibility, whose O(g^3) rows are 3.8 MB of JSON at g = 64
 MODULE_G_CAP = 64
+# module polarize solves for g(2g - 1) unknowns: 2.3 s at g = 12, 7.5 s at g = 14
+POLARIZE_G_CAP = 12
+# curve hyp2 lists one summand entry per unit of genus (g = 10^5: 0.1 s, 1.3 MB)
+HYP2_G_CAP = 100_000
 
 
 class UsageError(Exception):
@@ -195,9 +201,9 @@ def _emit_report(obj) -> None:
     _print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _read_module(path: str) -> bt1.DieudonneModule:
+def _read_module(path: str, g_cap: int) -> bt1.DieudonneModule:
     with open(path, "r", encoding="utf-8") as handle:
-        return bt1.from_json(handle.read())
+        return bt1.from_json(handle.read(), max_dim=2 * g_cap)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -238,7 +244,7 @@ def _run_eo(args: argparse.Namespace) -> int:
 
 
 def _run_module(args: argparse.Namespace) -> int:
-    module = _read_module(args.path)
+    module = _read_module(args.path, POLARIZE_G_CAP if args.cmd == "polarize" else MODULE_G_CAP)
     if args.cmd == "check":
         violations = bt1.validate_bt1(module)
         _emit_report({"valid": not violations, "violations": violations})
@@ -286,8 +292,7 @@ def _run_build(args: argparse.Namespace) -> int:
 def _run_curve(args: argparse.Namespace) -> int:
     if args.cmd == "hyp2":
         divisor = _parse_value(curves.PoleDivisor.of, _parse_int_list(args.poles, "--poles"))
-        if args.oracle:
-            _check_cap("genus", divisor.genus, MODULE_G_CAP)
+        _check_cap("genus", divisor.genus, MODULE_G_CAP if args.oracle else HYP2_G_CAP)
         report = curves.hyp2_analyze(divisor)
         payload = report.as_dict()
         if args.oracle:

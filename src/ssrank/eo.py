@@ -48,6 +48,13 @@ class EOType:
     def of(cls, nu: Sequence[int]) -> "EOType":
         return cls(tuple(int(x) for x in nu))
 
+    @classmethod
+    def _trusted(cls, nu: tuple[int, ...]) -> "EOType":
+        """Trusted constructor for a tuple already known to be a valid EO type."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "nu", nu)
+        return t
+
     @property
     def g(self) -> int:
         return len(self.nu)
@@ -96,31 +103,27 @@ def enumerate_types(g: int) -> Iterator[EOType]:
     """All 2^g EO types of length g, in lexicographic order."""
     if g < 0:
         raise ValueError("g must be nonnegative")
-
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == g:
-            yield tuple(prefix)
+    nu = [0] * g
+    while True:
+        yield EOType._trusted(tuple(nu))
+        i = g - 1
+        while i >= 0 and nu[i] == (nu[i - 1] + 1 if i else 1):
+            i -= 1
+        if i < 0:
             return
-        last = prefix[-1] if prefix else None
-        choices = (0, 1) if last is None else (last, last + 1)
-        for c in choices:
-            prefix.append(c)
-            yield from rec(prefix)
-            prefix.pop()
+        nu[i:] = [nu[i] + 1] * (g - i)  # raise the rightmost entry that can; refill after it
 
-    for nu in rec([]):
-        yield EOType(nu)
+
+def _final_profile(nu: tuple[int, ...]) -> list[int]:
+    """psi on 0..2g: 0, then nu, then psi(i) = psi(2g - i) + i - g above g."""
+    g = len(nu)
+    psi = [0, *nu]
+    return psi + [psi[g - k] + k for k in range(1, g + 1)]
 
 
 def extend_final(t: EOType) -> FinalType:
-    """Extend nu to psi on 0..2g via psi(i) = psi(2g - i) + i - g above g."""
-    g = t.g
-    psi = [0] * (2 * g + 1)
-    for i in range(1, g + 1):
-        psi[i] = t.nu[i - 1]
-    for i in range(g + 1, 2 * g + 1):
-        psi[i] = psi[2 * g - i] + i - g
-    return FinalType(tuple(psi))
+    """The validated final type of t."""
+    return FinalType(tuple(_final_profile(t.nu)))
 
 
 def node_maps(t: EOType) -> tuple[list[int | None], list[int | None]]:
@@ -128,24 +131,21 @@ def node_maps(t: EOType) -> tuple[list[int | None], list[int | None]]:
 
     v_next[j] is the index hit by V on basis vector j (None when V kills it);
     f_next[j] likewise for F.  V jumps land on e_psi(i) at every psi-increase;
-    F sends the top half onto the stagnant indices in order.
+    F sends the top half onto the stagnant indices in order.  psi is not
+    re-validated: for a valid nu it is symmetric with steps in {0, 1}.
     """
     g = t.g
-    psi = extend_final(t).psi
-    two_g = 2 * g
-    v_next: list[int | None] = [None] * two_g
-    f_next: list[int | None] = [None] * two_g
-    stagnant = []
-    for i in range(1, two_g + 1):
-        if psi[i] > psi[i - 1]:
-            v_next[i - 1] = psi[i] - 1
+    psi = _final_profile(t.nu)
+    v_next: list[int | None] = [None] * (2 * g)
+    stagnant: list[int | None] = []
+    for i in range(2 * g):
+        if psi[i + 1] > psi[i]:
+            v_next[i] = psi[i + 1] - 1
         else:
             stagnant.append(i)
     if len(stagnant) != g:
         raise FiltrationError("final profile does not have g stagnant steps")
-    for m_idx, i in enumerate(stagnant):
-        f_next[g + m_idx] = i - 1
-    return f_next, v_next
+    return [None] * g + stagnant, v_next
 
 
 def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:

@@ -116,9 +116,9 @@ class WordCensus:
     counts: tuple[tuple[CyclicWord, int], ...]
 
     def __post_init__(self) -> None:
-        expected = tuple(sorted(self.counts, key=_census_key))
-        if self.counts != expected or any(mult <= 0 for _, mult in self.counts):
-            raise ValueError("census must be sorted with positive multiplicities")
+        keys = [_census_key(item) for item in self.counts]
+        if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in self.counts):
+            raise ValueError("census must list distinct words in order, with positive multiplicities")
 
     @classmethod
     def from_counter(cls, counter: Mapping[CyclicWord, int]) -> "WordCensus":
@@ -213,27 +213,28 @@ def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] 
         hit = [t for t in nxt if t is not None]
         if len(hit) != len(set(hit)):
             return None
-    return f_next, _preimages(v_next)
-
-
-def _preimages(v_next: list[int | None]) -> list[int | None]:
-    """Invert an injective partial map on 0..n-1."""
-    v_pre: list[int | None] = [None] * len(v_next)
+    v_pre: list[int | None] = [None] * n
     for j, tgt in enumerate(v_next):
         if tgt is not None:
             v_pre[tgt] = j
-    return v_pre
+    return f_next, v_pre
+
+
+def _census_of_cycles(cycles: list[str]) -> WordCensus:
+    """Census of cycles read as letters F and V, each put in least rotation once."""
+    counts: dict[str, int] = {}
+    for letters in cycles:
+        word = _least_rotation(letters)
+        counts[word] = counts.get(word, 0) + 1
+    return WordCensus._trusted(tuple((CyclicWord._trusted(w), counts[w])
+                                     for w in sorted(counts, key=_word_key)))
 
 
 def _census_from_maps(f_next: list[int | None], v_pre: list[int | None]) -> WordCensus:
-    """Walk each cycle once, forward along F and backward along V.
-
-    Every word is put in its least rotation once, and the census is built
-    through the trusted constructors: the walk yields only letters F and V.
-    """
+    """Walk each cycle once, forward along F and backward along V."""
     n = len(f_next)
     visited = [False] * n
-    counts: dict[str, int] = {}
+    cycles = []
     for start in range(n):
         if visited[start]:
             continue
@@ -256,16 +257,36 @@ def _census_from_maps(f_next: list[int | None], v_pre: list[int | None]) -> Word
                 raise DecompositionError("walk re-entered a visited node; graph is not a disjoint cycle union")
         else:
             raise DecompositionError("walk did not close")
-        word = _least_rotation(letters)
-        counts[word] = counts.get(word, 0) + 1
-    return WordCensus._trusted(tuple((CyclicWord._trusted(w), counts[w])
-                                     for w in sorted(counts, key=_word_key)))
+        cycles.append(letters)
+    return _census_of_cycles(cycles)
 
 
 def census_of_type(t: EOType) -> WordCensus:
-    """Word census of the canonical module of a type, without building matrices."""
+    """Word census of the canonical module of a type, without building matrices.
+
+    Following F forward and V backward gives each node one successor; once
+    checked to be a permutation, its cycles are read off with no more checks.
+    """
     f_next, v_next = node_maps(t)
-    return _census_from_maps(f_next, _preimages(v_next))
+    n = len(f_next)
+    succ, letters = list(f_next), ["F"] * n
+    for j, k in enumerate(v_next):
+        if k is not None:
+            if succ[k] is not None:
+                raise DecompositionError("node has both an F-image and a V-preimage")
+            succ[k], letters[k] = j, "V"
+    if None in succ or len(set(succ)) != n:
+        raise DecompositionError("a node has no successor or is entered twice")
+    cycles = []
+    for start in range(n):
+        word, node = "", start
+        while (nxt := succ[node]) is not None:  # a walked node's successor is cleared
+            word += letters[node]
+            succ[node] = None
+            node = nxt
+        if word:
+            cycles.append(word)
+    return _census_of_cycles(cycles)
 
 
 def decompose(m: DieudonneModule) -> WordCensus:
@@ -273,7 +294,9 @@ def decompose(m: DieudonneModule) -> WordCensus:
 
     Word-form inputs (every operator column a signed unit vector or zero) are
     walked directly; anything else is routed through its EO type and the
-    canonical module, which succeeds exactly for quasipolarizable inputs.
+    canonical module.  Routing succeeds for every quasipolarizable input, but
+    success does not imply that a form exists: F e0 = e1, V e0 = c e1 has
+    type [0] and census FV for every c != 0, and a compatible form only for c = -1.
     """
     require_valid(m)
     maps = _word_maps(m)

@@ -311,9 +311,21 @@ def test_bad_requests_write_nothing(tmp_path, capsys):
         assert not path.exists()
 
 
-def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
+def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise ValueError("heavy work started")
+
+    def module_file(dim):
+        path = tmp_path / f"zero{dim}.json"
+        zero = [[0] * dim for _ in range(dim)]
+        path.write_text(json.dumps({"p": 97, "dim": dim, "F": zero, "V": zero, "form": None}))
+        return str(path)
+
+    module_caps = [(("module", cmd, "--in", module_file(128)),
+                    ("module", cmd, "--in", module_file(129)))
+                   for cmd in ("invariants", "decompose", "check")]
+    module_caps.append((("module", "polarize", "--in", module_file(24)),
+                        ("module", "polarize", "--in", module_file(25))))
 
     for owner, name in ((eo, "enumerate_types"), (curves, "doubling_orbits"),
                         (build, "realize"), (build, "supersingular_profile"), (build, "j_rs"),
@@ -336,14 +348,13 @@ def test_sizes_are_capped_before_any_work(capsys, monkeypatch):
             (("eo", "module", "--nu", "0," * 63 + "0"), ("eo", "module", "--nu", "0," * 64 + "0")),
             (("curve", "hyp2", "--poles", "129", "--oracle"),
              ("curve", "hyp2", "--poles", "1,1,127", "--oracle")),
-            (("table", "feasibility", "--g", "64"), ("table", "feasibility", "--g", "65"))):
+            (("curve", "hyp2", "--poles", "200001"), ("curve", "hyp2", "--poles", "1,1,199999")),
+            (("table", "feasibility", "--g", "64"), ("table", "feasibility", "--g", "65")),
+            *module_caps):
         code, _, err = run(capsys, *above)
         assert code == 2 and "capped" in err, above
         code, _, err = run(capsys, *at_cap)
         assert code == 2 and "heavy work started" in err, at_cap
-    # without --oracle no module is built, so the genus is not capped
-    code, _, err = run(capsys, "curve", "hyp2", "--poles", "1,1,127")
-    assert code == 2 and "heavy work started" in err
 
 
 def test_parser_is_reused_without_carrying_state(capsys):

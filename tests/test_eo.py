@@ -14,6 +14,7 @@ from ssrank.eo import (
     enumerate_types,
     eo_type_of,
     extend_final,
+    node_maps,
     validate_sequence,
 )
 from ssrank.ffmat import PrimeField
@@ -33,11 +34,15 @@ def test_validate_sequence():
 
 def test_enumerate_counts_and_order():
     assert [t.nu for t in enumerate_types(1)] == [(0,), (1,)]
-    types5 = list(enumerate_types(5))
-    assert len(types5) == 32
-    assert [t.nu for t in types5] == sorted(t.nu for t in types5)
-    assert len(set(types5)) == 32
     assert [t.nu for t in enumerate_types(0)] == [()]
+    for g in range(13):
+        types = list(enumerate_types(g))
+        assert len(types) == 2 ** g
+        assert all(a.nu < b.nu for a, b in zip(types, types[1:]))
+        for t in types:
+            assert validate_sequence(t.nu)
+            public = EOType.of(t.nu)
+            assert t == public and hash(t) == hash(public)
 
 
 def test_invariant_formulas():
@@ -58,6 +63,16 @@ def test_extend_final_examples():
         FinalType((0, 0, 2))  # step of size 2
     with pytest.raises(ValueError):
         FinalType((0, 1, 1, 1, 2))  # not symmetric
+
+
+def test_node_maps_match_the_validated_final_type():
+    for g in range(10):
+        for t in enumerate_types(g):
+            psi = extend_final(t).psi
+            steps = range(2 * g)
+            v_next = [psi[i + 1] - 1 if psi[i + 1] > psi[i] else None for i in steps]
+            stagnant = [i for i in steps if psi[i + 1] == psi[i]]
+            assert node_maps(t) == ([None] * g + stagnant, v_next)
 
 
 def test_canonical_module_smallest_types(gf2):

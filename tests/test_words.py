@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from ssrank import words
 from ssrank.bt1 import (
     Bt1ValidationError,
     a_number,
@@ -101,11 +102,23 @@ def test_decompose_round_trip_words(gf2):
             assert census.as_dict() == {w.letters: 1}
 
 
-def test_decompose_matches_type_census(gf2):
-    for g in range(1, 6):
-        for t in enumerate_types(g):
-            m = canonical_module(t, gf2)
-            assert decompose(m) == census_of_type(t)
+def test_decompose_matches_type_census(gf2, gf3):
+    # decompose walks the matrices of the word-form canonical module, independently
+    for field, g_max in ((gf2, 9), (gf3, 6)):
+        for g in range(g_max + 1):
+            for t in enumerate_types(g):
+                assert decompose(canonical_module(t, field)) == census_of_type(t)
+
+
+def test_census_of_type_checks_the_maps_form_a_permutation(monkeypatch):
+    t = EOType.of([0])
+    assert census_of_type(t).as_dict() == {"FV": 1}
+    for maps in (([None, None], [None, 0]),  # node 1 has no successor
+                 ([1, 0], [None, 0]),  # node 0 has an F-image and a V-preimage
+                 ([0, 0], [None, None])):  # node 0 is entered twice
+        monkeypatch.setattr(words, "node_maps", lambda _t, maps=maps: maps)
+        with pytest.raises(DecompositionError):
+            census_of_type(t)
 
 
 def test_decompose_falls_back_to_canonicalization(gf2):
@@ -191,6 +204,8 @@ def test_census_invariants_examples():
         WordCensus.from_counter({CyclicWord("F"): 1, CyclicWord("V"): -1})
     with pytest.raises(ValueError):
         WordCensus(((CyclicWord("FV"), 1), (CyclicWord("F"), 1)))
+    with pytest.raises(ValueError):
+        WordCensus(((CyclicWord("FV"), 1), (CyclicWord("FV"), 1)))  # one word listed twice
     # pure cycles weigh by their length (a Frobenius k-cycle is etale of rank p^k)
     c = WordCensus.from_counter({CyclicWord("FF"): 1, CyclicWord("V"): 2})
     assert census_invariants(c).f == 2
