@@ -158,8 +158,7 @@ def _type_rows(g: int, wanted: Mapping[str, int]) -> Iterator[tuple]:
 
 
 def _csv_line(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
-    nu = ";".join(str(v) for v in t.nu)
-    return f"{t.g},{nu},{f},{a},{s},{census.joined()}"
+    return f"{len(t.nu)},{';'.join(map(str, t.nu))},{f},{a},{s},{census.joined()}"
 
 
 def _json_row(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
@@ -167,10 +166,10 @@ def _json_row(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) ->
 
     Word keys are letters F and V only, so they need no escaping.
     """
-    nu = "[" + ",".join(f"\n      {v}" for v in t.nu) + "\n    ]" if t.nu else "[]"
-    counts = ("{" + ",".join(f'\n      "{w.letters}": {m}' for w, m in census.counts) + "\n    }"
-              if census.counts else "{}")
-    return (f'  {{\n    "g": {t.g},\n    "nu": {nu},\n    "f": {f},\n    "a": {a},\n'
+    nu = "[\n      " + ",\n      ".join(map(str, t.nu)) + "\n    ]" if t.nu else "[]"
+    counts = ("{\n      " + ",\n      ".join([f'"{w.letters}": {m}' for w, m in census.counts])
+              + "\n    }" if census.counts else "{}")
+    return (f'  {{\n    "g": {len(t.nu)},\n    "nu": {nu},\n    "f": {f},\n    "a": {a},\n'
             f'    "s": {s},\n    "words": {counts}\n  }}')
 
 
