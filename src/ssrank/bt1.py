@@ -199,22 +199,13 @@ def dual(m: DieudonneModule) -> DieudonneModule:
     return DieudonneModule(m.verschiebung.transpose(), m.frobenius.transpose(), new_form)
 
 
-def direct_sum(m1: DieudonneModule, m2: DieudonneModule) -> DieudonneModule:
-    """Block-diagonal sum; forms combine orthogonally when both are present."""
-    if m1.field != m2.field:
-        raise ValueError("field mismatch")
+def direct_sum(*parts: DieudonneModule) -> DieudonneModule:
+    """Block-diagonal sum in the order given; the form is kept when every part has one."""
     form = None
-    if m1.form is not None and m2.form is not None:
-        form = block_diag(m1.form, m2.form)
-    return DieudonneModule(block_diag(m1.frobenius, m2.frobenius),
-                           block_diag(m1.verschiebung, m2.verschiebung), form)
-
-
-def direct_sum_all(parts: Iterable[DieudonneModule], field: PrimeField) -> DieudonneModule:
-    total = zero_module(field)
-    for part in parts:
-        total = direct_sum(total, part)
-    return total
+    if all(m.form is not None for m in parts):
+        form = block_diag(*[m.form for m in parts])
+    return DieudonneModule(block_diag(*[m.frobenius for m in parts]),
+                           block_diag(*[m.verschiebung for m in parts]), form)
 
 
 def check_polarization(m: DieudonneModule) -> bool:
@@ -409,19 +400,17 @@ def to_json(m: DieudonneModule) -> str:
 
 
 def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
-    """Parse the canonical module serialization; entries are reduced mod p."""
+    """Parse the canonical module serialization; integer entries are reduced mod p."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("module JSON must be an object")
     try:
-        field = PrimeField(int(obj["p"]))
-        dim = int(obj["dim"])
-        raw_f = obj["F"]
-        raw_v = obj["V"]
+        p, dim, raw_f, raw_v = obj["p"], obj["dim"], obj["F"], obj["V"]
     except KeyError as missing:
         raise ValueError(f"module JSON is missing key {missing}") from None
-    except TypeError:
-        raise ValueError("module JSON has non-numeric p or dim") from None
+    if type(p) is not int or type(dim) is not int:
+        raise ValueError("module JSON p and dim must be integers")
+    field = PrimeField(p)
     if max_dim is not None and dim > max_dim:
         raise ValueError(f"module dim is capped at {max_dim}")
     raw_form = obj.get("form")
@@ -432,10 +421,9 @@ def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
         for row in raw:
             if not isinstance(row, list) or len(row) != dim:
                 raise ValueError("matrix must be a dim x dim array")
-        try:
-            return Matrix.build(field, raw, dim)
-        except TypeError:
-            raise ValueError("matrix entries must be integers") from None
+            if not set(map(type, row)) <= {int}:
+                raise ValueError("matrix entries must be integers")
+        return Matrix.build(field, raw, dim)
 
     form = matrix_of(raw_form) if raw_form is not None else None
     return DieudonneModule(matrix_of(raw_f), matrix_of(raw_v), form)

@@ -9,7 +9,6 @@ from .bt1 import (
     a_number,
     check_polarization,
     direct_sum,
-    direct_sum_all,
     dual,
     p_rank,
     zero_module,
@@ -180,7 +179,7 @@ def realize(q: ProfileQuery, field: PrimeField) -> DieudonneModule:
         c = q.g - q.f - q.s - a1
         nu = list(range(c - 1)) + [c - 1] * ((a1 + 1) // 2) + [c] * ((a1 + 2) // 2)
         parts.append(canonical_module(EOType.of(nu), field))
-    module = direct_sum_all(parts, field)
+    module = direct_sum(zero_module(field), *parts)
     measured = (p_rank(module), a_number(module), superspecial_rank(module))
     if measured != (q.f, q.a, q.s):
         raise RuntimeError(f"realization produced {measured}, wanted {(q.f, q.a, q.s)}")
@@ -197,11 +196,10 @@ def supersingular_profile(g: int, s: int, field: PrimeField) -> DieudonneModule:
     if not (0 <= s <= g - 2 or s == g):
         raise InfeasibleProfileError(
             f"supersingular rank {s} is impossible in dimension {g}")
-    module = zero_module(field)
-    for _ in range(s):
-        module = direct_sum(module, i11(field))
+    parts = [i11(field) for _ in range(s)]
     if s < g:
-        module = direct_sum(module, canonical_module(EOType.of(range(g - s)), field))
+        parts.append(canonical_module(EOType.of(range(g - s)), field))
+    module = direct_sum(zero_module(field), *parts)
     if superspecial_rank(module) != s:
         raise RuntimeError("constructed module has the wrong superspecial rank")
     return module

@@ -8,13 +8,14 @@ infeasible request.  All output is deterministic, ordered, and free of
 locale or color dependence so it can be golden-file tested.
 
 Size caps, checked before any work starts (exit 2): `atlas --g-max` and
-`eo list --g` at 12; `curve hermitian --n` at 20; `table feasibility --g`,
-whose rows grow as g^3, at 64; modules, which are dense matrices, at
-g = 64: `build profile --g`, `build ss --g`, the length of `eo module --nu`
-and the genus of `curve hyp2 --poles` with `--oracle`; r + s of `build jrs`,
-the length of `build word --w` and the dim of a `module ... --in` file at
-2g = 128, except for `module polarize`, capped at dim 24 (g = 12); the
-genus of `curve hyp2 --poles` without `--oracle` at 100000.
+`eo list --g` at 12; `curve hermitian --n` at 20 and `--p`, like every p,
+at 97; `table feasibility --g`, whose rows grow as g^3, at 64; modules,
+which are dense matrices, at g = 64: `build profile --g`, `build ss --g`,
+the length of `eo module --nu` and the genus of `curve hyp2 --poles` with
+`--oracle`; r + s of `build jrs`, the length of `build word --w` and the
+dim of a `module ... --in` file at 2g = 128, except for `module polarize`,
+capped at dim 24 (g = 12); the genus of `curve hyp2 --poles` without
+`--oracle` at 100000.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _run_curve(args: argparse.Namespace) -> int:
         divisor = _parse_value(curves.PoleDivisor.of, _parse_int_list(args.poles, "--poles"))
         _check_cap("genus", divisor.genus, MODULE_G_CAP if args.oracle else HYP2_G_CAP)
         report = curves.hyp2_analyze(divisor)
-        payload = report.as_dict()
+        payload = dict(vars(report))
         if args.oracle:
             oracle_module = curves.hyp2_module_oracle(divisor)
             census = words.decompose(oracle_module)
@@ -305,7 +306,7 @@ def _run_curve(args: argparse.Namespace) -> int:
         return 0
     if args.cmd == "hermitian":
         _check_cap("n", args.n, HERMITIAN_N_CAP)
-        _emit_report(curves.hermitian_analyze(args.p, args.n).as_dict())
+        _emit_report(vars(curves.hermitian_analyze(args.p, args.n)))
         return 0
     raise UsageError("unknown curve subcommand")
 

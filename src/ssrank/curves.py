@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bt1 import DieudonneModule, direct_sum, zero_module
 from .eo import EOType, canonical_module
-from .ffmat import GF2
+from .ffmat import GF2, PrimeField
 from .build import ord1
 from .words import superspecial_rank
 
@@ -58,18 +58,6 @@ class HyperellipticReport:
     e_bound: int
     summands: tuple[tuple[int, ...], ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "poles": list(self.poles),
-            "g": self.g,
-            "f": self.f,
-            "c": list(self.c),
-            "s": self.s,
-            "s_bound": self.s_bound,
-            "e_bound": self.e_bound,
-            "summands": [list(nu) for nu in self.summands],
-        }
-
 
 @dataclass(frozen=True)
 class HermitianReport:
@@ -85,20 +73,6 @@ class HermitianReport:
     orbits: tuple[tuple[int, ...], ...]
     zeta_numerator_exponent: int
     points_q2: int
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "g": self.g,
-            "a": self.a,
-            "s": self.s,
-            "e_bound": self.e_bound,
-            "orbits": [list(o) for o in self.orbits],
-            "zeta_numerator_exponent": self.zeta_numerator_exponent,
-            "points_q2": self.points_q2,
-        }
 
 
 def hyp2_rank0_type(g: int) -> EOType:
@@ -130,25 +104,10 @@ def hyp2_module_oracle(divisor: PoleDivisor) -> DieudonneModule:
     of genus c_j for every pole of order 2 c_j + 1 >= 3.  The superspecial
     rank of the result independently checks the closed form.
     """
-    module = zero_module(GF2)
-    for _ in range(divisor.r):
-        module = direct_sum(module, ord1(GF2))
-    for d in divisor.orders:
-        c = (d - 1) // 2
-        if c >= 1:
-            module = direct_sum(module, canonical_module(hyp2_rank0_type(c), GF2))
-    return module
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
+    parts = [ord1(GF2) for _ in range(divisor.r)]
+    parts += [canonical_module(hyp2_rank0_type((d - 1) // 2), GF2)
+              for d in divisor.orders if d >= 3]
+    return direct_sum(zero_module(GF2), *parts)
 
 
 def doubling_orbits(n: int) -> tuple[tuple[int, ...], ...]:
@@ -171,8 +130,7 @@ def doubling_orbits(n: int) -> tuple[tuple[int, ...], ...]:
 
 def hermitian_analyze(p: int, n: int) -> HermitianReport:
     """All reported invariants of the Hermitian curve y^q + y = x^(q+1)."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    PrimeField(p)  # raises unless p is a prime with 2 <= p <= 97
     if n < 1:
         raise ValueError("n must be at least 1")
     q = p ** n

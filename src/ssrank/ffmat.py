@@ -47,18 +47,6 @@ class PrimeField:
         if self.p not in _SMALL_PRIMES:
             raise ValueError(f"p must be a prime with 2 <= p <= 97, got {self.p!r}")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 GF2 = PrimeField(2)
 
@@ -309,9 +297,6 @@ class Matrix(_Value):
         col = self._columns()[j]
         return _unpack(col, self.nrows) if self.field.p == 2 else col
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         t = Matrix._from_rows(self.field, self.ncols, self.nrows, self._columns())
         _set(t, "_cols", self._rows)
@@ -429,16 +414,21 @@ class Matrix(_Value):
         return Matrix._from_rows(self.field, n, n, rows)
 
 
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    """Block-diagonal sum of two matrices over the same field."""
-    if a.field != b.field:
+def block_diag(*blocks: Matrix) -> Matrix:
+    """Block-diagonal sum of matrices over one field, in the order given."""
+    field = blocks[0].field
+    if any(b.field != field for b in blocks):
         raise ValueError("field mismatch")
-    if a.field.p == 2:
-        rows = a._rows + tuple(r << a.ncols for r in b._rows)
-    else:
-        rows = tuple(r + (0,) * b.ncols for r in a._rows)
-        rows += tuple((0,) * a.ncols + r for r in b._rows)
-    return Matrix._from_rows(a.field, a.nrows + b.nrows, a.ncols + b.ncols, rows)
+    ncols = sum(b.ncols for b in blocks)
+    rows: list[Row] = []
+    left = 0
+    for b in blocks:
+        if field.p == 2:
+            rows += [r << left for r in b._rows]
+        else:
+            rows += [(0,) * left + r + (0,) * (ncols - left - b.ncols) for r in b._rows]
+        left += b.ncols
+    return Matrix._from_rows(field, sum(b.nrows for b in blocks), ncols, rows)
 
 
 class Subspace(_Value):
@@ -536,12 +526,6 @@ class Subspace(_Value):
             if c:
                 v = tuple((a - c * b) % p for a, b in zip(v, row))
         return not any(v)
-
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        v = tuple(e % self.field.p for e in vec)
-        return self._holds(_pack(v) if self.field.p == 2 else v)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)

@@ -180,10 +180,9 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
 
 
 def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] | None:
-    """Extract successor maps when every operator column is a signed unit.
+    """Successor maps (f_next, v_next) as `eo.node_maps` gives them, else None.
 
-    Returns (f_next, v_pre) where v_pre[k] is the unique node V sends onto
-    k (None if there is none); None when the module is not in word form.
+    None unless every operator column is a signed unit or zero and no target is hit twice.
     """
     n = m.dim
     p = m.field.p
@@ -210,11 +209,7 @@ def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] 
         hit = [t for t in nxt if t is not None]
         if len(hit) != len(set(hit)):
             return None
-    v_pre: list[int | None] = [None] * n
-    for j, tgt in enumerate(v_next):
-        if tgt is not None:
-            v_pre[tgt] = j
-    return f_next, v_pre
+    return f_next, v_next
 
 
 # A walk from a cycle's least node reads a recurring word the same way each time
@@ -231,44 +226,12 @@ def _census_of_cycles(cycles: list[str]) -> WordCensus:
                                       for w in dict.fromkeys(found)]))
 
 
-def _census_from_maps(f_next: list[int | None], v_pre: list[int | None]) -> WordCensus:
-    """Walk each cycle once, forward along F and backward along V."""
-    n = len(f_next)
-    visited = [False] * n
-    cycles = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        letters = ""
-        node = start
-        for _ in range(n + 1):
-            visited[node] = True
-            nxt = f_next[node]
-            if nxt is not None:
-                letters += "F"
-            else:
-                nxt = v_pre[node]
-                if nxt is None:
-                    raise DecompositionError("node has neither F-image nor V-preimage")
-                letters += "V"
-            node = nxt
-            if node == start:
-                break
-            if visited[node]:
-                raise DecompositionError("walk re-entered a visited node; graph is not a disjoint cycle union")
-        else:
-            raise DecompositionError("walk did not close")
-        cycles.append(letters)
-    return _census_of_cycles(cycles)
+def _census_of_maps(f_next: list[int | None], v_next: list[int | None]) -> WordCensus:
+    """Census of the cycles walked forward along F and backward along V.
 
-
-def census_of_type(t: EOType) -> WordCensus:
-    """Word census of the canonical module of a type, without building matrices.
-
-    Following F forward and V backward gives each node one successor; once
-    checked to be a permutation, its cycles are read off with no more checks.
+    That walk gives each node one successor; once checked to be a
+    permutation, its cycles are read off with no more checks.
     """
-    f_next, v_next = node_maps(t)
     n = len(f_next)
     succ, letters = list(f_next), ["F"] * n
     for j, k in enumerate(v_next):
@@ -290,6 +253,11 @@ def census_of_type(t: EOType) -> WordCensus:
     return _census_of_cycles(cycles)
 
 
+def census_of_type(t: EOType) -> WordCensus:
+    """Word census of the canonical module of a type, without building matrices."""
+    return _census_of_maps(*node_maps(t))
+
+
 def decompose(m: DieudonneModule) -> WordCensus:
     """Cyclic-word census of a valid module.
 
@@ -302,7 +270,7 @@ def decompose(m: DieudonneModule) -> WordCensus:
     require_valid(m)
     maps = _word_maps(m)
     if maps is not None:
-        return _census_from_maps(maps[0], maps[1])
+        return _census_of_maps(*maps)
     try:
         return census_of_type(eo_type_of(m))
     except (Bt1ValidationError, ValueError) as exc:

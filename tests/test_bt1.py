@@ -199,6 +199,19 @@ def test_direct_sum_examples(gf2):
         direct_sum(i11(gf2), i11(PrimeField(3)))
 
 
+def test_direct_sum_is_n_ary(gf2, gf3):
+    for field in (gf2, gf3):
+        formed = (i11(field), ord1(field), canonical_module(EOType.of([0, 1]), field))
+        formless = (j_rs(2, 1, field), i11(field).with_form(None), ord1(field))
+        for a, b, c in (formed, formless, (formed[0], formless[1], formed[2])):
+            total = direct_sum(a, b, c)
+            assert total == direct_sum(direct_sum(a, b), c)
+            assert (total.form is None) == any(m.form is None for m in (a, b, c))
+        assert direct_sum(formed[2]) == formed[2]
+    with pytest.raises(ValueError):
+        direct_sum(i11(gf2), ord1(gf2), i11(gf3))
+
+
 def test_find_polarization_i11_is_hyperbolic(gf2):
     gram = find_polarization(i11(gf2))
     assert gram == Matrix.build(gf2, [[0, 1], [1, 0]])

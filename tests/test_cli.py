@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -355,6 +356,44 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
         assert code == 2 and "capped" in err, above
         code, _, err = run(capsys, *at_cap)
         assert code == 2 and "heavy work started" in err, at_cap
+    # curve hermitian --p takes the supported primes, 2 <= p <= 97, checked without factoring
+    for p, message in (("97", "heavy work started"), ("101", "2 <= p <= 97"),
+                       ("1000000000000000003", "2 <= p <= 97")):
+        code, out, err = run(capsys, "curve", "hermitian", "--p", p, "--n", "1")
+        assert (code, out) == (2, "") and message in err, p
+
+
+def test_module_json_takes_only_integers(tmp_path, capsys):
+    good = {"p": 2, "dim": 2, "F": [[0, 0], [1, 0]], "V": [[0, 0], [1, 0]], "form": None}
+    for bad in (2.0, "2", True):
+        for key, value in (("p", bad), ("dim", bad), ("F", [[0, 0], [bad, 0]])):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({**good, key: value}))
+            for cmd in ("check", "invariants"):
+                code, out, err = run(capsys, "module", cmd, "--in", str(path))
+                assert (code, out) == (2, "") and "integers" in err, (key, value, cmd)
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps({**good, "F": [[0, 0], [3, 0]], "V": [[0, 0], [-1, 0]]}))
+    code, out, _ = run(capsys, "module", "check", "--in", str(path))
+    assert code == 0 and json.loads(out)["valid"]
+
+
+def test_package_imports_only_the_standard_library():
+    src = os.path.dirname(ssrank.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "ssrank", (name, root)
 
 
 def test_parser_is_reused_without_carrying_state(capsys):

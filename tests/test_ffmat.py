@@ -24,15 +24,6 @@ def test_prime_field_rejects_composites_and_large_primes():
     assert PrimeField(97).p == 97
 
 
-def test_field_arithmetic():
-    f5 = PrimeField(5)
-    assert f5.reduce(-1) == 4
-    assert f5.neg(2) == 3
-    assert f5.inv(3) == 2
-    with pytest.raises(ZeroDivisionError):
-        f5.inv(0)
-
-
 def test_rank_examples(gf3):
     assert Matrix.zeros(GF2, 2, 2).rank() == 0
     assert Matrix.identity(gf3, 3).rank() == 3

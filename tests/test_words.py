@@ -5,13 +5,15 @@ import pytest
 from ssrank import words
 from ssrank.bt1 import (
     Bt1ValidationError,
+    DieudonneModule,
     a_number,
     direct_sum,
+    find_polarization,
     p_rank,
     validate_bt1,
 )
 from ssrank.build import h_rs, i11, j_rs
-from ssrank.eo import EOType, canonical_module, enumerate_types
+from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
 from ssrank.ffmat import Matrix
 from ssrank.words import (
     CyclicWord,
@@ -103,7 +105,9 @@ def test_decompose_round_trip_words(gf2):
 
 
 def test_decompose_matches_type_census(gf2, gf3):
-    # decompose walks the matrices of the word-form canonical module, independently
+    # decompose reads the successor maps off the matrices of the word-form canonical
+    # module, independently of node_maps; the cycle walk itself is shared, and the
+    # catalogue golden SHA-256 tests pin the census bytes on their own
     for field, g_max in ((gf2, 9), (gf3, 6)):
         for g in range(g_max + 1):
             for t in enumerate_types(g):
@@ -119,6 +123,21 @@ def test_census_of_type_checks_the_maps_form_a_permutation(monkeypatch):
         monkeypatch.setattr(words, "node_maps", lambda _t, maps=maps: maps)
         with pytest.raises(DecompositionError):
             census_of_type(t)
+
+
+def test_asymmetric_census_is_not_quasipolarizable(gf2, gf3):
+    for field in (gf2, gf3):
+        m = direct_sum(word_module(CyclicWord("FFV"), field), word_module(CyclicWord("V"), field))
+        assert validate_bt1(m) == [] and m.g == 2
+        assert decompose(m).as_dict() == {"V": 1, "FFV": 1}
+        with pytest.raises(FiltrationError, match="final profile is not symmetric"):
+            eo_type_of(m)
+        change = Matrix.build(field, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        inv = change.inverse()
+        conjugate = DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv)
+        with pytest.raises(DecompositionError, match="final profile is not symmetric"):
+            decompose(conjugate)
+        assert find_polarization(m) is None
 
 
 def test_decompose_falls_back_to_canonicalization(gf2):
