@@ -188,31 +188,40 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     whose V-image dimensions pin psi at the chain's dimensions.  Between
     consecutive chain members the V-rank must jump either not at all or by
     the full dimension gap (asserted), which interpolates psi everywhere.
+
+    Each member N costs one augmented reduction of the rows (V b | b) over
+    its basis, giving V(N) (kept for psi) and N meet ker V.  One reduction of
+    (F e_j | e_j) per module gives ker F and a section sigma of F on im F.
+    Since Fx lies in N meet im F, and the module is valid so that
+    ker V = im F, x - sigma(Fx) lies in ker F; hence
+    F^{-1}(N) = ker F + sigma(N meet ker V) exactly.
     """
     require_valid(m)
     n = m.dim
     if n % 2 != 0:
         raise FiltrationError("module dimension is odd; no EO type")
     g = n // 2
-    frob, ver = m.frobenius, m.verschiebung
+    full = Subspace.full(m.field, n)
+    _, sources, ker_f = m.frobenius.image_sources_kernel(full)
+    section = sources.transpose()
 
-    chain: set[Subspace] = {Subspace.zero(m.field, n), Subspace.full(m.field, n)}
-    frontier = list(chain)
+    v_image: dict[Subspace, Subspace] = {}
+    frontier = [Subspace.zero(m.field, n), full]
     while frontier:
         fresh = []
         for sub in frontier:
-            for candidate in (ver.map_subspace(sub), frob.preimage(sub)):
-                if candidate not in chain:
-                    chain.add(candidate)
-                    fresh.append(candidate)
+            if sub not in v_image:
+                image, _, meet = m.verschiebung.image_sources_kernel(sub)
+                v_image[sub] = image
+                fresh += (image, ker_f.sum_with(section.map_subspace(meet)))
         frontier = fresh
 
-    ordered = sorted(chain, key=lambda s: s.dim)
+    ordered = sorted(v_image, key=lambda s: s.dim)
     for small, big in zip(ordered, ordered[1:]):
         if small.dim == big.dim or not big.contains(small):
             raise FiltrationError("canonical closure is not a chain")
 
-    psi_at = {sub.dim: ver.map_subspace(sub).dim for sub in ordered}
+    psi_at = {sub.dim: v_image[sub].dim for sub in ordered}
     psi = [0] * (n + 1)
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):

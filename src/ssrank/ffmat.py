@@ -71,25 +71,27 @@ def _rref_gf2(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
 
 def _rref_modp(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Dense sweep over reduced entries.  Rows below the pivot are zero left of
+    its column, so scaling and elimination touch only the columns from it on."""
     work = [list(r) for r in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
         pivot_row = None
         for i in range(rank, len(work)):
-            if work[i][col] % p:
+            if work[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
         inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [(e * inv) % p for e in work[rank]]
-        piv = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] % p:
-                c = work[i][col] % p
-                work[i] = [(a - c * b) % p for a, b in zip(work[i], piv)]
+        tail = [(e * inv) % p for e in work[rank][col:]]
+        work[rank][col:] = tail
+        for i, row in enumerate(work):
+            c = row[col]
+            if c and i != rank:
+                row[col:] = [(a - c * b) % p for a, b in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
     return work[:rank], pivots
@@ -399,6 +401,30 @@ class Matrix(_Value):
         constraints = Matrix._from_rows(self.field, ann.dim, self.nrows, ann._rows) @ self
         return constraints.kernel()
 
+    def image_sources_kernel(self, s: "Subspace") -> tuple["Subspace", "Matrix", "Subspace"]:
+        """M(S), sources in S for it, and S meet ker M, from one reduction of the rows (M b | b).
+
+        Over the echelon basis b of S, rows with a nonzero left half give the echelon basis of
+        M(S) and, as right halves, its sources; the other rows' right halves are the echelon
+        basis of S meet ker M.  Row i of the nrows x ncols sources matrix is the source of the
+        image row with pivot column i (0 elsewhere), so M @ sources.T fixes all of M(S).
+        """
+        if s.ambient_dim != self.ncols:
+            raise ValueError("ambient dimension does not match ncols")
+        field, m, n = self.field, self.nrows, self.ncols
+        if field.p == 2:
+            cols = self._columns()
+            reduced, pivots = rref(field, (_xor_rows(cols, b) | b << m for b in s._rows), m + n)
+            left, right, zero = [r & ((1 << m) - 1) for r in reduced], [r >> m for r in reduced], 0
+        else:
+            reduced, pivots = rref(field, (self.apply(b) + b for b in s._rows), m + n)
+            left, right, zero = [r[:m] for r in reduced], [r[m:] for r in reduced], (0,) * n
+        rank = sum(pc < m for pc in pivots)
+        by_pivot = dict(zip(pivots[:rank], right))
+        return (Subspace._from_rows(field, m, tuple(left[:rank])),
+                Matrix._from_rows(field, m, n, (by_pivot.get(i, zero) for i in range(m))),
+                Subspace._from_rows(field, n, tuple(right[rank:])))
+
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -429,6 +455,15 @@ def block_diag(*blocks: Matrix) -> Matrix:
             rows += [(0,) * left + r + (0,) * (ncols - left - b.ncols) for r in b._rows]
         left += b.ncols
     return Matrix._from_rows(field, sum(b.nrows for b in blocks), ncols, rows)
+
+
+def vstack(*blocks: Matrix) -> Matrix:
+    """Matrices over one field and of one width, stacked top to bottom in the order given."""
+    field, ncols = blocks[0].field, blocks[0].ncols
+    if any(b.field != field or b.ncols != ncols for b in blocks):
+        raise ValueError("field or width mismatch")
+    return Matrix._from_rows(field, sum(b.nrows for b in blocks), ncols,
+                             [r for b in blocks for r in b._rows])
 
 
 class Subspace(_Value):
@@ -513,15 +548,15 @@ class Subspace(_Value):
             return tuple((r & -r).bit_length() - 1 for r in self._rows)
         return tuple(next(j for j, e in enumerate(r) if e) for r in self._rows)
 
-    def _holds(self, v: Row) -> bool:
-        """Whether an internal-form vector lies in this subspace."""
+    def _holds(self, v: Row, pivots: Sequence[int]) -> bool:
+        """Whether an internal-form vector lies in this subspace, given its pivots."""
         if self.field.p == 2:
             for r in self._rows:
                 if v & r & -r:
                     v ^= r
             return not v
         p = self.field.p
-        for row, pc in zip(self._rows, self.pivots()):
+        for row, pc in zip(self._rows, pivots):
             c = v[pc]
             if c:
                 v = tuple((a - c * b) % p for a, b in zip(v, row))
@@ -529,7 +564,8 @@ class Subspace(_Value):
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(map(self._holds, other._rows))
+        pivots = self.pivots()
+        return all(self._holds(v, pivots) for v in other._rows)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

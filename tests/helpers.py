@@ -1,8 +1,11 @@
-"""Shared test utilities: an independent brute-force embedding counter over F_2."""
+"""Shared test utilities: an independent brute-force embedding counter over F_2,
+and the straightforward forms of faster code paths, kept as references."""
 
 from __future__ import annotations
 
-from ssrank.bt1 import DieudonneModule
+from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
+from ssrank.eo import EOType, FiltrationError
+from ssrank.ffmat import Subspace
 
 
 def _pack(vec) -> int:
@@ -75,3 +78,94 @@ def brute_force_embedding_count(m: DieudonneModule) -> int:
 
     extend(0, {}, 0)
     return best
+
+
+def reference_rref_modp(rows, ncols, p):
+    """The dense sweep that scales and eliminates whole rows."""
+    work = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(work)):
+            if work[i][col] % p:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        work[rank] = [(e * inv) % p for e in work[rank]]
+        piv = work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] % p:
+                c = work[i][col] % p
+                work[i] = [(a - c * b) % p for a, b in zip(work[i], piv)]
+        pivots.append(col)
+        rank += 1
+    return work[:rank], pivots
+
+
+def reference_validate_bt1(m: DieudonneModule) -> list[str]:
+    """BT1 violations found by comparing kernels with images as subspaces."""
+    f, v = m.frobenius, m.verschiebung
+    violations = []
+    if not (f @ v).is_zero():
+        violations.append("F*V != 0")
+    if not (v @ f).is_zero():
+        violations.append("V*F != 0")
+    if f.kernel() != v.image():
+        violations.append("ker(F) != im(V)")
+    if v.kernel() != f.image():
+        violations.append("ker(V) != im(F)")
+    if m.form is not None:
+        violations.extend(_form_violations(m))
+    return violations
+
+
+def reference_eo_type_of(m: DieudonneModule) -> EOType:
+    """EO type from the canonical filtration closed with `map_subspace` and `preimage`."""
+    require_valid(m)
+    n = m.dim
+    if n % 2 != 0:
+        raise FiltrationError("module dimension is odd; no EO type")
+    g = n // 2
+    frob, ver = m.frobenius, m.verschiebung
+
+    chain = {Subspace.zero(m.field, n), Subspace.full(m.field, n)}
+    frontier = list(chain)
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for candidate in (ver.map_subspace(sub), frob.preimage(sub)):
+                if candidate not in chain:
+                    chain.add(candidate)
+                    fresh.append(candidate)
+        frontier = fresh
+
+    ordered = sorted(chain, key=lambda s: s.dim)
+    for small, big in zip(ordered, ordered[1:]):
+        if small.dim == big.dim or not big.contains(small):
+            raise FiltrationError("canonical closure is not a chain")
+
+    psi_at = {sub.dim: ver.map_subspace(sub).dim for sub in ordered}
+    psi = [0] * (n + 1)
+    dims = sorted(psi_at)
+    for lo, hi in zip(dims, dims[1:]):
+        jump = psi_at[hi] - psi_at[lo]
+        if jump == 0:
+            for i in range(lo, hi + 1):
+                psi[i] = psi_at[lo]
+        elif jump == hi - lo:
+            for i in range(lo, hi + 1):
+                psi[i] = psi_at[lo] + (i - lo)
+        else:
+            raise FiltrationError("graded piece has partial V-rank; not a BT1 filtration")
+    psi[n] = psi_at[n]
+
+    if psi[n] != g:
+        raise FiltrationError("V has rank different from g; module is not self-balanced")
+    for i in range(g + 1, n + 1):
+        if psi[i] != psi[n - i] + i - g:
+            raise FiltrationError("final profile is not symmetric; module is not quasipolarizable")
+    return EOType(tuple(psi[1:g + 1]))

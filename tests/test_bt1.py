@@ -29,6 +29,8 @@ from ssrank.eo import EOType, canonical_module, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField, Subspace
 from ssrank.words import decompose, superspecial_rank
 
+from helpers import reference_validate_bt1
+
 
 def test_validate_fixtures(gf2):
     assert validate_bt1(i11(gf2)) == []
@@ -331,3 +333,56 @@ def test_zero_module_invariants(gf2):
     assert validate_bt1(z) == []
     assert p_rank(z) == 0 and a_number(z) == 0 and unpolarized_ss_rank(z) == 0
     assert check_polarization(z)
+
+
+def _random_operators(rng, field, n):
+    """F and V that are mostly invalid: random, or with V landing in ker F, or valid."""
+    p = field.p
+
+    def rand(nrows, ncols):
+        return Matrix.build(field, [[rng.randrange(p) for _ in range(ncols)]
+                                    for _ in range(nrows)], ncols)
+
+    kind = rng.randrange(6)
+    f = rand(n, n) if rng.random() < 0.5 else rand(n, 1) @ rand(1, n)
+    if kind < 3 or (kind == 5 and n % 2):
+        return f, rand(n, n)
+    if kind < 5:  # FV = 0 by construction, VF and the ranks left to chance
+        kernel = f.kernel()
+        if not kernel.dim:
+            return f, Matrix.zeros(field, n, n)
+        return f, Matrix.build(field, kernel.basis, n).transpose() @ rand(kernel.dim, n)
+    t = EOType.of([rng.randrange(2)] * (n // 2))
+    m = canonical_module(t, field)
+    return m.frobenius, m.verschiebung
+
+
+def test_rank_form_validation_matches_the_kernel_image_reference():
+    rng = random.Random(6061)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            f, v = _random_operators(rng, field, n)
+            forms = [None, Matrix.build(field, [[rng.randrange(p) for _ in range(n)]
+                                                for _ in range(n)], n)]
+            if n % 2 == 0:
+                forms.append(canonical_module(EOType.of([0] * (n // 2)), field).form)
+            for form in forms:
+                m = DieudonneModule(f, v, form)
+                assert validate_bt1(m) == reference_validate_bt1(m)
+
+
+def test_stacked_a_number_matches_the_kernel_intersection():
+    rng = random.Random(3137)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        for g in range(6):
+            nu = []
+            for _ in range(g):
+                nu.append(nu[-1] + rng.randrange(2) if nu else rng.randrange(2))
+            for m in (canonical_module(EOType.of(nu), field),
+                      direct_sum(canonical_module(EOType.of(nu), field), i11(field))):
+                f, v = m.frobenius, m.verschiebung
+                assert a_number(m) == f.kernel().intersect(v.kernel()).dim
+                assert a_number(dual(m)) == a_number(m)

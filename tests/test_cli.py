@@ -111,6 +111,20 @@ def test_module_check_rejects_invalid(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: ker(F) != im(V); ker(V) != im(F)\n"), cmd
 
 
+def test_module_check_reports_unfilled_ranks(tmp_path, capsys):
+    # FV = VF = 0 and the form is compatible, but rank F + rank V = 2 < 4
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({
+        "p": 3, "dim": 4,
+        "F": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        "V": [[0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        "form": [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]}), encoding="ascii")
+    code, out, err = run(capsys, "module", "check", "--in", str(path))
+    assert (code, err) == (2, "")
+    assert out == ('{\n  "valid": false,\n  "violations": [\n    "ker(F) != im(V)",\n'
+                   '    "ker(V) != im(F)"\n  ]\n}\n')
+
+
 def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
     t = eo.EOType.of([0, 1, 1])
     m = eo.canonical_module(t, GF2)

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _rref_modp, solve_linear_system
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _rref_modp, solve_linear_system, vstack
+
+from helpers import reference_rref_modp
 
 # F and V of the 2-dimensional supersingular block over F_2: x -> y, y -> 0.
 I11_OP = Matrix.build(GF2, [[0, 0], [1, 0]])
@@ -91,6 +93,54 @@ def test_rank_nullity_and_preimage_randomized(p):
         pre = m.preimage(s)
         assert pre.contains(m.kernel())
         assert s.contains(m.map_subspace(pre))
+
+
+@pytest.mark.parametrize("p", [3, 97])
+def test_sliced_sweep_matches_the_whole_row_sweep(p):
+    rng = random.Random(90 + p)
+    for _ in range(80):
+        nrows, ncols = rng.randrange(12), rng.randrange(1, 9)
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.5:
+            rows += [list(rows[0]), [0] * ncols]  # a repeated row and a zero row
+        if rng.random() < 0.5:
+            dead = rng.randrange(ncols)
+            for row in rows:
+                row[dead] = 0
+        rng.shuffle(rows)
+        assert _rref_modp(rows, ncols, p) == reference_rref_modp(rows, ncols, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_image_sources_kernel_matches_the_lattice(p):
+    rng = random.Random(17 + p)
+    field = PrimeField(p)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(7), rng.randrange(7)
+        rank = ncols if rng.random() < 0.6 else rng.randrange(ncols + 1)
+        m = Matrix.build(field, [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)],
+                         rank) @ Matrix.build(field, [[rng.randrange(p) for _ in range(ncols)]
+                                                      for _ in range(rank)], ncols)
+        s = Subspace.span(field, ncols, [[rng.randrange(p) for _ in range(ncols)]
+                                         for _ in range(rng.randrange(ncols + 1))])
+        image, sources, kernel = m.image_sources_kernel(s)
+        assert image == m.map_subspace(s)
+        assert kernel == s.intersect(m.kernel())
+        section = sources.transpose()
+        assert s.contains(section.map_subspace(image))
+        for w in image.basis:
+            assert m.apply(section.apply(w)) == w
+    with pytest.raises(ValueError):
+        I11_OP.image_sources_kernel(Subspace.zero(GF2, 3))
+
+
+def test_vstack():
+    a, b = Matrix.build(GF2, [[1, 0]]), Matrix.identity(GF2, 2)
+    assert vstack(a, b) == Matrix.build(GF2, [[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        vstack(a, Matrix.identity(GF2, 3))
+    with pytest.raises(ValueError):
+        vstack(a, Matrix.build(PrimeField(3), [[1, 0]]))
 
 
 def test_echelon_form_is_canonical():
