@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Iterable
+from collections.abc import Iterable
 
-from .ffmat import Matrix, PrimeField, Subspace, block_diag, solve_linear_system, vstack
+from .ffmat import Matrix, PrimeField, Subspace, _set, _Value, block_diag, solve_linear_system, vstack
 
 
 class Bt1ValidationError(ValueError):
@@ -40,30 +38,30 @@ _SAMPLE_SWEEP_TRIES = 20000
 _SAMPLE_SEED = 0x2977
 
 
-@dataclass(frozen=True)
-class DieudonneModule:
+class DieudonneModule(_Value):
     """F_p-space with Frobenius and Verschiebung actions and optional form.
 
     Immutable, so once `require_valid` passes it stays valid; the success is
-    recorded on the instance.  Every new instance (`with_form`, `direct_sum`,
-    `from_json`, ...) starts unvalidated.
+    recorded on the instance, outside the compared fields.  Every new
+    instance (`with_form`, `direct_sum`, `from_json`, ...) starts unvalidated.
     """
 
-    frobenius: Matrix
-    verschiebung: Matrix
-    form: Matrix | None = None
-    _validated: bool = dataclass_field(default=False, init=False, compare=False, repr=False)
+    _fields = ("frobenius", "verschiebung", "form")
+    __slots__ = (*_fields, "_validated")
 
-    def __post_init__(self) -> None:
-        f, v = self.frobenius, self.verschiebung
-        if f.field != v.field:
+    def __init__(self, frobenius: Matrix, verschiebung: Matrix, form: Matrix | None = None) -> None:
+        if frobenius.field != verschiebung.field:
             raise ValueError("operator field mismatch")
-        n = f.nrows
-        if f.ncols != n or v.nrows != n or v.ncols != n:
+        n = frobenius.nrows
+        if frobenius.ncols != n or verschiebung.nrows != n or verschiebung.ncols != n:
             raise ValueError("operators must be square matrices of equal size")
-        if self.form is not None:
-            if self.form.field != f.field or self.form.nrows != n or self.form.ncols != n:
+        if form is not None:
+            if form.field != frobenius.field or form.nrows != n or form.ncols != n:
                 raise ValueError("form shape does not match the module")
+        _set(self, "frobenius", frobenius)
+        _set(self, "verschiebung", verschiebung)
+        _set(self, "form", form)
+        _set(self, "_validated", False)
 
     @property
     def field(self) -> PrimeField:
@@ -79,18 +77,21 @@ class DieudonneModule:
         return self.dim // 2
 
     def with_form(self, form: Matrix | None) -> "DieudonneModule":
-        return replace(self, form=form)
+        return type(self)(self.frobenius, self.verschiebung, form)
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(_Value):
     """p-rank f, a-number a, and the superspecial ranks of one module."""
 
-    g: int | None
-    f: int
-    a: int
-    s: int | None = None
-    u: int | None = None
+    __slots__ = _fields = ("g", "f", "a", "s", "u")
+
+    def __init__(self, g: int | None, f: int, a: int, s: int | None = None,
+                 u: int | None = None) -> None:
+        _set(self, "g", g)
+        _set(self, "f", f)
+        _set(self, "a", a)
+        _set(self, "s", s)
+        _set(self, "u", u)
 
     def check_consistent(self) -> None:
         if self.g is not None:
@@ -154,7 +155,7 @@ def require_valid(m: DieudonneModule) -> None:
     violations = validate_bt1(m)
     if violations:
         raise Bt1ValidationError(violations)
-    object.__setattr__(m, "_validated", True)
+    _set(m, "_validated", True)
 
 
 def _stable_image_dim(op: Matrix) -> int:
@@ -273,6 +274,7 @@ def _sweep_candidates(p: int, d: int):
         yield tuple(1 if k == i else 0 for k in range(d))
     for i in range(1, d):
         yield tuple(1 if k <= i else 0 for k in range(d))
+    import random  # here, not at the top: only this sweep uses it, and start-up is lighter
     rng = random.Random(_SAMPLE_SEED)
     for _ in range(_SAMPLE_SWEEP_TRIES):
         yield tuple(rng.randrange(p) for _ in range(d))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bt1 import (
     DieudonneModule,
     a_number,
@@ -14,7 +12,7 @@ from .bt1 import (
     zero_module,
 )
 from .eo import EOType, canonical_module
-from .ffmat import Matrix, PrimeField
+from .ffmat import Matrix, PrimeField, _set, _Value
 from .words import CyclicWord, superspecial_rank, word_module
 
 
@@ -22,14 +20,16 @@ class InfeasibleProfileError(ValueError):
     """The requested invariant profile cannot be realized."""
 
 
-@dataclass(frozen=True)
-class ProfileQuery:
+class ProfileQuery(_Value):
     """A requested tuple (g, f, a, s) of invariants."""
 
-    g: int
-    f: int
-    a: int
-    s: int
+    __slots__ = _fields = ("g", "f", "a", "s")
+
+    def __init__(self, g: int, f: int, a: int, s: int) -> None:  # one per feasibility table row
+        _set(self, "g", g)
+        _set(self, "f", f)
+        _set(self, "a", a)
+        _set(self, "s", s)
 
 
 def _hyperbolic_form(field: PrimeField) -> Matrix:
@@ -108,14 +108,14 @@ def h_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
     return paired
 
 
-@dataclass(frozen=True)
-class M11Embedding:
+class M11Embedding(_Value):
     """Witness for the inclusion of a supersingular block into j_rs."""
 
-    r: int
-    s: int
-    generator: tuple[int, ...]
-    frobenius_image: tuple[int, ...]
+    __slots__ = _fields = ("r", "s", "generator", "frobenius_image")
+
+    def __init__(self, r: int, s: int, generator: tuple[int, ...],
+                 frobenius_image: tuple[int, ...]) -> None:
+        self._assign(r, s, generator, frobenius_image)
 
 
 def m11_embedding(r: int, s: int, field: PrimeField) -> M11Embedding:

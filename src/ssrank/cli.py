@@ -24,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from . import bt1, build, curves, eo, words
 from .ffmat import PrimeField
@@ -294,7 +294,7 @@ def _run_curve(args: argparse.Namespace) -> int:
         divisor = _parse_value(curves.PoleDivisor.of, _parse_int_list(args.poles, "--poles"))
         _check_cap("genus", divisor.genus, MODULE_G_CAP if args.oracle else HYP2_G_CAP)
         report = curves.hyp2_analyze(divisor)
-        payload = dict(vars(report))
+        payload = {name: getattr(report, name) for name in report._fields}
         if args.oracle:
             oracle_module = curves.hyp2_module_oracle(divisor)
             census = words.decompose(oracle_module)
@@ -306,7 +306,8 @@ def _run_curve(args: argparse.Namespace) -> int:
         return 0
     if args.cmd == "hermitian":
         _check_cap("n", args.n, HERMITIAN_N_CAP)
-        _emit_report(vars(curves.hermitian_analyze(args.p, args.n)))
+        report = curves.hermitian_analyze(args.p, args.n)
+        _emit_report({name: getattr(report, name) for name in report._fields})
         return 0
     raise UsageError("unknown curve subcommand")
 

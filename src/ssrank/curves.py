@@ -9,27 +9,26 @@ with the indecomposable factors indexed by doubling orbits on Z/(2^n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bt1 import DieudonneModule, direct_sum, zero_module
 from .eo import EOType, canonical_module
-from .ffmat import GF2, PrimeField
+from .ffmat import GF2, PrimeField, _set, _Value
 from .build import ord1
 from .words import superspecial_rank
 
 
-@dataclass(frozen=True)
-class PoleDivisor:
+class PoleDivisor(_Value):
     """Pole orders d_0, ..., d_r of h(x); each must be odd and positive."""
 
-    orders: tuple[int, ...]
+    __slots__ = _fields = ("orders",)
 
-    def __post_init__(self) -> None:
-        if not self.orders:
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        orders = tuple(orders)
+        if not orders:
             raise ValueError("a pole divisor needs at least one pole")
-        for d in self.orders:
+        for d in orders:
             if d < 1 or d % 2 == 0:
                 raise ValueError(f"pole orders must be odd positive integers, got {d}")
+        _set(self, "orders", orders)
 
     @classmethod
     def of(cls, orders) -> "PoleDivisor":
@@ -45,34 +44,26 @@ class PoleDivisor:
         return self.r + sum((d - 1) // 2 for d in self.orders)
 
 
-@dataclass(frozen=True)
-class HyperellipticReport:
+class HyperellipticReport(_Value):
     """Invariants of a genus-g hyperelliptic curve in characteristic 2."""
 
-    poles: tuple[int, ...]
-    g: int
-    f: int
-    c: tuple[int, ...]
-    s: int
-    s_bound: int
-    e_bound: int
-    summands: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("poles", "g", "f", "c", "s", "s_bound", "e_bound", "summands")
+
+    def __init__(self, poles: tuple[int, ...], g: int, f: int, c: tuple[int, ...], s: int,
+                 s_bound: int, e_bound: int, summands: tuple[tuple[int, ...], ...]) -> None:
+        self._assign(poles, g, f, c, s, s_bound, e_bound, summands)
 
 
-@dataclass(frozen=True)
-class HermitianReport:
+class HermitianReport(_Value):
     """Invariants of the Hermitian curve for q = p^n."""
 
-    p: int
-    n: int
-    q: int
-    g: int
-    a: int
-    s: int
-    e_bound: int
-    orbits: tuple[tuple[int, ...], ...]
-    zeta_numerator_exponent: int
-    points_q2: int
+    __slots__ = _fields = ("p", "n", "q", "g", "a", "s", "e_bound", "orbits",
+                           "zeta_numerator_exponent", "points_q2")
+
+    def __init__(self, p: int, n: int, q: int, g: int, a: int, s: int, e_bound: int,
+                 orbits: tuple[tuple[int, ...], ...], zeta_numerator_exponent: int,
+                 points_q2: int) -> None:
+        self._assign(p, n, q, g, a, s, e_bound, orbits, zeta_numerator_exponent, points_q2)
 
 
 def hyp2_rank0_type(g: int) -> EOType:

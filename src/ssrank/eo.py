@@ -11,11 +11,10 @@ its canonical filtration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .bt1 import DieudonneModule, require_valid
-from .ffmat import Matrix, PrimeField, Subspace
+from .ffmat import Matrix, PrimeField, Subspace, _set, _Value
 
 
 class FiltrationError(ValueError):
@@ -34,15 +33,16 @@ def validate_sequence(nu: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EOType:
+class EOType(_Value):
     """The sequence [nu_1, ..., nu_g]; validated at construction."""
 
-    nu: tuple[int, ...]
+    __slots__ = _fields = ("nu",)
 
-    def __post_init__(self) -> None:
-        if not validate_sequence(self.nu):
-            raise ValueError(f"not a valid EO type: {list(self.nu)}")
+    def __init__(self, nu: tuple[int, ...]) -> None:
+        nu = tuple(nu)
+        if not validate_sequence(nu):
+            raise ValueError(f"not a valid EO type: {list(nu)}")
+        _set(self, "nu", nu)
 
     @classmethod
     def of(cls, nu: Sequence[int]) -> "EOType":
@@ -52,7 +52,7 @@ class EOType:
     def _trusted(cls, nu: tuple[int, ...]) -> "EOType":
         """Trusted constructor for a tuple already known to be a valid EO type."""
         t = object.__new__(cls)
-        object.__setattr__(t, "nu", nu)
+        _set(t, "nu", nu)
         return t
 
     @property
@@ -74,14 +74,13 @@ class EOType:
         return "[" + ",".join(str(v) for v in self.nu) + "]"
 
 
-@dataclass(frozen=True)
-class FinalType:
+class FinalType(_Value):
     """The symmetric extension psi(0..2g) of an EO type."""
 
-    psi: tuple[int, ...]
+    __slots__ = _fields = ("psi",)
 
-    def __post_init__(self) -> None:
-        psi = self.psi
+    def __init__(self, psi: tuple[int, ...]) -> None:
+        psi = tuple(psi)
         if len(psi) % 2 == 0 or not psi:
             raise ValueError("psi must have odd length 2g + 1")
         g = (len(psi) - 1) // 2
@@ -93,6 +92,7 @@ class FinalType:
         for i in range(g + 1, 2 * g + 1):
             if psi[i] != psi[2 * g - i] + i - g:
                 raise ValueError("psi is not symmetric")
+        _set(self, "psi", psi)
 
     @property
     def g(self) -> int:
@@ -189,12 +189,12 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     consecutive chain members the V-rank must jump either not at all or by
     the full dimension gap (asserted), which interpolates psi everywhere.
 
-    Each member N costs one augmented reduction of the rows (V b | b) over
-    its basis, giving V(N) (kept for psi) and N meet ker V.  One reduction of
-    (F e_j | e_j) per module gives ker F and a section sigma of F on im F.
-    Since Fx lies in N meet im F, and the module is valid so that
-    ker V = im F, x - sigma(Fx) lies in ker F; hence
-    F^{-1}(N) = ker F + sigma(N meet ker V) exactly.
+    One reduction of (F e_j | e_j) per module gives ker F and a section
+    sigma of F on im F.  Each member N then costs two: one of the rows
+    (V b | b) over its basis gives V(N) (kept for psi) and N meet ker V; as
+    Fx lies in N meet im F and ker V = im F in a valid module, x - sigma(Fx)
+    lies in ker F, so one of ker F's rows with sigma's images of N meet ker V
+    gives F^{-1}(N) = ker F + sigma(N meet ker V) exactly.
     """
     require_valid(m)
     n = m.dim
@@ -213,7 +213,7 @@ def eo_type_of(m: DieudonneModule) -> EOType:
             if sub not in v_image:
                 image, _, meet = m.verschiebung.image_sources_kernel(sub)
                 v_image[sub] = image
-                fresh += (image, ker_f.sum_with(section.map_subspace(meet)))
+                fresh += (image, ker_f.sum_with_image(section, meet))
         frontier = fresh
 
     ordered = sorted(v_image, key=lambda s: s.dim)

@@ -22,9 +22,8 @@ results are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
+from operator import attrgetter, mul
 
 _SMALL_PRIMES = frozenset({
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -32,20 +31,68 @@ _SMALL_PRIMES = frozenset({
 })
 
 # A row or vector in internal form: a bit-packed int over F_2, else a tuple.
-Row = Union[int, tuple[int, ...]]
+Row = int | tuple[int, ...]
 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class _Value:
+    """Slotted immutable base: only the constructors set attributes.
+
+    A subclass lists its compared, hashed and shown attributes in `_fields`,
+    in its constructor's argument order; equality, hashing and repr follow
+    them, and pickling and copying rebuild through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in vars(cls):
+            cls._key = attrgetter(*cls._fields)
+
+    def _assign(self, *values: object) -> None:
+        """Set `_fields` in order (constructors off the hot paths)."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class PrimeField(_Value):
     """The prime field F_p, restricted to 2 <= p <= 97."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p not in _SMALL_PRIMES:
-            raise ValueError(f"p must be a prime with 2 <= p <= 97, got {self.p!r}")
+    def __init__(self, p: int) -> None:
+        if type(p) is not int or p not in _SMALL_PRIMES:
+            raise ValueError(f"p must be a prime with 2 <= p <= 97, got {p!r}")
+        _set(self, "p", p)
+
+    def __eq__(self, other: object) -> bool:  # every matrix operation compares fields; keep it direct
+        if other.__class__ is PrimeField:
+            return self.p == other.p
+        return NotImplemented
+
+    __hash__ = _Value.__hash__
 
 
 GF2 = PrimeField(2)
@@ -173,22 +220,11 @@ def _span(field: PrimeField, ambient_dim: int, rows: Iterable[Row]) -> "Subspace
     return Subspace._from_rows(field, ambient_dim, rref(field, rows, ambient_dim)[0])
 
 
-class _Value:
-    """Slotted immutable base: only the constructors set attributes."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 class Matrix(_Value):
     """Dense matrix over F_p with the column-action convention."""
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_cols", "_entries")
+    _fields = ("field", "nrows", "ncols", "entries")  # shown and pickled; compared on _rows
 
     def __init__(self, field: PrimeField, nrows: int, ncols: int,
                  entries: Iterable[Iterable[int]]) -> None:
@@ -255,13 +291,6 @@ class Matrix(_Value):
 
     def __hash__(self) -> int:
         return hash((self.field, self.nrows, self.ncols, self._rows))
-
-    def __repr__(self) -> str:
-        return (f"Matrix(field={self.field!r}, nrows={self.nrows}, ncols={self.ncols}, "
-                f"entries={self.entries!r})")
-
-    def __reduce__(self):
-        return Matrix, (self.field, self.nrows, self.ncols, self.entries)
 
     @classmethod
     def build(cls, field: PrimeField, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "Matrix":
@@ -384,14 +413,16 @@ class Matrix(_Value):
 
     def map_subspace(self, s: "Subspace") -> "Subspace":
         """Image of a subspace under this matrix."""
+        return _span(self.field, self.nrows, self._images(s))
+
+    def _images(self, s: "Subspace") -> list[Row]:
+        """Images of the echelon basis of s, in internal form and unreduced."""
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
         if self.field.p == 2:
             cols = self._columns()
-            images = [_xor_rows(cols, v) for v in s._rows]
-        else:
-            images = [self.apply(v) for v in s._rows]
-        return _span(self.field, self.nrows, images)
+            return [_xor_rows(cols, v) for v in s._rows]
+        return [self.apply(v) for v in s._rows]
 
     def preimage(self, s: "Subspace") -> "Subspace":
         """Full preimage {v : M v in S}; always contains the kernel."""
@@ -470,6 +501,7 @@ class Subspace(_Value):
     """A subspace of F_p^n held as a canonical reduced row-echelon basis."""
 
     __slots__ = ("field", "ambient_dim", "_rows", "_basis")
+    _fields = ("field", "ambient_dim", "basis")  # shown and pickled; compared on _rows
 
     def __init__(self, field: PrimeField, ambient_dim: int,
                  basis: Iterable[Iterable[int]]) -> None:
@@ -533,12 +565,6 @@ class Subspace(_Value):
     def __hash__(self) -> int:
         return hash((self.field, self.ambient_dim, self._rows))
 
-    def __repr__(self) -> str:
-        return f"Subspace(field={self.field!r}, ambient_dim={self.ambient_dim}, basis={self.basis!r})"
-
-    def __reduce__(self):
-        return Subspace, (self.field, self.ambient_dim, self.basis)
-
     @property
     def dim(self) -> int:
         return len(self._rows)
@@ -548,13 +574,8 @@ class Subspace(_Value):
             return tuple((r & -r).bit_length() - 1 for r in self._rows)
         return tuple(next(j for j, e in enumerate(r) if e) for r in self._rows)
 
-    def _holds(self, v: Row, pivots: Sequence[int]) -> bool:
-        """Whether an internal-form vector lies in this subspace, given its pivots."""
-        if self.field.p == 2:
-            for r in self._rows:
-                if v & r & -r:
-                    v ^= r
-            return not v
+    def _holds(self, v: tuple[int, ...], pivots: Sequence[int]) -> bool:
+        """Whether a vector over an odd field lies in this subspace, given its pivots."""
         p = self.field.p
         for row, pc in zip(self._rows, pivots):
             c = v[pc]
@@ -564,6 +585,14 @@ class Subspace(_Value):
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
+        if self.field.p == 2:
+            # Every other row is 0 at a row's pivot, so v is in the span iff it is the XOR
+            # of the rows whose pivots v has set.
+            by_pivot = [0] * self.ambient_dim
+            for r in self._rows:
+                by_pivot[(r & -r).bit_length() - 1] = r
+            mask = sum(r & -r for r in self._rows)
+            return all(_xor_rows(by_pivot, v & mask) == v for v in other._rows)
         pivots = self.pivots()
         return all(self._holds(v, pivots) for v in other._rows)
 
@@ -574,6 +603,12 @@ class Subspace(_Value):
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return _span(self.field, self.ambient_dim, self._rows + other._rows)
+
+    def sum_with_image(self, m: Matrix, s: "Subspace") -> "Subspace":
+        """This subspace plus M(S), from one reduction."""
+        if m.field != self.field or m.nrows != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return _span(self.field, self.ambient_dim, [*self._rows, *m._images(s)])
 
     def annihilator(self) -> "Subspace":
         """All v with b . v = 0 for every basis vector b (dot-product dual)."""

@@ -9,8 +9,7 @@ that census.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .bt1 import (
     Bt1ValidationError,
@@ -19,23 +18,23 @@ from .bt1 import (
     require_valid,
 )
 from .eo import EOType, eo_type_of, node_maps
-from .ffmat import Matrix, PrimeField
+from .ffmat import Matrix, PrimeField, _set, _Value
 
 
 class DecompositionError(ValueError):
     """Module is neither in word form nor canonicalizable."""
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(_Value):
     """A nonempty cyclic word over {F, V}, stored in its least rotation."""
 
-    letters: str
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        _check_letters(self.letters)
-        if self.letters != _least_rotation(self.letters):
+    def __init__(self, letters: str) -> None:
+        _check_letters(letters)
+        if letters != _least_rotation(letters):
             raise ValueError("word is not in canonical rotation; use CyclicWord.of")
+        _set(self, "letters", letters)
 
     @classmethod
     def of(cls, letters: str) -> "CyclicWord":
@@ -46,7 +45,7 @@ class CyclicWord:
     def _trusted(cls, letters: str) -> "CyclicWord":
         """Trusted constructor for letters already over {F, V} in least rotation."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        _set(w, "letters", letters)
         return w
 
     def __len__(self) -> int:
@@ -106,16 +105,17 @@ def _census_key(item: tuple[CyclicWord, int]) -> tuple[int, str]:
     return len(item[0].letters), item[0].letters
 
 
-@dataclass(frozen=True)
-class WordCensus:
+class WordCensus(_Value):
     """Multiset of cyclic words with multiplicities, canonically ordered."""
 
-    counts: tuple[tuple[CyclicWord, int], ...]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        keys = [_census_key(item) for item in self.counts]
-        if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in self.counts):
+    def __init__(self, counts: tuple[tuple[CyclicWord, int], ...]) -> None:
+        counts = tuple((w, m) for w, m in counts)
+        keys = [_census_key(item) for item in counts]
+        if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in counts):
             raise ValueError("census must list distinct words in order, with positive multiplicities")
+        _set(self, "counts", counts)
 
     @classmethod
     def from_counter(cls, counter: Mapping[CyclicWord, int]) -> "WordCensus":
@@ -128,7 +128,7 @@ class WordCensus:
     def _trusted(cls, counts: tuple[tuple[CyclicWord, int], ...]) -> "WordCensus":
         """Trusted constructor for counts already sorted with positive multiplicities."""
         census = object.__new__(cls)
-        object.__setattr__(census, "counts", counts)
+        _set(census, "counts", counts)
         return census
 
     def multiplicity(self, word: CyclicWord) -> int:

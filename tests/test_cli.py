@@ -207,11 +207,15 @@ def test_curve_subcommands(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["g"], payload["a"], payload["s"]) == (6, 3, 0)
+    assert list(payload) == ["p", "n", "q", "g", "a", "s", "e_bound", "orbits",
+                             "zeta_numerator_exponent", "points_q2"]  # the report's field order
 
     code, out, _ = run(capsys, "curve", "hyp2", "--poles", "3,9", "--oracle")
     assert code == 0
     payload = json.loads(out)
     assert payload["s"] == 2 and payload["oracle_s"] == 2
+    assert list(payload) == ["poles", "g", "f", "c", "s", "s_bound", "e_bound", "summands",
+                             "oracle_s", "oracle_census"]
 
     code, _, err = run(capsys, "curve", "hyp2", "--poles", "4")
     assert code == 1

@@ -134,6 +134,42 @@ def test_image_sources_kernel_matches_the_lattice(p):
         I11_OP.image_sources_kernel(Subspace.zero(GF2, 3))
 
 
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_contains_matches_the_span_test(p):
+    """S contains T exactly when S + T = S; members are built as combinations of S's basis."""
+    rng = random.Random(23 + p)
+    field = PrimeField(p)
+    for _ in range(150):
+        n = rng.randrange(9)
+        big = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
+                                       for _ in range(rng.randrange(n + 1))])
+        combos = [[rng.randrange(p) for _ in big.basis] for _ in range(rng.randrange(3))]
+        inside = Subspace.span(field, n, [[sum(c * b[j] for c, b in zip(cs, big.basis)) % p
+                                           for j in range(n)] for cs in combos])
+        other = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
+                                         for _ in range(rng.randrange(3))])
+        assert big.contains(inside)
+        for small in (inside, other, big, Subspace.zero(field, n), Subspace.full(field, n)):
+            assert big.contains(small) == (big.sum_with(small) == big)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_sum_with_image_matches_the_two_step_sum(p):
+    rng = random.Random(29 + p)
+    field = PrimeField(p)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(7), rng.randrange(7)
+        m = Matrix.build(field, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
+        base, s = (Subspace.span(field, dim, [[rng.randrange(p) for _ in range(dim)]
+                                              for _ in range(rng.randrange(dim + 1))])
+                   for dim in (nrows, ncols))
+        assert base.sum_with_image(m, s) == base.sum_with(m.map_subspace(s))
+    with pytest.raises(ValueError):
+        Subspace.zero(GF2, 3).sum_with_image(I11_OP, Subspace.zero(GF2, 2))
+    with pytest.raises(ValueError):
+        Subspace.zero(GF2, 2).sum_with_image(I11_OP, Subspace.zero(GF2, 3))
+
+
 def test_vstack():
     a, b = Matrix.build(GF2, [[1, 0]]), Matrix.identity(GF2, 2)
     assert vstack(a, b) == Matrix.build(GF2, [[1, 0], [1, 0], [0, 1]])
