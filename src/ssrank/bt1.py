@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .ffmat import Matrix, PrimeField, Subspace, _set, _Value, block_diag, solve_linear_system, vstack
 
@@ -31,11 +31,8 @@ class PolarizationSearchError(RuntimeError):
     """Raised when a compatible nondegenerate form was required but not found."""
 
 
-# Candidate budget for the deterministic polarization sweep: full lexicographic
-# enumeration below this many tuples, staged/seeded sampling beyond it.
-_LEX_SWEEP_CAP = 4096
-_SAMPLE_SWEEP_TRIES = 20000
-_SAMPLE_SEED = 0x2977
+# Candidates the polarization sweep tries before it gives up undecided.
+_SWEEP_BUDGET = 20000
 
 
 class DieudonneModule(_Value):
@@ -220,116 +217,99 @@ def check_polarization(m: DieudonneModule) -> bool:
     return not _form_violations(m)
 
 
-def _pair_index(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _compatibility_rows(m: DieudonneModule, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The matrix of G -> F^T G - G V on the basis E_ij = e_i e_j^T - e_j e_i^T.
+
+    One column per pair (i, j), one row per entry (a, b) of the n x n image;
+    rows that vanish mod p are dropped.
+    """
+    n, p = m.dim, m.field.p
+    f, v = m.frobenius.entries, m.verschiebung.entries
+    cols = []
+    for i, j in pairs:
+        col = [0] * (n * n)
+        for a in range(n):
+            col[a * n + j] += f[i][a]
+            col[a * n + i] -= f[j][a]
+            col[i * n + a] -= v[j][a]
+            col[j * n + a] += v[i][a]
+        cols.append(col)
+    return [row for row in zip(*cols) if any(e % p for e in row)]
 
 
-def _gram_from_coefficients(field: PrimeField, n: int, pairs: list[tuple[int, int]],
-                            coeffs: Iterable[int]) -> Matrix:
-    p = field.p
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), c in zip(pairs, coeffs):
-        c %= p
-        rows[i][j] = c
-        rows[j][i] = (-c) % p
-    return Matrix.build(field, rows, n)
-
-
-def _compatibility_rows(m: DieudonneModule, pairs: list[tuple[int, int]]) -> list[list[int]]:
-    """Linear constraints on the strict upper triangle from F^T G = G V."""
-    n = m.dim
-    p = m.field.p
-    f = m.frobenius.entries
-    v = m.verschiebung.entries
-    index = {pair: k for k, pair in enumerate(pairs)}
-
-    def add_gram(row: list[int], x: int, y: int, scale: int) -> None:
-        if x == y or scale % p == 0:
-            return
-        if x < y:
-            row[index[(x, y)]] = (row[index[(x, y)]] + scale) % p
-        else:
-            row[index[(y, x)]] = (row[index[(y, x)]] - scale) % p
-
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [0] * len(pairs)
-            for c in range(n):
-                if f[c][a]:
-                    add_gram(row, c, b, f[c][a])      # (F^T G)_{ab}
-                if v[c][b]:
-                    add_gram(row, a, c, -v[c][b])     # -(G V)_{ab}
-            if any(row):
-                rows.append(row)
-    return rows
-
-
-def _sweep_candidates(p: int, d: int):
-    """Deterministic stream of coefficient tuples over F_p^d, cheapest first."""
-    if p ** d <= _LEX_SWEEP_CAP:
-        yield from itertools.product(range(p), repeat=d)
-        return
-    for i in range(d):
-        yield tuple(1 if k == i else 0 for k in range(d))
-    for i in range(1, d):
-        yield tuple(1 if k <= i else 0 for k in range(d))
-    import random  # here, not at the top: only this sweep uses it, and start-up is lighter
-    rng = random.Random(_SAMPLE_SEED)
-    for _ in range(_SAMPLE_SWEEP_TRIES):
-        yield tuple(rng.randrange(p) for _ in range(d))
+def _sweep_candidates(d: int, g: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each nonzero c in {0, ..., p - 1}^d with sum(c) <= g once, sparsest first, as (support, values)."""
+    for weight in range(1, min(d, g) + 1):
+        parts = [v for v in itertools.product(range(1, min(p, g - weight + 2)), repeat=weight) if sum(v) <= g]
+        for support in itertools.combinations(range(d), weight):
+            for values in parts:
+                yield support, values
 
 
 def find_polarization(m: DieudonneModule) -> Matrix | None:
     """Search for a compatible principal quasipolarization.
 
     Solves the homogeneous system {alternating, <Fx,y> = <x,Vy>} for the Gram
-    matrix, then sweeps the solution space in a fixed deterministic order for
-    a nondegenerate representative: exhaustive lexicographic enumeration when
-    the space is small, otherwise single vectors, prefix sums, and a
-    fixed-seed sample.  Returns None only when no nondegenerate form exists:
-    the system has no nonzero solution, every solution vanishes on some
-    row, or the exhaustive sweep found none.  A sampled sweep that finds
-    nothing proves nothing and raises PolarizationSearchError.
+    matrix, with echelon basis B_1, ..., B_d, and looks for a nondegenerate
+    G(c) = sum c_k B_k.  A greedy pass grows the rank one basis form at a
+    time (c_k is the first value in 1..min(p - 1, g) that raises the rank of
+    G(c), else 0); then a sweep tries every nonzero c with 0 <= c_k < p and
+    sum(c) <= g, g = dim / 2, sparsest first.
+
+    That grid is large enough.  G(c) is nondegenerate exactly when its
+    Pfaffian P(c) is nonzero, and P is homogeneous of degree g.  On F_p^d, P
+    agrees with its reduction Q by c_k^p = c_k, of degree at most g and
+    below p in each c_k.  If Q != 0, take a monomial prod c_k^t_k of Q of
+    top degree: Alon's Combinatorial Nullstellensatz gives a point with
+    0 <= c_k <= t_k, so sum(c) <= g, where Q, hence P, is nonzero.  So an
+    exhausted sweep proves that no compatible nondegenerate form exists over
+    F_p, and for p > g (then Q = P) over no extension of F_p either.
+
+    Returns None only with a proof: that one, an odd dimension (alternating
+    forms have even rank), no nonzero solution, or a row on which every
+    solution vanishes.  Reaching _SWEEP_BUDGET candidates, greedy ones
+    included, proves nothing and raises PolarizationSearchError.
     """
     require_valid(m)
-    n = m.dim
+    n, p = m.dim, m.field.p
     if n == 0:
         return Matrix.zeros(m.field, 0, 0)
-    pairs = _pair_index(n)
+    if n % 2:
+        return None
+    pairs = list(itertools.combinations(range(n), 2))
     solutions = solve_linear_system(m.field, len(pairs), _compatibility_rows(m, pairs))
-    d = solutions.dim
-    if d == 0:
-        return None
-    p = m.field.p
-    basis = solutions.basis
+    basis = [[(i, j, e) for (i, j), e in zip(pairs, bvec) if e] for bvec in solutions.basis]
     # a row on which every solution vanishes makes the whole family degenerate
-    touched = set()
-    for bvec in basis:
-        for (i, j), e in zip(pairs, bvec):
-            if e:
-                touched.add(i)
-                touched.add(j)
-    if len(touched) < n:
+    if not basis or len({x for bvec in basis for i, j, _ in bvec for x in (i, j)}) < n:
         return None
-    seen: set[tuple[int, ...]] = set()
-    for coeffs in _sweep_candidates(p, d):
-        if not any(coeffs) or coeffs in seen:
-            continue
-        seen.add(coeffs)
-        vec = [0] * len(pairs)
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                for k, e in enumerate(bvec):
-                    if e:
-                        vec[k] = (vec[k] + c * e) % p
-        gram = _gram_from_coefficients(m.field, n, pairs, vec)
-        if gram.rank() == n:
+    g, d = n // 2, len(basis)
+    tries = itertools.count(1)
+
+    def gram_and_rank(terms: Iterable[tuple[int, int]]) -> tuple[Matrix, int]:
+        if next(tries) > _SWEEP_BUDGET:
+            raise PolarizationSearchError(f"no compatible nondegenerate form found; the search "
+                                          f"stopped after {_SWEEP_BUDGET} candidates, short of its grid")
+        rows = [[0] * n for _ in range(n)]
+        for k, c in terms:
+            for i, j, e in basis[k]:
+                rows[i][j] += c * e
+                rows[j][i] -= c * e
+        gram = Matrix.build(m.field, rows, n)
+        return gram, gram.rank()
+
+    chosen, rank = [], 0
+    for k in range(d):
+        for t in range(1, min(p, g + 1)):
+            gram, r = gram_and_rank(chosen + [(k, t)])
+            if r == n:
+                return gram
+            if r > rank:
+                chosen, rank = chosen + [(k, t)], r
+                break
+    for support, values in _sweep_candidates(d, g, p):
+        gram, r = gram_and_rank(zip(support, values))
+        if r == n:
             return gram
-    if p ** d > _LEX_SWEEP_CAP:
-        raise PolarizationSearchError(
-            f"no compatible nondegenerate form found; the sampled search over "
-            f"{p}^{d} candidates was not exhaustive")
     return None
 
 

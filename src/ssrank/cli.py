@@ -125,6 +125,14 @@ def _check_cap(what: str, value: int, cap: int) -> None:
         raise ValueError(f"{what} is capped at {cap}")
 
 
+def _parse_int(text: str, message: str) -> int:
+    """An optional minus sign and ASCII digits, spaces around; int() alone takes "1_0" too."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(message)
+    return int(text)
+
+
 def _parse_filter(text: str | None) -> dict[str, int]:
     if not text:
         return {}
@@ -136,10 +144,7 @@ def _parse_filter(text: str | None) -> dict[str, int]:
         key = key.strip()
         if key not in ("f", "a", "s"):
             raise UsageError(f"unknown filter key {key!r}; allowed: f, a, s")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise UsageError(f"filter value for {key!r} must be an integer") from None
+        out[key] = _parse_int(value, f"filter value for {key!r} must be an integer")
     return out
 
 
@@ -207,10 +212,9 @@ def _read_module(path: str, g_cap: int) -> bt1.DieudonneModule:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(piece) for piece in text.split(",") if piece != ""]
-    except ValueError:
-        raise UsageError(f"{what} must be a comma-separated list of integers") from None
+    """Comma-separated integers; an empty item is an error, an empty value the empty list."""
+    message = f"{what} must be a comma-separated list of integers"
+    return [_parse_int(piece, message) for piece in text.split(",")] if text else []
 
 
 def _parse_value(make, value):

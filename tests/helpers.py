@@ -1,11 +1,15 @@
-"""Shared test utilities: an independent brute-force embedding counter over F_2,
-and the straightforward forms of faster code paths, kept as references."""
+"""Shared test utilities: independent brute-force searches (embeddings over F_2,
+polarizations over F_p), twisted word modules, and the straightforward forms
+of faster code paths, kept as references."""
 
 from __future__ import annotations
 
+import itertools
+
 from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
 from ssrank.eo import EOType, FiltrationError
-from ssrank.ffmat import Subspace
+from ssrank.ffmat import Matrix, PrimeField, Subspace
+from ssrank.words import CyclicWord, word_module
 
 
 def _pack(vec) -> int:
@@ -169,3 +173,52 @@ def reference_eo_type_of(m: DieudonneModule) -> EOType:
         if psi[i] != psi[n - i] + i - g:
             raise FiltrationError("final profile is not symmetric; module is not quasipolarizable")
     return EOType(tuple(psi[1:g + 1]))
+
+
+def twisted_word_module(letters: str, lam: int, field: PrimeField) -> DieudonneModule:
+    """`word_module` with the edge that closes the word scaled by lam.
+
+    The twist changes the band's monodromy, which no rescaling of the basis
+    undoes; lam = 1 gives the word module itself.
+    """
+    m = word_module(CyclicWord.of(letters), field)
+    n = m.dim
+    frob = [list(row) for row in m.frobenius.entries]
+    ver = [list(row) for row in m.verschiebung.entries]
+    if letters[-1] == "F":
+        frob[0][n - 1] *= lam
+    else:
+        ver[n - 1][0] *= lam
+    return DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n))
+
+
+def compatible_form_basis(m: DieudonneModule) -> tuple[tuple[int, ...], ...]:
+    """Basis of the compatible alternating forms, as coefficients on the pairs i < j.
+
+    The kernel of G -> F^T G - G V on the alternating unit matrices, applied
+    with matrix products.
+    """
+    field, n = m.field, m.dim
+    images = []
+    for i, j in itertools.combinations(range(n), 2):
+        rows = [[0] * n for _ in range(n)]
+        rows[i][j], rows[j][i] = 1, -1
+        unit = Matrix.build(field, rows, n)
+        image = (m.frobenius.transpose() @ unit).add((unit @ m.verschiebung).neg())
+        images.append([e for row in image.entries for e in row])
+    return Matrix.from_columns(field, n * n, images).kernel().basis
+
+
+def brute_force_has_polarization(m: DieudonneModule) -> bool:
+    """Whether some compatible alternating form on m is nondegenerate, trying all of F_p^d."""
+    n, p = m.dim, m.field.p
+    pairs = list(itertools.combinations(range(n), 2))
+    basis = compatible_form_basis(m)
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), *column in zip(pairs, *basis):
+            rows[i][j] = sum(c * e for c, e in zip(coeffs, column)) % p
+            rows[j][i] = -rows[i][j]
+        if Matrix.build(m.field, rows, n).rank() == n:
+            return True
+    return False

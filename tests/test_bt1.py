@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from ssrank import bt1
 from ssrank.bt1 import (
     Bt1ValidationError,
     DieudonneModule,
     InvariantBundle,
+    _sweep_candidates,
     a_number,
     check_polarization,
     direct_sum,
@@ -27,9 +30,14 @@ from ssrank.bt1 import (
 from ssrank.build import h_rs, i11, j_rs, ord1
 from ssrank.eo import EOType, canonical_module, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField, Subspace
-from ssrank.words import decompose, superspecial_rank
+from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
-from helpers import reference_validate_bt1
+from helpers import (
+    brute_force_has_polarization,
+    compatible_form_basis,
+    reference_validate_bt1,
+    twisted_word_module,
+)
 
 
 def test_validate_fixtures(gf2):
@@ -232,6 +240,75 @@ def test_find_polarization_odd_p(gf3):
         gram = find_polarization(bare)
         assert gram is not None
         assert check_polarization(bare.with_form(gram))
+
+
+def test_sweep_candidates_are_the_nonzero_points_of_sum_at_most_g_sparsest_first():
+    for p in (2, 3, 5):
+        for g in range(4):
+            for d in range(5):
+                got = []
+                for support, values in _sweep_candidates(d, g, p):
+                    coeffs = [0] * d
+                    for k, c in zip(support, values):
+                        coeffs[k] = c
+                    assert all(values) and list(support) == sorted(set(support))
+                    got.append(tuple(coeffs))
+                assert sorted(got) == [c for c in itertools.product(range(p), repeat=d) if 0 < sum(c) <= g]
+                weights = [sum(1 for c in coeffs if c) for coeffs in got]
+                assert weights == sorted(weights)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_find_polarization_matches_a_search_over_all_of_fp(p):
+    # the sweep's grid {c : sum(c) <= g} is smaller than F_p^d here; for p <= g its
+    # proof rests on reducing the Pfaffian by c^p = c
+    field = PrimeField(p)
+    verdicts = []
+    for letters in (("FV",), ("FFVV",), ("FFVFVV",), ("FFFVVV",), ("FV", "FV"), ("FV", "FFVV")):
+        for twists in itertools.product(sorted({1, 2 % p, p - 1} - {0}), repeat=len(letters)):
+            m = direct_sum(*[twisted_word_module(w, lam, field) for w, lam in zip(letters, twists)])
+            if p ** len(compatible_form_basis(m)) > 4096:
+                continue
+            exists = brute_force_has_polarization(m)
+            gram = find_polarization(m)
+            assert (gram is not None) == exists, (letters, twists)
+            assert gram is None or check_polarization(m.with_form(gram))
+            verdicts.append(exists)
+    assert len(set(verdicts)) == 2
+
+
+def test_find_polarization_on_sparse_canonical_coordinates():
+    # unconjugated sums: every basis form is one pairing entry, so a nondegenerate
+    # form needs g of them at once, past the sparse end of the grid's order
+    f97 = PrimeField(97)
+    for m in (direct_sum(*[ord1(f97)] * 4), direct_sum(*[i11(f97)] * 6),
+              direct_sum(*[ord1(f97)] * 3, *[i11(f97)] * 2), direct_sum(*[ord1(PrimeField(5))] * 5),
+              canonical_module(EOType((1, 2, 3, 4, 5)), PrimeField(5))):
+        bare = DieudonneModule(m.frobenius, m.verschiebung)
+        gram = find_polarization(bare)
+        assert gram is not None and check_polarization(bare.with_form(gram))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97])
+def test_twisted_fv_has_a_form_exactly_when_the_twist_is_minus_one(p):
+    # F e0 = e1, V e0 = lam e1: valid BT1 for every lam, polarizable only for lam = -1
+    field = PrimeField(p)
+    for lam in range(1, p):
+        m = DieudonneModule(Matrix.build(field, [[0, 0], [1, 0]]), Matrix.build(field, [[0, 0], [lam, 0]]))
+        gram = find_polarization(m)
+        assert (gram is not None) == (lam == p - 1), lam
+        assert gram is None or check_polarization(m.with_form(gram))
+
+
+def test_odd_dimensional_modules_have_no_form(gf2, gf3, monkeypatch):
+    # the odd dimension is the proof: a search would stop at the first candidate
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 0)
+    for field in (gf2, gf3, PrimeField(97)):
+        # no row of the sum is dead
+        mixed = direct_sum(j_rs(1, 2, field), j_rs(2, 1, field), j_rs(1, 2, field))
+        for m in (word_module(CyclicWord.of("FFV"), field), j_rs(1, 2, field), mixed):
+            assert validate_bt1(m) == [] and m.dim % 2 == 1
+            assert find_polarization(m) is None
 
 
 def test_orthogonal_complement_block_structure(gf2):

@@ -85,16 +85,23 @@ def test_module_subcommands(tmp_path, capsys):
     assert bt1.check_polarization(bt1.from_json(out.strip()))
 
 
-def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys):
-    # FFVFVV has a 3-dimensional space of compatible forms, all degenerate
-    for p, message in ((2, "no compatible nondegenerate form exists"),        # 8 candidates, all tried
-                       (97, "the sampled search over 97^3 candidates was not exhaustive")):
+def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys, monkeypatch):
+    # FFVFVV has a 3-dimensional space of compatible forms, all degenerate; at g = 3
+    # the grid {c : sum(c) <= 3} proves that for every p
+    paths = {}
+    for p in (2, 97):
         code, out, _ = run(capsys, "build", "word", "--w", "FFVFVV", "--p", str(p))
         assert code == 0
-        path = tmp_path / f"ffvfvv{p}.json"
-        path.write_text(out, encoding="ascii")
-        code, _, err = run(capsys, "module", "polarize", "--in", str(path))
-        assert code == 2 and message in err
+        paths[p] = tmp_path / f"ffvfvv{p}.json"
+        paths[p].write_text(out, encoding="ascii")
+        code, _, err = run(capsys, "module", "polarize", "--in", str(paths[p]))
+        assert code == 2 and "no compatible nondegenerate form exists" in err
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 24)  # 5 greedy tries and the 19 grid points: still a proof
+    code, _, err = run(capsys, "module", "polarize", "--in", str(paths[97]))
+    assert code == 2 and "no compatible nondegenerate form exists" in err
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 23)
+    code, _, err = run(capsys, "module", "polarize", "--in", str(paths[97]))
+    assert code == 2 and "the search stopped after 23 candidates" in err
     assert "exists" not in err
 
 
@@ -270,6 +277,21 @@ def test_usage_errors(capsys):
     assert code == 1 and "not a valid EO type" in err
 
 
+def test_integer_lists_take_only_signed_ascii_digits(capsys):
+    for argv in (("eo", "module", "--nu", "0,,1"), ("eo", "module", "--nu", ","),
+                 ("eo", "module", "--nu", "0,1,"), ("curve", "hyp2", "--poles", "3,,5"),
+                 ("curve", "hyp2", "--poles", "1_3"), ("curve", "hyp2", "--poles", "+3"),
+                 ("curve", "hyp2", "--poles", "\u0663"), ("eo", "list", "--g", "2", "--filter", "f=1_0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "must be" in err, argv
+    code, out, _ = run(capsys, "eo", "module", "--nu", "")
+    assert code == 0 and bt1.from_json(out).dim == 0
+    code, out, _ = run(capsys, "eo", "module", "--nu", " 0 , 1 ")
+    assert code == 0 and bt1.from_json(out) == eo.canonical_module(eo.EOType.of([0, 1]), GF2)
+    code, _, err = run(capsys, "curve", "hyp2", "--poles", "-3")
+    assert code == 1 and "odd positive" in err
+
+
 GOLDEN_SHA256 = {
     ("eo", "list", "--g", "12"): "d594824203bde7a245bd67f68ac6fc866c186bf27463d121c222d1eb0b9031ff",
     ("eo", "list", "--g", "12", "--format", "csv"):
@@ -412,6 +434,7 @@ def test_package_imports_only_the_standard_library():
                 continue
             for root in roots:
                 assert root in sys.stdlib_module_names or root == "ssrank", (name, root)
+                assert root != "random", name  # every answer is deterministic by construction
 
 
 def test_parser_is_reused_without_carrying_state(capsys):
