@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -32,10 +33,11 @@ from .ffmat import PrimeField
 ATLAS_G_CAP = 12
 # doubling_orbits allocates 2^n + 1 flags (0.34 s at n = 20)
 HERMITIAN_N_CAP = 20
-# modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 2.7 s);
+# modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 0.2 s);
 # also bounds table feasibility, whose O(g^3) rows are 3.8 MB of JSON at g = 64
 MODULE_G_CAP = 64
-# module polarize solves for g(2g - 1) unknowns: 2.3 s at g = 12, 7.5 s at g = 14
+# module polarize solves for g(2g - 1) unknowns: 0.22 s at g = 12, 0.36 s at g = 14
+# (worst of three conjugated canonical modules at p = 97, 2-core x86-64, CPython 3.11)
 POLARIZE_G_CAP = 12
 # curve hyp2 lists one summand entry per unit of genus (g = 10^5: 0.1 s, 1.3 MB)
 HYP2_G_CAP = 100_000
@@ -64,12 +66,12 @@ def build_parser() -> _Parser:
     eo_cmd = top.add_parser("eo", help="Ekedahl-Oort type catalogue")
     eo_sub = eo_cmd.add_subparsers(dest="cmd", required=True)
     eo_list = eo_sub.add_parser("list", help="enumerate all 2^g types with invariants")
-    eo_list.add_argument("--g", type=int, required=True)
+    eo_list.add_argument("--g", type=_int_option, required=True)
     eo_list.add_argument("--filter", default=None, metavar="f=..,a=..,s=..")
     eo_list.add_argument("--format", choices=("json", "csv"), default="json")
     eo_module = eo_sub.add_parser("module", help="canonical module of one type")
     eo_module.add_argument("--nu", required=True, metavar="a,b,c")
-    eo_module.add_argument("--p", type=int, default=2)
+    eo_module.add_argument("--p", type=_int_option, default=2)
 
     mod_cmd = top.add_parser("module", help="operate on a serialized module")
     mod_sub = mod_cmd.add_subparsers(dest="cmd", required=True)
@@ -84,19 +86,19 @@ def build_parser() -> _Parser:
     build_sub = build_cmd.add_subparsers(dest="cmd", required=True)
     b_word = build_sub.add_parser("word", help="module of a cyclic word")
     b_word.add_argument("--w", required=True, metavar="FVV...")
-    b_word.add_argument("--p", type=int, default=2)
+    b_word.add_argument("--p", type=_int_option, default=2)
     b_jrs = build_sub.add_parser("jrs", help="module on x with F^r x = -V^s x")
-    b_jrs.add_argument("--r", type=int, required=True)
-    b_jrs.add_argument("--s", type=int, required=True)
-    b_jrs.add_argument("--p", type=int, default=2)
+    b_jrs.add_argument("--r", type=_int_option, required=True)
+    b_jrs.add_argument("--s", type=_int_option, required=True)
+    b_jrs.add_argument("--p", type=_int_option, default=2)
     b_profile = build_sub.add_parser("profile", help="realize a feasible (g,f,a,s)")
     for flag in ("--g", "--f", "--a", "--s"):
-        b_profile.add_argument(flag, type=int, required=True)
-    b_profile.add_argument("--p", type=int, default=2)
+        b_profile.add_argument(flag, type=_int_option, required=True)
+    b_profile.add_argument("--p", type=_int_option, default=2)
     b_ss = build_sub.add_parser("ss", help="supersingular profile with given rank s")
-    b_ss.add_argument("--g", type=int, required=True)
-    b_ss.add_argument("--s", type=int, required=True)
-    b_ss.add_argument("--p", type=int, default=2)
+    b_ss.add_argument("--g", type=_int_option, required=True)
+    b_ss.add_argument("--s", type=_int_option, required=True)
+    b_ss.add_argument("--p", type=_int_option, default=2)
 
     curve_cmd = top.add_parser("curve", help="curve applications")
     curve_sub = curve_cmd.add_subparsers(dest="cmd", required=True)
@@ -105,16 +107,16 @@ def build_parser() -> _Parser:
     c_hyp.add_argument("--oracle", action="store_true",
                        help="also assemble the module and cross-check s")
     c_herm = curve_sub.add_parser("hermitian", help="Hermitian curve invariants")
-    c_herm.add_argument("--p", type=int, required=True)
-    c_herm.add_argument("--n", type=int, required=True)
+    c_herm.add_argument("--p", type=_int_option, required=True)
+    c_herm.add_argument("--n", type=_int_option, required=True)
 
     table_cmd = top.add_parser("table", help="tabulations")
     table_sub = table_cmd.add_subparsers(dest="cmd", required=True)
     t_feas = table_sub.add_parser("feasibility", help="feasibility of (f,a,s) at fixed g")
-    t_feas.add_argument("--g", type=int, required=True)
+    t_feas.add_argument("--g", type=_int_option, required=True)
 
     atlas_cmd = top.add_parser("atlas", help="write the EO atlas CSV")
-    atlas_cmd.add_argument("--g-max", type=int, required=True)
+    atlas_cmd.add_argument("--g-max", type=_int_option, required=True)
     atlas_cmd.add_argument("--out", required=True, metavar="PATH")
 
     return parser
@@ -131,6 +133,14 @@ def _parse_int(text: str, message: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise UsageError(message)
     return int(text)
+
+
+def _int_option(text: str) -> int:
+    """`type=` of every integer option: the digits _parse_int takes, else argparse's usage error."""
+    try:
+        return _parse_int(text, "")
+    except UsageError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_filter(text: str | None) -> dict[str, int]:
@@ -333,24 +343,34 @@ def _run_table(args: argparse.Namespace) -> int:
     raise UsageError("unknown table subcommand")
 
 
+def _run(args: argparse.Namespace) -> int:
+    if args.group == "eo":
+        return _run_eo(args)
+    if args.group == "module":
+        return _run_module(args)
+    if args.group == "build":
+        return _run_build(args)
+    if args.group == "curve":
+        return _run_curve(args)
+    if args.group == "table":
+        return _run_table(args)
+    if args.group == "atlas":
+        emit_atlas(args.g_max, args.out)
+        return 0
+    raise UsageError("unknown command group")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.group == "eo":
-            return _run_eo(args)
-        if args.group == "module":
-            return _run_module(args)
-        if args.group == "build":
-            return _run_build(args)
-        if args.group == "curve":
-            return _run_curve(args)
-        if args.group == "table":
-            return _run_table(args)
-        if args.group == "atlas":
-            emit_atlas(args.g_max, args.out)
-            return 0
-        raise UsageError("unknown command group")
+        code = _run(parser.parse_args(argv))
+        sys.stdout.flush()  # so that a reader gone early shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest (say, a pipe into head): stop quietly.  Pointing stdout at
+        # devnull lets the interpreter's own last flush of the unread output succeed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

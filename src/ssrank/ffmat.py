@@ -4,12 +4,13 @@ Matrices act on column vectors: column j of a matrix is the image of the
 j-th standard basis vector.  Subspaces are stored in reduced row-echelon
 form, so two equal subspaces compare and hash identically.
 
-Rows have one internal form per field, chosen by p.  Over F_2 a row or a
-vector is a Python int with bit j for column j, and products, row
-reduction, kernels, images, preimages and the subspace lattice all run on
-those ints; entry tuples are unpacked only when a caller reads
-`Matrix.entries`, `Matrix.column()` or `Subspace.basis`.  Other primes keep
-tuples of reduced entries and a plain dense sweep.
+Every row, column and vector is one Python int with entry j in slot j, bit j
+over F_2 and byte j over odd p (`PrimeField._bits`), always reduced, so equal
+rows are equal ints.  Over F_2 the kernels XOR rows; over odd p they add integer
+multiples of whole rows with delayed modular reduction (Dumas, Giorgi and
+Pernet, TOMS 2008; Dumas, Fousse and Salvy, JSC 2011): sums go into slots just
+wide enough for their worst case, and each result is reduced once.  Entries are
+unpacked only when read: `Matrix.entries`, `Matrix.column()`, `Subspace.basis`.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
 `Subspace(...)` constructors, `Matrix.build`, `Matrix.from_columns` and
@@ -22,7 +23,9 @@ results are safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Callable, Iterable, Sequence
+from functools import cache, partial
 from operator import attrgetter, mul
 
 _SMALL_PRIMES = frozenset({
@@ -30,8 +33,8 @@ _SMALL_PRIMES = frozenset({
     67, 71, 73, 79, 83, 89, 97,
 })
 
-# A row or vector in internal form: a bit-packed int over F_2, else a tuple.
-Row = int | tuple[int, ...]
+# A row or vector in internal form: entry j in slot j (bit j over F_2, byte j otherwise).
+Row = int
 
 _set = object.__setattr__
 
@@ -78,14 +81,19 @@ class _Value:
 
 
 class PrimeField(_Value):
-    """The prime field F_p, restricted to 2 <= p <= 97."""
+    """The prime field F_p, restricted to 2 <= p <= 97, and its packed row form."""
 
-    __slots__ = _fields = ("p",)
+    __slots__ = ("p", "_bits", "_pack", "_unpack")
+    _fields = ("p",)
 
     def __init__(self, p: int) -> None:
         if type(p) is not int or p not in _SMALL_PRIMES:
             raise ValueError(f"p must be a prime with 2 <= p <= 97, got {p!r}")
         _set(self, "p", p)
+        binary = p == 2
+        _set(self, "_bits", 1 if binary else 8)
+        _set(self, "_pack", _pack_bits if binary else partial(int.from_bytes, byteorder="little"))
+        _set(self, "_unpack", _unpack_bits if binary else partial(int.to_bytes, byteorder="little"))
 
     def __eq__(self, other: object) -> bool:  # every matrix operation compares fields; keep it direct
         if other.__class__ is PrimeField:
@@ -93,6 +101,21 @@ class PrimeField(_Value):
         return NotImplemented
 
     __hash__ = _Value.__hash__
+
+
+# `_pack` turns entry bytes into a row and `_unpack` a row of n columns back, in C.  Over
+# F_2 they go through the binary digit string: entries 0/1 <-> bytes 0/1 <-> digits
+# "0"/"1", most significant first; over odd p the entry bytes are the row's bytes.
+_ENTRIES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_ENTRIES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_bits(entries: bytes) -> int:
+    return int(entries.translate(_ENTRIES_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def _unpack_bits(row: int, n: int) -> bytes:
+    return f"{row:0{n}b}".encode()[::-1].translate(_DIGITS_TO_ENTRIES) if n else b""
 
 
 GF2 = PrimeField(2)
@@ -117,48 +140,77 @@ def _rref_gf2(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return kept, [(r & -r).bit_length() - 1 for r in kept]
 
 
-def _rref_modp(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Dense sweep over reduced entries.  Rows below the pivot are zero left of
-    its column, so scaling and elimination touch only the columns from it on."""
-    work = [list(r) for r in rows]
+# Odd p sums rows in slots of w = 1, 2, 4 or 8 bytes (memoryview formats below), the
+# narrowest that holds the sum's worst case, so no slot carries into the next.
+_WIDE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """The narrowest slot width, in bytes, that holds every value up to bound."""
+    for w in (1, 2, 4, 8):
+        if bound < 1 << 8 * w:
+            return w
+    raise OverflowError("a sum of rows would overflow 64-bit slots")
+
+
+@cache
+def _scale_table(p: int, c: int) -> bytes:
+    """The bytes.translate table b -> b * c mod p."""
+    return bytes([b * c % p for b in range(256)])
+
+
+def _widen(row: int, n: int, w: int) -> int:
+    """A row's n byte slots as n slots of w bytes."""
+    if w == 1:
+        return row
+    buf = bytearray(n * w)
+    buf[::w] = row.to_bytes(n, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _reduce(x: int, n: int, w: int, p: int, c: int = 1) -> int:
+    """The row c * x mod p in byte slots, from n slots of w bytes holding any values
+    (wide slots are read, and written back, in native byte order)."""
+    if w == 1:
+        return int.from_bytes(x.to_bytes(n, "little").translate(_scale_table(p, c)), "little")
+    slots = memoryview(x.to_bytes(n * w, sys.byteorder)).cast(_WIDE_FORMATS[w])
+    return int.from_bytes(bytes([v * c % p for v in slots]), sys.byteorder)
+
+
+def _rref_modp(rows: Iterable[int], ncols: int, p: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of byte-slot rows over odd p, with delayed reduction.
+
+    The pivot row is reduced and scaled to a leading 1; every other row with
+    entry c != 0 mod p in the pivot column becomes row + (p - c) * pivot, one
+    big-int step that clears that entry mod p, and is otherwise left
+    unreduced.  Headroom: input slots hold at most p - 1, a pivot row is
+    reduced when chosen, and each pivot adds at most (p - 1)^2 to a slot of
+    any other row.  So after r pivots every slot is at most
+    (p - 1)(1 + r(p - 1)), with r <= min(rows, ncols), and slots of the
+    narrowest width holding that bound never carry.  Kept rows are reduced
+    once at the end.
+    """
+    work = list(rows)
+    w = _slot_bytes((p - 1) * (1 + min(len(work), ncols) * (p - 1)))
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    work = [_widen(r, ncols, w) for r in work]
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot_row = None
+        shift, rank = bits * col, len(pivots)
         for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot_row = i
+            c = (work[i] >> shift & mask) % p
+            if c:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        tail = [(e * inv) % p for e in work[rank][col:]]
-        work[rank][col:] = tail
+        pivot = _widen(_reduce(work[i], ncols, w, p, pow(c, p - 2, p)), ncols, w)
+        work[i], work[rank] = work[rank], pivot
         for i, row in enumerate(work):
-            c = row[col]
+            c = (row >> shift & mask) % p
             if c and i != rank:
-                row[col:] = [(a - c * b) % p for a, b in zip(row[col:], tail)]
+                work[i] = row + (p - c) * pivot
         pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
-
-
-# Packing goes through the binary digit string, so the per-entry work runs
-# in C: entries 0/1 <-> bytes 0/1 <-> digits "0"/"1", most significant first.
-_ENTRIES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGITS_TO_ENTRIES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _pack(row: Sequence[int]) -> int:
-    """Bit-packed form of a row of reduced F_2 entries (0 or 1)."""
-    return int(bytes(row).translate(_ENTRIES_TO_DIGITS)[::-1] or b"0", 2)
-
-
-def _unpack(bits: int, ncols: int) -> tuple[int, ...]:
-    if not ncols:
-        return ()
-    return tuple(f"{bits:0{ncols}b}".encode()[::-1].translate(_DIGITS_TO_ENTRIES))
+    return [_reduce(r, ncols, w, p) for r in work[:len(pivots)]], pivots
 
 
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
@@ -171,13 +223,17 @@ def _xor_rows(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _to_rows(field: PrimeField, entries: tuple[tuple[int, ...], ...]) -> tuple[Row, ...]:
-    """Internal form of checked, reduced entry rows."""
-    return tuple(map(_pack, entries)) if field.p == 2 else entries
+def _combiner(field: PrimeField, rows: Sequence[Row], n: int) -> Callable[[Row], Row]:
+    """The map v -> sum_k v_k rows[k], for rows of n columns and v of len(rows) columns.
 
-
-def _unit(field: PrimeField, i: int, n: int) -> Row:
-    return 1 << i if field.p == 2 else tuple(1 if j == i else 0 for j in range(n))
+    Over odd p each term adds at most (p - 1)^2 to a slot, so the sum is taken
+    in slots that hold len(rows) * (p - 1)^2 and reduced once."""
+    if field.p == 2:
+        return partial(_xor_rows, rows)
+    p, k = field.p, len(rows)
+    w = _slot_bytes(k * (p - 1) ** 2)
+    wide = [_widen(r, n, w) for r in rows]
+    return lambda v: _reduce(sum(map(mul, v.to_bytes(k, "little"), wide)), n, w, p)
 
 
 def rref(field: PrimeField, rows: Iterable[Row], ncols: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
@@ -185,30 +241,23 @@ def rref(field: PrimeField, rows: Iterable[Row], ncols: int) -> tuple[tuple[Row,
 
     Every row reduction in this module goes through here.
     """
-    if field.p == 2:
-        reduced, pivots = _rref_gf2(rows)
-        return tuple(reduced), tuple(pivots)
-    dense, pivots = _rref_modp(rows, ncols, field.p)
-    return tuple(map(tuple, dense)), tuple(pivots)
+    reduced, pivots = _rref_gf2(rows) if field.p == 2 else _rref_modp(rows, ncols, field.p)
+    return tuple(reduced), tuple(pivots)
 
 
 def _null_vectors(field: PrimeField, reduced: Sequence[Row], pivots: Sequence[int],
                   ncols: int) -> list[Row]:
     """One solution of reduced @ v = 0 per free column, for rows already in RREF."""
+    bits, mask, neg = field._bits, (1 << field._bits) - 1, _scale_table(field.p, field.p - 1)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    if field.p == 2:
-        return [(1 << f) | sum(1 << pc for row, pc in zip(reduced, pivots) if row >> f & 1)
-                for f in free]
-    p = field.p
-    out: list[Row] = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = (-row[f]) % p
-        out.append(tuple(v))
-    return out
+    return [(1 << bits * f) + sum(neg[e] << bits * pc for r, pc in zip(reduced, pivots)
+                                  if (e := r >> bits * f & mask))
+            for f in range(ncols) if f not in pivot_set]
+
+
+def _to_rows(field: PrimeField, entries: Iterable[Sequence[int]]) -> tuple[Row, ...]:
+    """Internal form of checked, reduced entry rows."""
+    return tuple(map(field._pack, map(bytes, entries)))
 
 
 def _check_dims(*dims: int) -> None:
@@ -258,29 +307,31 @@ class Matrix(_Value):
         _set(m, "ncols", ncols)
         _set(m, "_rows", tuple(rows))
         _set(m, "_cols", None)
-        _set(m, "_entries", m._rows if field.p != 2 else entries)
+        _set(m, "_entries", entries)
         return m
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         if self._entries is None:
-            _set(self, "_entries", tuple(_unpack(r, self.ncols) for r in self._rows))
+            _set(self, "_entries", tuple(tuple(self.field._unpack(r, self.ncols)) for r in self._rows))
         return self._entries
 
     def _columns(self) -> tuple[Row, ...]:
         """Columns in internal form, computed once."""
         if self._cols is None:
-            if self.field.p == 2:
-                cols = [0] * self.ncols
+            n, field = self.ncols, self.field
+            if field.p == 2:  # visit the set bits: F_2 rows are mostly sparse
+                cols = [0] * n
                 for i, row in enumerate(self._rows):
                     bit = 1 << i
                     while row:
                         low = row & -row
                         cols[low.bit_length() - 1] |= bit
                         row ^= low
-                _set(self, "_cols", tuple(cols))
             else:
-                _set(self, "_cols", tuple(zip(*self._rows)) if self.nrows else ((),) * self.ncols)
+                flat = b"".join([r.to_bytes(n, "little") for r in self._rows])
+                cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
+            _set(self, "_cols", tuple(cols))
         return self._cols
 
     def __eq__(self, other: object) -> bool:
@@ -307,26 +358,19 @@ class Matrix(_Value):
     @classmethod
     def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "Matrix":
         _check_dims(nrows, ncols)
-        entries = ((0,) * ncols,) * nrows
-        return cls._from_rows(field, nrows, ncols, _to_rows(field, entries), entries)
+        return cls._from_rows(field, nrows, ncols, (0,) * nrows, ((0,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         _check_dims(n)
-        return cls._from_rows(field, n, n, (_unit(field, i, n) for i in range(n)))
+        return cls._from_rows(field, n, n, (1 << field._bits * i for i in range(n)))
 
     @classmethod
     def from_columns(cls, field: PrimeField, nrows: int, columns: Sequence[Sequence[int]]) -> "Matrix":
-        cols = [tuple(int(e) % field.p for e in c) for c in columns]
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column length does not match nrows")
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return cls._from_rows(field, nrows, len(cols), _to_rows(field, rows), rows)
+        return cls.build(field, columns, nrows).transpose()
 
     def column(self, j: int) -> tuple[int, ...]:
-        col = self._columns()[j]
-        return _unpack(col, self.nrows) if self.field.p == 2 else col
+        return tuple(self.field._unpack(self._columns()[j], self.nrows))
 
     def transpose(self) -> "Matrix":
         t = Matrix._from_rows(self.field, self.ncols, self.nrows, self._columns())
@@ -334,21 +378,19 @@ class Matrix(_Value):
         return t
 
     def neg(self) -> "Matrix":
-        p = self.field.p
+        p, n = self.field.p, self.ncols
         if p == 2:
             return self
-        return Matrix._from_rows(self.field, self.nrows, self.ncols,
-                                 (tuple((-e) % p for e in row) for row in self._rows))
+        return Matrix._from_rows(self.field, self.nrows, n, (_reduce(r, n, 1, p, p - 1) for r in self._rows))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        p = self.field.p
+        p, n = self.field.p, self.ncols
         if p == 2:
             rows = (a ^ b for a, b in zip(self._rows, other._rows))
-        else:
-            rows = (tuple((a + b) % p for a, b in zip(r1, r2))
-                    for r1, r2 in zip(self._rows, other._rows))
-        return Matrix._from_rows(self.field, self.nrows, self.ncols, rows)
+        else:  # byte slots hold sums up to 2(p - 1) < 256
+            rows = (_reduce(a + b, n, 1, p) for a, b in zip(self._rows, other._rows))
+        return Matrix._from_rows(self.field, self.nrows, n, rows)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -361,23 +403,16 @@ class Matrix(_Value):
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        p = self.field.p
-        if p == 2:
-            rhs = other._rows
-            out = [_xor_rows(rhs, row) for row in self._rows]
-        else:
-            cols = other._columns()
-            out = [tuple(sum(map(mul, row, col)) % p for col in cols) for row in self._rows]
-        return Matrix._from_rows(self.field, self.nrows, other.ncols, out)
+        combine = _combiner(self.field, other._rows, other.ncols)
+        return Matrix._from_rows(self.field, self.nrows, other.ncols, map(combine, self._rows))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Image of a column vector under this matrix."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match ncols")
-        p = self.field.p
-        if p == 2:
-            return _unpack(_xor_rows(self._columns(), _pack([e % 2 for e in vec])), self.nrows)
-        return tuple(sum(map(mul, row, vec)) % p for row in self._rows)
+        field = self.field
+        v = field._pack(bytes([e % field.p for e in vec]))
+        return tuple(field._unpack(_combiner(field, self._columns(), self.nrows)(v), self.nrows))
 
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -394,9 +429,7 @@ class Matrix(_Value):
         return result
 
     def is_zero(self) -> bool:
-        if self.field.p == 2:
-            return not any(self._rows)
-        return not any(map(any, self._rows))
+        return not any(self._rows)
 
     def rank(self) -> int:
         _, pivots = rref(self.field, self._rows, self.ncols)
@@ -419,10 +452,7 @@ class Matrix(_Value):
         """Images of the echelon basis of s, in internal form and unreduced."""
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
-        if self.field.p == 2:
-            cols = self._columns()
-            return [_xor_rows(cols, v) for v in s._rows]
-        return [self.apply(v) for v in s._rows]
+        return list(map(_combiner(self.field, self._columns(), self.nrows), s._rows))
 
     def preimage(self, s: "Subspace") -> "Subspace":
         """Full preimage {v : M v in S}; always contains the kernel."""
@@ -443,32 +473,25 @@ class Matrix(_Value):
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
         field, m, n = self.field, self.nrows, self.ncols
-        if field.p == 2:
-            cols = self._columns()
-            reduced, pivots = rref(field, (_xor_rows(cols, b) | b << m for b in s._rows), m + n)
-            left, right, zero = [r & ((1 << m) - 1) for r in reduced], [r >> m for r in reduced], 0
-        else:
-            reduced, pivots = rref(field, (self.apply(b) + b for b in s._rows), m + n)
-            left, right, zero = [r[:m] for r in reduced], [r[m:] for r in reduced], (0,) * n
+        split = field._bits * m
+        combine = _combiner(field, self._columns(), m)
+        reduced, pivots = rref(field, (combine(b) | b << split for b in s._rows), m + n)
         rank = sum(pc < m for pc in pivots)
+        right = [r >> split for r in reduced]
         by_pivot = dict(zip(pivots[:rank], right))
-        return (Subspace._from_rows(field, m, tuple(left[:rank])),
-                Matrix._from_rows(field, m, n, (by_pivot.get(i, zero) for i in range(m))),
+        return (Subspace._from_rows(field, m, tuple(r & ((1 << split) - 1) for r in reduced[:rank])),
+                Matrix._from_rows(field, m, n, (by_pivot.get(i, 0) for i in range(m))),
                 Subspace._from_rows(field, n, tuple(right[rank:])))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        if self.field.p == 2:
-            augmented = [row | (1 << (n + i)) for i, row in enumerate(self._rows)]
-        else:
-            augmented = [row + _unit(self.field, i, n) for i, row in enumerate(self._rows)]
+        n, bits = self.nrows, self.field._bits
+        augmented = [row | 1 << bits * (n + i) for i, row in enumerate(self._rows)]
         reduced, pivots = rref(self.field, augmented, 2 * n)
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        rows = [r >> n for r in reduced] if self.field.p == 2 else [r[n:] for r in reduced]
-        return Matrix._from_rows(self.field, n, n, rows)
+        return Matrix._from_rows(self.field, n, n, [r >> bits * n for r in reduced])
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
@@ -476,16 +499,11 @@ def block_diag(*blocks: Matrix) -> Matrix:
     field = blocks[0].field
     if any(b.field != field for b in blocks):
         raise ValueError("field mismatch")
-    ncols = sum(b.ncols for b in blocks)
-    rows: list[Row] = []
-    left = 0
+    rows, left = [], 0
     for b in blocks:
-        if field.p == 2:
-            rows += [r << left for r in b._rows]
-        else:
-            rows += [(0,) * left + r + (0,) * (ncols - left - b.ncols) for r in b._rows]
+        rows += [r << field._bits * left for r in b._rows]
         left += b.ncols
-    return Matrix._from_rows(field, sum(b.nrows for b in blocks), ncols, rows)
+    return Matrix._from_rows(field, sum(b.nrows for b in blocks), left, rows)
 
 
 def vstack(*blocks: Matrix) -> Matrix:
@@ -527,17 +545,12 @@ class Subspace(_Value):
         _set(s, "field", field)
         _set(s, "ambient_dim", ambient_dim)
         _set(s, "_rows", rows)
-        _set(s, "_basis", rows if field.p != 2 else None)
+        _set(s, "_basis", None)
         return s
 
     @classmethod
     def span(cls, field: PrimeField, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        _check_dims(ambient_dim)
-        vecs = tuple(tuple(int(e) % field.p for e in v) for v in vectors)
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return _span(field, ambient_dim, _to_rows(field, vecs))
+        return _span(field, ambient_dim, Matrix.build(field, vectors, ambient_dim)._rows)
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
@@ -547,13 +560,12 @@ class Subspace(_Value):
     @classmethod
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
         _check_dims(ambient_dim)
-        return cls._from_rows(field, ambient_dim,
-                              tuple(_unit(field, i, ambient_dim) for i in range(ambient_dim)))
+        return cls._from_rows(field, ambient_dim, tuple(1 << field._bits * i for i in range(ambient_dim)))
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         if self._basis is None:
-            _set(self, "_basis", tuple(_unpack(r, self.ambient_dim) for r in self._rows))
+            _set(self, "_basis", tuple(tuple(self.field._unpack(r, self.ambient_dim)) for r in self._rows))
         return self._basis
 
     def __eq__(self, other: object) -> bool:
@@ -570,31 +582,24 @@ class Subspace(_Value):
         return len(self._rows)
 
     def pivots(self) -> tuple[int, ...]:
-        if self.field.p == 2:
-            return tuple((r & -r).bit_length() - 1 for r in self._rows)
-        return tuple(next(j for j, e in enumerate(r) if e) for r in self._rows)
+        bits = self.field._bits
+        return tuple(((r & -r).bit_length() - 1) // bits for r in self._rows)
 
-    def _holds(self, v: tuple[int, ...], pivots: Sequence[int]) -> bool:
-        """Whether a vector over an odd field lies in this subspace, given its pivots."""
-        p = self.field.p
-        for row, pc in zip(self._rows, pivots):
-            c = v[pc]
-            if c:
-                v = tuple((a - c * b) % p for a, b in zip(v, row))
-        return not any(v)
+    def _projector(self) -> Callable[[Row], Row]:
+        """v -> the combination of the basis with v's entries at the pivots as coefficients;
+        every other basis row is 0 at a row's pivot, so this fixes exactly the members."""
+        bits = self.field._bits
+        by_pivot = [0] * self.ambient_dim
+        for r in self._rows:  # a pivot entry is 1, so r & -r is the lowest bit of the pivot slot
+            by_pivot[((r & -r).bit_length() - 1) // bits] = r
+        mask = ((1 << bits) - 1) * sum(r & -r for r in self._rows)
+        combine = _combiner(self.field, by_pivot, self.ambient_dim)
+        return lambda v: combine(v & mask)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        if self.field.p == 2:
-            # Every other row is 0 at a row's pivot, so v is in the span iff it is the XOR
-            # of the rows whose pivots v has set.
-            by_pivot = [0] * self.ambient_dim
-            for r in self._rows:
-                by_pivot[(r & -r).bit_length() - 1] = r
-            mask = sum(r & -r for r in self._rows)
-            return all(_xor_rows(by_pivot, v & mask) == v for v in other._rows)
-        pivots = self.pivots()
-        return all(self._holds(v, pivots) for v in other._rows)
+        project = self._projector()
+        return all(project(v) == v for v in other._rows)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -622,15 +627,10 @@ class Subspace(_Value):
     def coordinates(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a member vector in the echelon basis; raises if absent."""
         p = self.field.p
-        coords = tuple(vec[pc] % p for pc in self.pivots())
-        recon = [0] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for j in range(self.ambient_dim):
-                    recon[j] = (recon[j] + c * row[j]) % p
-        if tuple(recon) != tuple(e % p for e in vec):
+        v = self.field._pack(bytes([e % p for e in vec]))
+        if len(vec) != self.ambient_dim or self._projector()(v) != v:
             raise ValueError("vector is not in the subspace")
-        return coords
+        return tuple(vec[pc] % p for pc in self.pivots())
 
 
 def solve_linear_system(field: PrimeField, n_unknowns: int, constraint_rows: Iterable[Sequence[int]]) -> Subspace:

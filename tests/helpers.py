@@ -84,6 +84,18 @@ def brute_force_embedding_count(m: DieudonneModule) -> int:
     return best
 
 
+def conjugated(m: DieudonneModule, rng) -> DieudonneModule:
+    """m in a random basis: C F C^-1 and C V C^-1 for a random invertible C."""
+    field, n = m.field, m.dim
+    while True:
+        change = Matrix.build(field, [[rng.randrange(field.p) for _ in range(n)]
+                                      for _ in range(n)], n)
+        if change.rank() == n:
+            break
+    inv = change.inverse()
+    return DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv)
+
+
 def reference_rref_modp(rows, ncols, p):
     """The dense sweep that scales and eliminates whole rows."""
     work = [list(r) for r in rows]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,8 +15,10 @@ import pytest
 import ssrank
 from ssrank import bt1, build, curves, eo, words
 from ssrank.build import feasible, ProfileQuery, i11
-from ssrank.cli import build_parser, main
-from ssrank.ffmat import GF2, Matrix
+from ssrank.cli import _int_option, build_parser, main
+from ssrank.ffmat import GF2, Matrix, PrimeField
+
+from helpers import conjugated
 
 
 def run(capsys, *argv):
@@ -103,6 +107,18 @@ def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "module", "polarize", "--in", str(paths[97]))
     assert code == 2 and "the search stopped after 23 candidates" in err
     assert "exists" not in err
+
+
+def test_polarize_at_its_cap_on_a_conjugated_superspecial_module(tmp_path, capsys):
+    field = PrimeField(97)
+    m = conjugated(eo.canonical_module(eo.EOType.of([0] * 12), field), random.Random(1212))
+    path = tmp_path / "ss12.json"
+    path.write_text(bt1.to_json(m.with_form(None)), encoding="ascii")
+    code, out, err = run(capsys, "module", "polarize", "--in", str(path))
+    assert (code, err) == (0, "")
+    polarized = bt1.from_json(out)
+    assert polarized.dim == 24 and polarized.frobenius == m.frobenius
+    assert bt1.check_polarization(polarized)
 
 
 def test_module_check_rejects_invalid(tmp_path, capsys):
@@ -290,6 +306,61 @@ def test_integer_lists_take_only_signed_ascii_digits(capsys):
     assert code == 0 and bt1.from_json(out) == eo.canonical_module(eo.EOType.of([0, 1]), GF2)
     code, _, err = run(capsys, "curve", "hyp2", "--poles", "-3")
     assert code == 1 and "odd positive" in err
+
+
+def _parser_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_actions(sub)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eo", "list", "--g", "1_0"),
+    ("build", "jrs", "--r", "+1", "--s", "0_1", "--p", "0_3"),
+    ("build", "jrs", "--r", "+1", "--s", "1"),
+    ("build", "jrs", "--r", "1", "--s", "0_1"),
+    ("build", "jrs", "--r", "1", "--s", "1", "--p", "0_3"),
+    ("eo", "list", "--g", "\u0663"),
+    ("table", "feasibility", "--g", "\uff13"),
+])
+def test_integer_options_take_only_signed_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "invalid int value" in err, argv
+
+
+def test_every_integer_option_goes_through_one_parser(capsys):
+    typed = [a for a in _parser_actions(build_parser()) if a.type is not None]
+    assert len(typed) == 18 and all(a.type is _int_option for a in typed)
+    code, out, _ = run(capsys, "build", "jrs", "--r", " 1", "--s", "1 ", "--p", "3")
+    assert code == 0 and bt1.from_json(out) == build.j_rs(1, 1, PrimeField(3))
+    code, _, err = run(capsys, "eo", "list", "--g", "-1")
+    assert code == 2 and "nonnegative" in err
+
+
+def _ssrank(*argv):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as the CLI usually has
+    src = os.path.dirname(os.path.dirname(ssrank.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "ssrank", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader goes after 10 of about 255 kB: later writes fail inside the command
+    proc = _ssrank("eo", "list", "--g", "10")
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    # the reader goes before anything is written: the one write fails at the final flush
+    proc = _ssrank("eo", "list", "--g", "2")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 GOLDEN_SHA256 = {

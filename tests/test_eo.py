@@ -21,7 +21,7 @@ from ssrank.eo import (
 from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import CyclicWord, decompose, word_module
 
-from helpers import reference_eo_type_of
+from helpers import conjugated, reference_eo_type_of
 
 
 def test_validate_sequence():
@@ -178,17 +178,6 @@ def _random_type(rng, g):
     return EOType.of(nu)
 
 
-def _conjugated(m, rng):
-    field, n = m.field, m.dim
-    while True:
-        change = Matrix.build(field, [[rng.randrange(field.p) for _ in range(n)]
-                                      for _ in range(n)], n)
-        if change.rank() == n:
-            break
-    inv = change.inverse()
-    return DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv)
-
-
 def test_eo_type_of_matches_the_reference_closure():
     rng = random.Random(9091)
     cases = [(p, g) for p in (2, 3, 5) for g in range(6)] + [(97, g) for g in range(5)]
@@ -196,10 +185,10 @@ def test_eo_type_of_matches_the_reference_closure():
         field = PrimeField(p)
         for _ in range(3):
             t = _random_type(rng, g)
-            m = _conjugated(canonical_module(t, field), rng)
+            m = conjugated(canonical_module(t, field), rng)
             assert eo_type_of(m) == reference_eo_type_of(m) == t
         parts = [canonical_module(_random_type(rng, rng.randrange(1, 4)), field) for _ in range(2)]
-        total = _conjugated(direct_sum(*parts), rng)
+        total = conjugated(direct_sum(*parts), rng)
         assert eo_type_of(total) == reference_eo_type_of(total)
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _rref_modp, solve_linear_system, vstack
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _slot_bytes, rref, solve_linear_system, vstack
 
 from helpers import reference_rref_modp
 
@@ -17,6 +17,13 @@ I11_OP = Matrix.build(GF2, [[0, 0], [1, 0]])
 def random_matrix(rng, field, nrows, ncols):
     return Matrix.build(field, [[rng.randrange(field.p) for _ in range(ncols)]
                                 for _ in range(nrows)])
+
+
+def packed_rref(p, rows, ncols):
+    """`ffmat.rref` on the packed form of entry rows, read back as entry lists."""
+    field = PrimeField(p)
+    reduced, pivots = rref(field, Matrix.build(field, rows, ncols)._rows, ncols)
+    return [list(r) for r in Matrix._from_rows(field, len(reduced), ncols, reduced).entries], list(pivots)
 
 
 def test_prime_field_rejects_composites_and_large_primes():
@@ -108,7 +115,96 @@ def test_sliced_sweep_matches_the_whole_row_sweep(p):
             for row in rows:
                 row[dead] = 0
         rng.shuffle(rows)
-        assert _rref_modp(rows, ncols, p) == reference_rref_modp(rows, ncols, p)
+        assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
+
+
+def reference_kernel(rows, ncols, p):
+    """Echelon basis of {v : rows v = 0}, from the reference sweep."""
+    reduced, pivots = reference_rref_modp(rows, ncols, p)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free] % p
+        basis.append(v)
+    return reference_rref_modp(basis, ncols, p)[0]
+
+
+def assert_kernels_match_the_reference(p, rows, ncols, span):
+    """rref, kernel and image_sources_kernel of the rows, on the subspace spanned by span."""
+    field = PrimeField(p)
+    assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
+    m = Matrix.build(field, rows, ncols)
+    assert [list(v) for v in m.kernel().basis] == reference_kernel(rows, ncols, p)
+    s_basis = reference_rref_modp(span, ncols, p)[0]
+    image, sources, kernel = m.image_sources_kernel(Subspace.span(field, ncols, span))
+    images = [[sum(a * b for a, b in zip(row, v)) % p for row in rows] for v in s_basis]
+    assert [list(v) for v in image.basis] == reference_rref_modp(images, len(rows), p)[0]
+    # S meet ker M: the combinations c of S's basis with sum c_k M b_k = 0
+    coeffs = reference_kernel([list(col) for col in zip(*images)], len(s_basis), p)
+    meet = [[sum(c * b[j] for c, b in zip(cs, s_basis)) % p for j in range(ncols)] for cs in coeffs]
+    assert [list(v) for v in kernel.basis] == reference_rref_modp(meet, ncols, p)[0]
+    for w, pc in zip(image.basis, image.pivots()):
+        source = sources.entries[pc]
+        assert [sum(a * b for a, b in zip(row, source)) % p for row in rows] == list(w)
+
+
+@pytest.mark.parametrize("p", [3, 5, 97])
+def test_packed_kernel_matches_the_reference(p):
+    """Seeded systems with zero, repeated and surplus rows, most of them rank-deficient."""
+    rng = random.Random(300 + p)
+    for trial in range(70):
+        size = 66 if trial < 2 else 20
+        nrows, ncols = rng.randrange(size), rng.randrange(1, size)
+        rank = rng.randrange(min(nrows, ncols) + 1)
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if rank
+                else [0] * ncols for row in left]
+        if rows and rng.random() < 0.5:
+            rows += [list(rows[0]), [0] * ncols, [rng.randrange(p) for _ in range(ncols)]]
+        rng.shuffle(rows)
+        span = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randrange(ncols + 2))]
+        assert_kernels_match_the_reference(p, rows, ncols, span)
+
+
+def slot_edge_system(p, m):
+    """An m x m system: pivot rows e_k + (p - 1) e_(m-1) for k < m - 1, then a row of ones
+    ending in p - 1.  Eliminating that row adds (p - 1)^2 to its last slot at each of
+    the m - 1 pivots, so the slot reaches (p - 1)(1 + (m - 1)(p - 1))."""
+    r = m - 1
+    return [[int(j == k) for j in range(r)] + [p - 1] for k in range(r)] + [[1] * r + [p - 1]]
+
+
+# (p, m, slot bytes) for m x m systems, whose slots the bound sizes for m pivots: on
+# each side of each width step, 1 -> 2 bytes at p = 3, 5 and 97 and 2 -> 4 bytes at
+# p = 97, and one size further, where the largest slot first needs the wider width.
+SLOT_EDGES = [(3, 63, 1), (3, 64, 2), (3, 65, 2), (5, 15, 1), (5, 16, 2), (5, 17, 2),
+              (97, 1, 2), (97, 7, 2), (97, 8, 4), (97, 9, 4)]
+
+
+@pytest.mark.parametrize("p, m, width", SLOT_EDGES)
+def test_row_reduction_at_the_slot_width_edges(p, m, width):
+    assert _slot_bytes((p - 1) * (1 + m * (p - 1))) == width
+    rows = slot_edge_system(p, m)
+    assert_kernels_match_the_reference(p, rows, m, [[1] * m, [1] + [0] * (m - 1)])
+    assert_kernels_match_the_reference(p, rows[::-1], m, [[int(j == k) for j in range(m)]
+                                                          for k in range(m)])
+
+
+@pytest.mark.parametrize("p, k, width", [(3, 63, 1), (3, 64, 2), (97, 7, 2), (97, 8, 4)])
+def test_products_at_the_slot_width_edges(p, k, width):
+    """All entries p - 1: every entry of the product is the full k (p - 1)^2 before reduction."""
+    assert _slot_bytes(k * (p - 1) ** 2) == width
+    field = PrimeField(p)
+    a = Matrix.build(field, [[p - 1] * k] * 3)
+    b = Matrix.build(field, [[p - 1] * 5] * k)
+    expected = k * (p - 1) ** 2 % p
+    assert (a @ b).entries == ((expected,) * 5,) * 3
+    assert a.apply([p - 1] * k) == (expected,) * 3
+    s = Subspace.span(field, k, [[p - 1] * k])
+    assert a.map_subspace(s) == Subspace.span(field, 3, [[expected] * 3])
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
@@ -251,10 +347,10 @@ def test_zero_dimensional_edges():
 
 
 # Dense reference over F_2: every lattice operation written on entry tuples
-# and the dense `_rref_modp` sweep, independent of the packed-int rows.
+# and the reference sweep `helpers.reference_rref_modp`, independent of the packed-int rows.
 
 def _dense_span(vectors, n):
-    reduced, _ = _rref_modp([list(v) for v in vectors], n, 2)
+    reduced, _ = reference_rref_modp([list(v) for v in vectors], n, 2)
     return tuple(tuple(r) for r in reduced)
 
 
@@ -264,7 +360,7 @@ def _dense_mul(a, b, inner, ncols):
 
 
 def _dense_kernel(rows, n):
-    reduced, pivots = _rref_modp([list(r) for r in rows], n, 2)
+    reduced, pivots = reference_rref_modp([list(r) for r in rows], n, 2)
     basis = []
     for free in (j for j in range(n) if j not in pivots):
         v = [0] * n
@@ -278,7 +374,7 @@ def _dense_kernel(rows, n):
 def _dense_intersect(a, b, n):
     # Zassenhaus: reduce [a | a] and [b | 0]; rows with a zero left half span a ∩ b
     stacked = [list(v) + list(v) for v in a] + [list(v) + [0] * n for v in b]
-    reduced, _ = _rref_modp(stacked, 2 * n, 2)
+    reduced, _ = reference_rref_modp(stacked, 2 * n, 2)
     return _dense_span([r[n:] for r in reduced if not any(r[:n])], n)
 
 
@@ -305,7 +401,7 @@ def test_packed_gf2_matches_dense_reference():
         nrows, ncols = rng.randrange(25), rng.randrange(25)
         rows = _random_rows(rng, nrows, ncols)
         m = Matrix.build(GF2, rows, ncols)
-        dense_rows, pivots = _rref_modp([list(r) for r in rows], ncols, 2)
+        dense_rows, pivots = reference_rref_modp([list(r) for r in rows], ncols, 2)
         assert m.rank() == len(pivots)
         _assert_same_subspace(m.kernel(), _dense_kernel(rows, ncols), ncols)
         columns = [[row[j] for row in rows] for j in range(ncols)]

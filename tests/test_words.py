@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ssrank import words
@@ -14,7 +16,7 @@ from ssrank.bt1 import (
 )
 from ssrank.build import h_rs, i11, j_rs
 from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
-from ssrank.ffmat import Matrix
+from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import (
     CyclicWord,
     DecompositionError,
@@ -26,6 +28,8 @@ from ssrank.words import (
     superspecial_rank,
     word_module,
 )
+
+from helpers import conjugated
 
 
 def test_cyclic_word_canonical_rotation():
@@ -112,6 +116,16 @@ def test_decompose_matches_type_census(gf2, gf3):
         for g in range(g_max + 1):
             for t in enumerate_types(g):
                 assert decompose(canonical_module(t, field)) == census_of_type(t)
+
+
+def test_decompose_at_p97_g32_on_a_conjugated_canonical_module():
+    rng = random.Random(3232)
+    nu = [0]
+    for _ in range(31):
+        nu.append(nu[-1] + rng.randrange(2))
+    t = EOType.of(nu)
+    m = conjugated(canonical_module(t, PrimeField(97)), rng)
+    assert decompose(m) == census_of_type(t)
 
 
 def test_census_of_type_checks_the_maps_form_a_permutation(monkeypatch):
