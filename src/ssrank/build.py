@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-from .bt1 import (
-    DieudonneModule,
-    a_number,
-    check_polarization,
-    direct_sum,
-    dual,
-    p_rank,
-    zero_module,
-)
+from .bt1 import DieudonneModule, a_number, direct_sum, dual, p_rank, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import Matrix, PrimeField, _set, _Value
-from .words import CyclicWord, superspecial_rank, word_module
+from .words import FV, superspecial_rank, word_module
 
 
 class InfeasibleProfileError(ValueError):
@@ -32,24 +24,21 @@ class ProfileQuery(_Value):
         _set(self, "s", s)
 
 
-def _hyperbolic_form(field: PrimeField) -> Matrix:
-    return Matrix.build(field, [[0, 1], [field.p - 1, 0]], 2)
+def _hyperbolic_form(field: PrimeField, n: int) -> Matrix:
+    """The 2n x 2n form pairing e_i with e_(n+i): <e_i, e_(n+i)> = 1 = -<e_(n+i), e_i>."""
+    pairs = [(i, n + i, 1) for i in range(n)]
+    return Matrix._sparse(field, 2 * n, pairs + [(j, i, -c) for i, j, c in pairs])
 
 
 def i11(field: PrimeField) -> DieudonneModule:
     """The rank-p^2 supersingular block: Fx = y = -Vx, polarized by <x,y> = 1."""
-    m = word_module(CyclicWord("FV"), field).with_form(_hyperbolic_form(field))
-    assert check_polarization(m)
-    return m
+    return word_module(FV, field).with_form(_hyperbolic_form(field, 1))
 
 
 def ord1(field: PrimeField) -> DieudonneModule:
     """Ordinary rank-p^2 block: an etale line plus a multiplicative line."""
-    frob = Matrix.build(field, [[1, 0], [0, 0]], 2)
-    ver = Matrix.build(field, [[0, 0], [0, 1]], 2)
-    m = DieudonneModule(frob, ver, _hyperbolic_form(field))
-    assert check_polarization(m)
-    return m
+    return DieudonneModule(Matrix._sparse(field, 2, [(0, 0, 1)]), Matrix._sparse(field, 2, [(1, 1, 1)]),
+                           _hyperbolic_form(field, 1))
 
 
 def j_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
@@ -60,20 +49,12 @@ def j_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
     """
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    n = r + s
-    p = field.p
-    frob = [[0] * n for _ in range(n)]
-    ver = [[0] * n for _ in range(n)]
-    for i in range(r):
-        frob[i + 1][i] = 1
+    frob = [(i + 1, i, 1) for i in range(r)]
     if s == 1:
-        ver[r][0] = p - 1
-    else:
-        ver[r + 1][0] = 1
-        for j in range(1, s - 1):
-            ver[r + j + 1][r + j] = 1
-        ver[r][r + s - 1] = p - 1
-    return DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n))
+        ver = [(r, 0, -1)]
+    else:  # x -> Vx -> ... -> V^(s-1) x -> -F^r x
+        ver = [(r + 1, 0, 1), *((r + j + 1, r + j, 1) for j in range(1, s - 1)), (r, r + s - 1, -1)]
+    return DieudonneModule(Matrix._sparse(field, r + s, frob), Matrix._sparse(field, r + s, ver))
 
 
 def h_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
@@ -81,31 +62,15 @@ def h_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
 
     For r = s the form on j_rr is <x, F^r x> = 1 and <F^i x, V^(r-i) x> = -1
     for 1 <= i <= r - 1, extended antisymmetrically; otherwise j_rs is paired
-    with its dual.
+    with its dual by the hyperbolic form.
     """
     if r == s:
-        core = j_rs(r, r, field)
-        n = 2 * r
-        rows = [[0] * n for _ in range(n)]
-        rows[0][r] = 1
-        rows[r][0] = -1
-        for i in range(1, r):
-            rows[i][2 * r - i] = -1     # <F^i x, V^(r-i) x>; V^k x has index r + k
-            rows[2 * r - i][i] = 1
-        paired = core.with_form(Matrix.build(field, rows, n))
-        assert check_polarization(paired)
-        return paired
+        # V^k x has index r + k
+        pairs = [(0, r, 1), *((i, 2 * r - i, -1) for i in range(1, r))]
+        form = Matrix._sparse(field, 2 * r, pairs + [(j, i, -c) for i, j, c in pairs])
+        return j_rs(r, r, field).with_form(form)
     left = j_rs(r, s, field)
-    right = dual(left)
-    total = direct_sum(left, right)
-    n = left.dim
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = field.p - 1
-    paired = total.with_form(Matrix.build(field, rows, 2 * n))
-    assert check_polarization(paired)  # the block-with-dual cross pairing is always compatible
-    return paired
+    return direct_sum(left, dual(left)).with_form(_hyperbolic_form(field, left.dim))
 
 
 class M11Embedding(_Value):
@@ -166,8 +131,8 @@ def realize(q: ProfileQuery, field: PrimeField) -> DieudonneModule:
     F^(c+1) (VF)^(k-1) V and its dual.  Each word contains F^(c+1) with
     c >= 1, so none is FV and s = 0 (checked for every 2 <= h < 40).
 
-    Every part carries its constructed form; the result is re-measured
-    before being returned.
+    Every part carries its constructed form and none is checked on its own;
+    the re-measure validates the sum, and with it every part, once.
     """
     if not feasible(q):
         raise InfeasibleProfileError(f"profile {q} is not feasible")
@@ -191,7 +156,7 @@ def supersingular_profile(g: int, s: int, field: PrimeField) -> DieudonneModule:
 
     Allowed exactly for 0 <= s <= g - 2 or s = g; the gap at s = g - 1
     reflects that the only local-local polarized block of rank p^2 is the
-    supersingular one.
+    supersingular one.  Measuring the superspecial rank validates the sum once.
     """
     if not (0 <= s <= g - 2 or s == g):
         raise InfeasibleProfileError(

@@ -64,6 +64,7 @@ def build_parser() -> _Parser:
     top = parser.add_subparsers(dest="group", required=True)
 
     eo_cmd = top.add_parser("eo", help="Ekedahl-Oort type catalogue")
+    eo_cmd.set_defaults(run=_run_eo)
     eo_sub = eo_cmd.add_subparsers(dest="cmd", required=True)
     eo_list = eo_sub.add_parser("list", help="enumerate all 2^g types with invariants")
     eo_list.add_argument("--g", type=_int_option, required=True)
@@ -74,6 +75,7 @@ def build_parser() -> _Parser:
     eo_module.add_argument("--p", type=_int_option, default=2)
 
     mod_cmd = top.add_parser("module", help="operate on a serialized module")
+    mod_cmd.set_defaults(run=_run_module)
     mod_sub = mod_cmd.add_subparsers(dest="cmd", required=True)
     for name, help_text in (("invariants", "p-rank, a-number, unpolarized rank"),
                             ("decompose", "cyclic-word census and census invariants"),
@@ -83,6 +85,7 @@ def build_parser() -> _Parser:
         sub.add_argument("--in", dest="path", required=True, metavar="FILE.json")
 
     build_cmd = top.add_parser("build", help="construct modules")
+    build_cmd.set_defaults(run=_run_build)
     build_sub = build_cmd.add_subparsers(dest="cmd", required=True)
     b_word = build_sub.add_parser("word", help="module of a cyclic word")
     b_word.add_argument("--w", required=True, metavar="FVV...")
@@ -101,6 +104,7 @@ def build_parser() -> _Parser:
     b_ss.add_argument("--p", type=_int_option, default=2)
 
     curve_cmd = top.add_parser("curve", help="curve applications")
+    curve_cmd.set_defaults(run=_run_curve)
     curve_sub = curve_cmd.add_subparsers(dest="cmd", required=True)
     c_hyp = curve_sub.add_parser("hyp2", help="hyperelliptic curve in characteristic 2")
     c_hyp.add_argument("--poles", required=True, metavar="3,9")
@@ -111,11 +115,13 @@ def build_parser() -> _Parser:
     c_herm.add_argument("--n", type=_int_option, required=True)
 
     table_cmd = top.add_parser("table", help="tabulations")
+    table_cmd.set_defaults(run=_run_table)
     table_sub = table_cmd.add_subparsers(dest="cmd", required=True)
     t_feas = table_sub.add_parser("feasibility", help="feasibility of (f,a,s) at fixed g")
     t_feas.add_argument("--g", type=_int_option, required=True)
 
     atlas_cmd = top.add_parser("atlas", help="write the EO atlas CSV")
+    atlas_cmd.set_defaults(run=_run_atlas)
     atlas_cmd.add_argument("--g-max", type=_int_option, required=True)
     atlas_cmd.add_argument("--out", required=True, metavar="PATH")
 
@@ -247,14 +253,13 @@ def _run_eo(args: argparse.Namespace) -> int:
         else:
             _write_json_rows(rows)
         return 0
-    if args.cmd == "module":
-        nu = _parse_int_list(args.nu, "--nu")
-        _check_cap("nu length", len(nu), MODULE_G_CAP)
-        t = _parse_value(eo.EOType.of, nu)
-        module = eo.canonical_module(t, PrimeField(args.p))
-        _print(bt1.to_json(module))
-        return 0
-    raise UsageError("unknown eo subcommand")
+    # module; argparse admits no other subcommand
+    nu = _parse_int_list(args.nu, "--nu")
+    _check_cap("nu length", len(nu), MODULE_G_CAP)
+    module = eo.canonical_module(_parse_value(eo.EOType.of, nu), PrimeField(args.p))
+    bt1.require_valid(module)
+    _print(bt1.to_json(module))
+    return 0
 
 
 def _run_module(args: argparse.Namespace) -> int:
@@ -274,13 +279,12 @@ def _run_module(args: argparse.Namespace) -> int:
         _emit_report({"census": census.as_dict(),
                       "g": bundle.g, "f": bundle.f, "a": bundle.a, "s": bundle.s})
         return 0
-    if args.cmd == "polarize":
-        gram = bt1.find_polarization(module)
-        if gram is None:
-            raise bt1.PolarizationSearchError("no compatible nondegenerate form exists")
-        _print(bt1.to_json(module.with_form(gram)))
-        return 0
-    raise UsageError("unknown module subcommand")
+    # polarize
+    gram = bt1.find_polarization(module)
+    if gram is None:
+        raise bt1.PolarizationSearchError("no compatible nondegenerate form exists")
+    _print(bt1.to_json(module.with_form(gram)))
+    return 0
 
 
 def _run_build(args: argparse.Namespace) -> int:
@@ -294,11 +298,9 @@ def _run_build(args: argparse.Namespace) -> int:
     elif args.cmd == "profile":
         _check_cap("g", args.g, MODULE_G_CAP)
         module = build.realize(build.ProfileQuery(g=args.g, f=args.f, a=args.a, s=args.s), field)
-    elif args.cmd == "ss":
+    else:  # ss
         _check_cap("g", args.g, MODULE_G_CAP)
         module = build.supersingular_profile(args.g, args.s, field)
-    else:
-        raise UsageError("unknown build subcommand")
     _print(bt1.to_json(module))
     return 0
 
@@ -318,52 +320,38 @@ def _run_curve(args: argparse.Namespace) -> int:
                 raise RuntimeError("oracle disagrees with the closed form")
         _emit_report(payload)
         return 0
-    if args.cmd == "hermitian":
-        _check_cap("n", args.n, HERMITIAN_N_CAP)
-        report = curves.hermitian_analyze(args.p, args.n)
-        _emit_report({name: getattr(report, name) for name in report._fields})
-        return 0
-    raise UsageError("unknown curve subcommand")
+    # hermitian
+    _check_cap("n", args.n, HERMITIAN_N_CAP)
+    report = curves.hermitian_analyze(args.p, args.n)
+    _emit_report({name: getattr(report, name) for name in report._fields})
+    return 0
 
 
-def _run_table(args: argparse.Namespace) -> int:
-    if args.cmd == "feasibility":
-        g = args.g
-        if g < 0:
-            raise ValueError("g must be nonnegative")
-        _check_cap("g", g, MODULE_G_CAP)
-        rows = []
-        for f in range(g + 1):
-            for a in range(g - f + 1):
-                for s in range(a + 1):
-                    rows.append({"f": f, "a": a, "s": s,
-                                 "feasible": build.feasible(build.ProfileQuery(g, f, a, s))})
-        _emit_report({"g": g, "rows": rows})
-        return 0
-    raise UsageError("unknown table subcommand")
+def _run_table(args: argparse.Namespace) -> int:  # the one subcommand, feasibility
+    g = args.g
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    _check_cap("g", g, MODULE_G_CAP)
+    rows = []
+    for f in range(g + 1):
+        for a in range(g - f + 1):
+            for s in range(a + 1):
+                rows.append({"f": f, "a": a, "s": s,
+                             "feasible": build.feasible(build.ProfileQuery(g, f, a, s))})
+    _emit_report({"g": g, "rows": rows})
+    return 0
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.group == "eo":
-        return _run_eo(args)
-    if args.group == "module":
-        return _run_module(args)
-    if args.group == "build":
-        return _run_build(args)
-    if args.group == "curve":
-        return _run_curve(args)
-    if args.group == "table":
-        return _run_table(args)
-    if args.group == "atlas":
-        emit_atlas(args.g_max, args.out)
-        return 0
-    raise UsageError("unknown command group")
+def _run_atlas(args: argparse.Namespace) -> int:
+    emit_atlas(args.g_max, args.out)
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        code = _run(parser.parse_args(argv))
+        args = parser.parse_args(argv)
+        code = args.run(args)
         sys.stdout.flush()  # so that a reader gone early shows up here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -16,7 +16,8 @@ Input is checked once, where it enters: the public `Matrix(...)` and
 `Subspace(...)` constructors, `Matrix.build`, `Matrix.from_columns` and
 `Subspace.span`.  Results computed here go through the trusted private
 constructors `Matrix._from_rows` and `Subspace._from_rows`, which neither
-re-reduce nor re-validate.
+re-reduce nor re-validate; the library's explicit constructions write their
+(row, column, value) triples through `Matrix._sparse`.
 Everything here is a value: operations never mutate their inputs and
 results are safe to share between threads.
 """
@@ -24,7 +25,7 @@ results are safe to share between threads.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache, partial
 from operator import attrgetter, mul
 
@@ -223,17 +224,17 @@ def _xor_rows(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _combiner(field: PrimeField, rows: Sequence[Row], n: int) -> Callable[[Row], Row]:
-    """The map v -> sum_k v_k rows[k], for rows of n columns and v of len(rows) columns.
+def _combine(field: PrimeField, rows: Sequence[Row], n: int, vectors: Iterable[Row]) -> list[Row]:
+    """sum_k v_k rows[k] for each v in vectors, for rows of n columns and v of len(rows) columns.
 
-    Over odd p each term adds at most (p - 1)^2 to a slot, so the sum is taken
+    Over odd p each term adds at most (p - 1)^2 to a slot, so each sum is taken
     in slots that hold len(rows) * (p - 1)^2 and reduced once."""
     if field.p == 2:
-        return partial(_xor_rows, rows)
+        return [_xor_rows(rows, v) for v in vectors]
     p, k = field.p, len(rows)
     w = _slot_bytes(k * (p - 1) ** 2)
     wide = [_widen(r, n, w) for r in rows]
-    return lambda v: _reduce(sum(map(mul, v.to_bytes(k, "little"), wide)), n, w, p)
+    return [_reduce(sum(map(mul, v.to_bytes(k, "little"), wide)), n, w, p) for v in vectors]
 
 
 def rref(field: PrimeField, rows: Iterable[Row], ncols: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
@@ -309,6 +310,16 @@ class Matrix(_Value):
         _set(m, "_cols", None)
         _set(m, "_entries", entries)
         return m
+
+    @classmethod
+    def _sparse(cls, field: PrimeField, n: int, entries: Iterable[tuple[int, int, int]]) -> "Matrix":
+        """Trusted constructor for the n x n matrix with the given (row, column, value)
+        triples, each position at most once, and zeros elsewhere; values are reduced mod p."""
+        p, bits = field.p, field._bits
+        rows = [0] * n
+        for i, j, e in entries:
+            rows[i] |= (e % p) << bits * j
+        return cls._from_rows(field, n, n, rows)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -403,8 +414,8 @@ class Matrix(_Value):
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        combine = _combiner(self.field, other._rows, other.ncols)
-        return Matrix._from_rows(self.field, self.nrows, other.ncols, map(combine, self._rows))
+        return Matrix._from_rows(self.field, self.nrows, other.ncols,
+                                 _combine(self.field, other._rows, other.ncols, self._rows))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Image of a column vector under this matrix."""
@@ -412,7 +423,8 @@ class Matrix(_Value):
             raise ValueError("vector length does not match ncols")
         field = self.field
         v = field._pack(bytes([e % field.p for e in vec]))
-        return tuple(field._unpack(_combiner(field, self._columns(), self.nrows)(v), self.nrows))
+        image, = _combine(field, self._columns(), self.nrows, [v])
+        return tuple(field._unpack(image, self.nrows))
 
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -452,7 +464,7 @@ class Matrix(_Value):
         """Images of the echelon basis of s, in internal form and unreduced."""
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
-        return list(map(_combiner(self.field, self._columns(), self.nrows), s._rows))
+        return _combine(self.field, self._columns(), self.nrows, s._rows)
 
     def preimage(self, s: "Subspace") -> "Subspace":
         """Full preimage {v : M v in S}; always contains the kernel."""
@@ -474,8 +486,8 @@ class Matrix(_Value):
             raise ValueError("ambient dimension does not match ncols")
         field, m, n = self.field, self.nrows, self.ncols
         split = field._bits * m
-        combine = _combiner(field, self._columns(), m)
-        reduced, pivots = rref(field, (combine(b) | b << split for b in s._rows), m + n)
+        images = _combine(field, self._columns(), m, s._rows)
+        reduced, pivots = rref(field, [im | b << split for im, b in zip(images, s._rows)], m + n)
         rank = sum(pc < m for pc in pivots)
         right = [r >> split for r in reduced]
         by_pivot = dict(zip(pivots[:rank], right))
@@ -585,21 +597,21 @@ class Subspace(_Value):
         bits = self.field._bits
         return tuple(((r & -r).bit_length() - 1) // bits for r in self._rows)
 
-    def _projector(self) -> Callable[[Row], Row]:
-        """v -> the combination of the basis with v's entries at the pivots as coefficients;
-        every other basis row is 0 at a row's pivot, so this fixes exactly the members."""
+    def _holds(self, vectors: Sequence[Row]) -> bool:
+        """Whether every vector lies in this subspace: each must equal the combination of
+        the basis with its entries at the pivots as coefficients, since every other basis
+        row is 0 at a row's pivot."""
         bits = self.field._bits
         by_pivot = [0] * self.ambient_dim
         for r in self._rows:  # a pivot entry is 1, so r & -r is the lowest bit of the pivot slot
             by_pivot[((r & -r).bit_length() - 1) // bits] = r
         mask = ((1 << bits) - 1) * sum(r & -r for r in self._rows)
-        combine = _combiner(self.field, by_pivot, self.ambient_dim)
-        return lambda v: combine(v & mask)
+        projected = _combine(self.field, by_pivot, self.ambient_dim, [v & mask for v in vectors])
+        return projected == list(vectors)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        project = self._projector()
-        return all(project(v) == v for v in other._rows)
+        return self._holds(other._rows)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -628,7 +640,7 @@ class Subspace(_Value):
         """Coordinates of a member vector in the echelon basis; raises if absent."""
         p = self.field.p
         v = self.field._pack(bytes([e % p for e in vec]))
-        if len(vec) != self.ambient_dim or self._projector()(v) != v:
+        if len(vec) != self.ambient_dim or not self._holds([v]):
             raise ValueError("vector is not in the subspace")
         return tuple(vec[pc] % p for pc in self.pivots())
 

@@ -163,53 +163,42 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     invisible.)
     """
     n = len(w)
-    p = field.p
-    frob = [[0] * n for _ in range(n)]
-    ver = [[0] * n for _ in range(n)]
-    sign_closing = (p - 1) if w.is_mixed() else 1
-    for i in range(1, n + 1):
-        letter = w.letters[i - 1]
-        here = i - 1
-        nxt = i % n
-        coeff = sign_closing if i == n else 1
+    closing = -1 if w.is_mixed() else 1
+    frob, ver = [], []
+    for i, letter in enumerate(w.letters):
+        nxt, coeff = (i + 1) % n, closing if i == n - 1 else 1
         if letter == "F":
-            frob[nxt][here] = coeff
+            frob.append((nxt, i, coeff))
         else:
-            ver[here][nxt] = coeff
-    return DieudonneModule(Matrix.build(field, frob, n), Matrix.build(field, ver, n))
+            ver.append((i, nxt, coeff))
+    return DieudonneModule(Matrix._sparse(field, n, frob), Matrix._sparse(field, n, ver))
 
 
 def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] | None:
     """Successor maps (f_next, v_next) as `eo.node_maps` gives them, else None.
 
-    None unless every operator column is a signed unit or zero and no target is hit twice.
+    None unless every operator column is a signed unit or zero and no target
+    is hit twice.  A packed column (entry i in slot i) is a signed unit at i
+    exactly when shifting out the slots below its lowest set bit leaves 1 or
+    p - 1.
     """
-    n = m.dim
-    p = m.field.p
-    unit_values = {1, p - 1}
-
-    def targets(mat: Matrix) -> list[int | None] | None:
-        out: list[int | None] = []
-        for j in range(n):
-            col = mat.column(j)
-            support = [i for i, e in enumerate(col) if e]
-            if not support:
-                out.append(None)
-            elif len(support) == 1 and col[support[0]] in unit_values:
-                out.append(support[0])
-            else:
+    bits, units = m.field._bits, {1, m.field.p - 1}
+    maps = []
+    for op in (m.frobenius, m.verschiebung):
+        targets: list[int | None] = []
+        for col in op._columns():
+            if not col:
+                targets.append(None)
+                continue
+            i = ((col & -col).bit_length() - 1) // bits
+            if col >> bits * i not in units:
                 return None
-        return out
-
-    f_next = targets(m.frobenius)
-    v_next = targets(m.verschiebung)
-    if f_next is None or v_next is None:
-        return None
-    for nxt in (f_next, v_next):
-        hit = [t for t in nxt if t is not None]
+            targets.append(i)
+        hit = [t for t in targets if t is not None]
         if len(hit) != len(set(hit)):
             return None
-    return f_next, v_next
+        maps.append(targets)
+    return maps[0], maps[1]
 
 
 # A walk from a cycle's least node reads a recurring word the same way each time

@@ -74,6 +74,15 @@ def test_h_rs_fixtures(gf2, gf3):
             assert check_polarization(h_rs(r, r, field))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_constructed_forms_are_polarizations(p):
+    # the constructions do not check their own forms; this does
+    field = PrimeField(p)
+    assert check_polarization(i11(field)) and check_polarization(ord1(field))
+    for r, s in itertools.product(range(1, 6), repeat=2):
+        assert check_polarization(h_rs(r, s, field)), (r, s)
+
+
 def test_m11_embedding(gf2, gf3):
     w = m11_embedding(2, 2, gf2)
     assert w.generator == (0, 1, 0, 1)      # Fx + Vx

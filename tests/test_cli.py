@@ -164,25 +164,39 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "twisted.json"
     path.write_text(bt1.to_json(twisted), encoding="ascii")
 
-    calls = [0]
-    original = bt1.validate_bt1
+    calls = {"validate_bt1": 0, "_form_violations": 0}
 
-    def counted(m):
-        calls[0] += 1
-        return original(m)
+    def counted(name):
+        original = getattr(bt1, name)
 
-    for name, namespace in list(sys.modules.items()):
-        if name.split(".")[0] == "ssrank" and vars(namespace).get("validate_bt1") is original:
-            monkeypatch.setattr(namespace, "validate_bt1", counted)
+        def wrapper(m):
+            calls[name] += 1
+            return original(m)
+        for module_name, namespace in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ssrank" and vars(namespace).get(name) is original:
+                monkeypatch.setattr(namespace, name, wrapper)
+
+    for name in calls:
+        counted(name)
     expected = {"invariants": {"p": 2, "dim": 6, "g": 3, "f": 0, "a": 2, "u": 0},
                 "decompose": {"census": words.census_of_type(t).as_dict(),
                               "g": 3, "f": 0, "a": 2, "s": 0},
                 "check": {"valid": True, "violations": []}}
     for cmd, payload in expected.items():
-        calls[0] = 0
+        calls.update(dict.fromkeys(calls, 0))
         code, out, _ = run(capsys, "module", cmd, "--in", str(path))
         assert (code, json.loads(out)) == (0, payload)
-        assert calls[0] == 1, cmd
+        assert list(calls.values()) == [1, 1], cmd
+    # a built module is validated once, where the command finishes it; its parts are not
+    for argv, once in ((("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"), 1),
+                       (("build", "ss", "--g", "4", "--s", "2"), 1),
+                       (("eo", "module", "--nu", "0,1,1", "--p", "3"), 1),
+                       (("curve", "hyp2", "--poles", "1,3,9", "--oracle"), 1),
+                       (("build", "jrs", "--r", "2", "--s", "3"), 0),
+                       (("build", "word", "--w", "FFVFV"), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(capsys, *argv)[0] == 0, argv
+        assert list(calls.values()) == [once, once], argv
 
 
 def test_module_missing_file(capsys):
@@ -355,6 +369,7 @@ def test_closed_stdout_ends_quietly():
     proc.stdout.close()
     assert proc.wait(timeout=120) == 0
     assert proc.stderr.read() == b""
+    proc.stderr.close()
     # the reader goes before anything is written: the one write fails at the final flush
     proc = _ssrank("eo", "list", "--g", "2")
     proc.stdout.close()
@@ -381,6 +396,36 @@ def test_catalogue_output_is_golden(tmp_path, capsys):
     assert run(capsys, "atlas", "--g-max", "12", "--out", str(path)) == (0, "", "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ATLAS_12_SHA256
 
+
+
+def _built_module_requests():
+    """Every build and eo module request of the golden digest, in a fixed order."""
+    for p in ("2", "3", "97"):
+        for g in range(8):
+            for f, a, s in itertools.product(range(g + 1), repeat=3):
+                if feasible(ProfileQuery(g, f, a, s)):
+                    yield ("build", "profile", "--g", str(g), "--f", str(f), "--a", str(a),
+                           "--s", str(s), "--p", p)
+            for s in range(g + 1):
+                yield "build", "ss", "--g", str(g), "--s", str(s), "--p", p
+        for r, s in itertools.product(range(1, 6), repeat=2):
+            yield "build", "jrs", "--r", str(r), "--s", str(s), "--p", p
+        for length in range(1, 7):
+            for w in words.all_cyclic_words(length):
+                yield "build", "word", "--w", w.letters, "--p", p
+        for g in range(6):
+            for t in eo.enumerate_types(g):
+                yield "eo", "module", "--nu", ",".join(map(str, t.nu)), "--p", p
+
+
+BUILT_MODULES_SHA256 = "e5aa2e92e58374fcb1ebfc4b5065f23552b5dc40c12b4109f926045496266f76"
+
+
+def test_built_module_output_is_golden(capsys):
+    digest = hashlib.sha256()
+    for argv in _built_module_requests():
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode() + b"\n")
+    assert digest.hexdigest() == BUILT_MODULES_SHA256
 
 def test_filtered_rows_match_a_filtered_list(capsys):
     # reference: the full row list built from the library, filtered afterwards

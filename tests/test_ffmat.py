@@ -208,6 +208,23 @@ def test_products_at_the_slot_width_edges(p, k, width):
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
+def test_sparse_matches_build_of_the_dense_array(p):
+    """Seeded (row, column, value) triples, each position once, values from -p to 2p - 1."""
+    field, rng = PrimeField(p), random.Random(400 + p)
+    for n in (0, 1, 2, 5, 13, 40):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        chosen = rng.sample(cells, rng.randrange(len(cells) + 1))
+        triples = [(i, j, rng.randrange(-p, 2 * p)) for i, j in chosen]
+        dense = [[0] * n for _ in range(n)]
+        for i, j, e in triples:
+            dense[i][j] = e
+        sparse, reference = Matrix._sparse(field, n, triples), Matrix.build(field, dense, n)
+        assert sparse == reference and sparse.entries == reference.entries
+        assert sparse._columns() == reference._columns()
+    assert Matrix._sparse(field, 2, [(0, 1, 1), (1, 0, -1)]) == Matrix.build(field, [[0, 1], [p - 1, 0]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
 def test_image_sources_kernel_matches_the_lattice(p):
     rng = random.Random(17 + p)
     field = PrimeField(p)

@@ -93,6 +93,34 @@ def test_word_modules_are_valid_bt1(gf2, gf3):
             assert validate_bt1(word_module(w, gf3)) == []
 
 
+def test_word_maps_read_back_the_letters():
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        for length in range(1, 9):
+            for w in all_cyclic_words(length):
+                n = len(w)
+                f_next, v_next = [None] * n, [None] * n
+                for i, letter in enumerate(w.letters):
+                    if letter == "F":
+                        f_next[i] = (i + 1) % n
+                    else:
+                        v_next[(i + 1) % n] = i
+                assert words._word_maps(word_module(w, field)) == (f_next, v_next), (p, w)
+
+
+def test_word_maps_refuse_columns_that_are_not_signed_units():
+    field = PrimeField(97)
+    frob = Matrix.build(field, [[0, 0], [1, 0]])
+    for ver, word_form in (([[0, 0], [96, 0]], True), ([[0, 0], [1, 0]], True),
+                           ([[0, 0], [2, 0]], False), ([[0, 0], [95, 0]], False),
+                           ([[1, 0], [1, 0]], False), ([[96, 0], [96, 0]], False)):
+        maps = words._word_maps(DieudonneModule(frob, Matrix.build(field, ver)))
+        assert (maps is not None) == word_form, ver
+    # a target hit twice is not word form either
+    assert words._word_maps(DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]),
+                                            Matrix.zeros(field, 2, 2))) is None
+
+
 def test_decompose_canonical_examples(gf2):
     assert census_of_type(EOType.of([0, 0, 1])).as_dict() == {"FV": 1, "FFVV": 1}
     assert census_of_type(EOType.of([0, 1, 1])).as_dict() == {"FFV": 1, "FVV": 1}
