@@ -60,12 +60,16 @@ class EOType(_Value):
         return len(self.nu)
 
     def p_rank(self) -> int:
-        """max { i : nu_i = i }, zero when no such i exists."""
-        best = 0
-        for i, v in enumerate(self.nu, start=1):
-            if v == i:
-                best = i
-        return best
+        """max { i : nu_i = i }, zero when no such i exists.
+
+        Those i are 1..f for some f, so the scan stops at the first miss:
+        nu_1 <= 1 and nu_(i+1) <= nu_i + 1 give nu_i <= i, and once nu_i < i,
+        nu_(i+1) <= nu_i + 1 < i + 1 keeps every later entry below its index.
+        """
+        nu, f = self.nu, 0
+        while f < len(nu) and nu[f] == f + 1:
+            f += 1
+        return f
 
     def a_number(self) -> int:
         return self.g - self.nu[-1] if self.nu else 0
@@ -86,12 +90,10 @@ class FinalType(_Value):
         g = (len(psi) - 1) // 2
         if psi[0] != 0 or psi[2 * g] != g:
             raise ValueError("psi must run from 0 to g")
-        for a, b in zip(psi, psi[1:]):
-            if b - a not in (0, 1):
-                raise ValueError("psi steps must be 0 or 1")
-        for i in range(g + 1, 2 * g + 1):
-            if psi[i] != psi[2 * g - i] + i - g:
-                raise ValueError("psi is not symmetric")
+        if any(b - a not in (0, 1) for a, b in zip(psi, psi[1:])):
+            raise ValueError("psi steps must be 0 or 1")
+        if any(psi[i] != psi[2 * g - i] + i - g for i in range(g + 1, 2 * g + 1)):
+            raise ValueError("psi is not symmetric")
         _set(self, "psi", psi)
 
     @property
@@ -114,61 +116,48 @@ def enumerate_types(g: int) -> Iterator[EOType]:
         nu[i:] = [nu[i] + 1] * (g - i)  # raise the rightmost entry that can; refill after it
 
 
-def _final_profile(nu: tuple[int, ...]) -> list[int]:
-    """psi on 0..2g: 0, then nu, then psi(i) = psi(2g - i) + i - g above g."""
-    g = len(nu)
-    psi = [0, *nu]
-    return psi + [psi[g - k] + k for k in range(1, g + 1)]
-
-
 def extend_final(t: EOType) -> FinalType:
-    """The validated final type of t."""
-    return FinalType(tuple(_final_profile(t.nu)))
+    """The validated final type of t: 0, then nu, then psi(i) = psi(2g - i) + i - g above g."""
+    psi = (0, *t.nu)
+    return FinalType(psi + tuple(psi[t.g - k] + k for k in range(1, t.g + 1)))
 
 
-def node_maps(t: EOType) -> tuple[list[int | None], list[int | None]]:
-    """Successor maps of the canonical module on basis indices 0..2g-1.
+def riffle(t: EOType) -> tuple[list[int], list[int]]:
+    """The steps i < 2g where the final type psi of t rises, psi(i + 1) > psi(i), and the rest.
 
-    v_next[j] is the index hit by V on basis vector j (None when V kills it);
-    f_next[j] likewise for F.  V jumps land on e_psi(i) at every psi-increase;
-    F sends the top half onto the stagnant indices in order.  psi is not
-    re-validated: for a valid nu it is symmetric with steps in {0, 1}.
+    Both lists increase.  Below g the steps are those of nu; psi(2g - i) =
+    psi(i) + g - i makes step 2g - 1 - i a rise exactly when step i is flat.
     """
-    g = t.g
-    psi = _final_profile(t.nu)
-    v_next: list[int | None] = [None] * (2 * g)
-    stagnant: list[int | None] = []
-    for i in range(2 * g):
-        if psi[i + 1] > psi[i]:
-            v_next[i] = psi[i + 1] - 1
-        else:
-            stagnant.append(i)
-    if len(stagnant) != g:
-        raise FiltrationError("final profile does not have g stagnant steps")
-    return [None] * g + stagnant, v_next
+    rises, flats, prev = [], [], 0
+    for i, v in enumerate(t.nu):
+        (rises if v > prev else flats).append(i)
+        prev = v
+    top = 2 * t.g - 1
+    return rises + [top - i for i in reversed(flats)], flats + [top - i for i in reversed(rises)]
 
 
 def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:
     """The canonical module of an EO type with its constructed form.
 
-    F is +1 on every F edge of the node maps.  The form is anti-diagonal,
+    With (rises, flats) = riffle(t), F sends e_(g+m) to e_(flats[m]) with
+    sign +1, and V sends e_(rises[k]) to e_k.  The form is anti-diagonal,
     <e_i, e_(2g-1-i)> = sigma(i) with sigma(i) = +1 for i < g and -1 for
     i >= g, which makes it alternating and nondegenerate.  Because psi is
     symmetric, the reflection i -> 2g-1-i turns every F edge j -> k into a
-    V edge 2g-1-k -> 2g-1-j, so the anti-diagonal pairing matches the node
-    maps; <Fx, y> = <x, Vy> then fixes the sign of the V edge j -> k as
+    V edge 2g-1-k -> 2g-1-j, so the anti-diagonal pairing matches the
+    edges; <Fx, y> = <x, Vy> then fixes the sign of the V edge j -> k as
     sigma(2g-1-j) * sigma(2g-1-k).  Mod 2 every sign is +1.  The output
     satisfies the BT1 axioms and the form conditions; the tests check both
     for every tested p, and each command that returns a module validates it.
     """
-    f_next, v_next = node_maps(t)
+    rises, flats = riffle(t)
     g, n = t.g, 2 * t.g
 
     def sigma(i: int) -> int:
         return 1 if i < g else -1
 
-    frob = [(k, j, 1) for j, k in enumerate(f_next) if k is not None]
-    ver = [(k, j, sigma(n - 1 - j) * sigma(n - 1 - k)) for j, k in enumerate(v_next) if k is not None]
+    frob = [(j, g + m, 1) for m, j in enumerate(flats)]
+    ver = [(k, j, sigma(n - 1 - j) * sigma(n - 1 - k)) for k, j in enumerate(rises)]
     gram = [(j, n - 1 - j, sigma(j)) for j in range(n)]
     return DieudonneModule(Matrix._sparse(field, n, frob), Matrix._sparse(field, n, ver),
                            Matrix._sparse(field, n, gram))
@@ -219,14 +208,10 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):
         jump = psi_at[hi] - psi_at[lo]
-        if jump == 0:
-            for i in range(lo, hi + 1):
-                psi[i] = psi_at[lo]
-        elif jump == hi - lo:
-            for i in range(lo, hi + 1):
-                psi[i] = psi_at[lo] + (i - lo)
-        else:
+        if jump not in (0, hi - lo):
             raise FiltrationError("graded piece has partial V-rank; not a BT1 filtration")
+        for i in range(lo, hi + 1):
+            psi[i] = psi_at[lo] + (i - lo if jump else 0)
     psi[n] = psi_at[n]
 
     if psi[n] != g:

@@ -9,7 +9,7 @@ that census.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .bt1 import (
     Bt1ValidationError,
@@ -17,7 +17,7 @@ from .bt1 import (
     InvariantBundle,
     require_valid,
 )
-from .eo import EOType, eo_type_of, node_maps
+from .eo import EOType, eo_type_of, riffle
 from .ffmat import Matrix, PrimeField, _set, _Value
 
 
@@ -59,9 +59,7 @@ class CyclicWord(_Value):
 
     def frobenius_runs(self) -> int:
         """Number of maximal cyclic runs of F (0 for pure-V words)."""
-        s = self.letters
-        n = len(s)
-        return sum(1 for i in range(n) if s[i] == "F" and s[(i + 1) % n] == "V")
+        return (self.letters + self.letters[0]).count("FV")
 
 
 def _check_letters(letters: str) -> None:
@@ -119,10 +117,7 @@ class WordCensus(_Value):
 
     @classmethod
     def from_counter(cls, counter: Mapping[CyclicWord, int]) -> "WordCensus":
-        items = sorted(((w, m) for w, m in counter.items() if m), key=_census_key)
-        if any(m < 0 for _, m in items):
-            raise ValueError("census must be sorted with positive multiplicities")
-        return cls._trusted(tuple(items))
+        return cls(tuple(sorted(((w, m) for w, m in counter.items() if m), key=_census_key)))
 
     @classmethod
     def _trusted(cls, counts: tuple[tuple[CyclicWord, int], ...]) -> "WordCensus":
@@ -175,12 +170,13 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
 
 
 def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] | None:
-    """Successor maps (f_next, v_next) as `eo.node_maps` gives them, else None.
+    """Successor maps (f_next, v_next) of a module in word form, else None.
 
-    None unless every operator column is a signed unit or zero and no target
-    is hit twice.  A packed column (entry i in slot i) is a signed unit at i
-    exactly when shifting out the slots below its lowest set bit leaves 1 or
-    p - 1.
+    f_next[j] is where F sends node j, v_next[j] where V does, None where it
+    kills j.  None unless every operator column is a signed unit or zero and
+    no target is hit twice.  A packed column (entry i in slot i) is a signed
+    unit at i exactly when shifting out the slots below its lowest set bit
+    leaves 1 or p - 1.
     """
     bits, units = m.field._bits, {1, m.field.p - 1}
     maps = []
@@ -207,12 +203,33 @@ _cycle_rotation = functools.lru_cache(maxsize=4096)(_least_rotation)
 _cycle_word = functools.lru_cache(maxsize=4096)(CyclicWord._trusted)
 
 
-def _census_of_cycles(cycles: list[str]) -> WordCensus:
-    """Census of cycles read as letters F and V, in (length, letters) order."""
+def _census_of_cycles(succ: list[int | None], letters: Sequence[str]) -> WordCensus:
+    """Census of the cycles of the permutation succ, node j read as letters[j].
+
+    Each cycle is walked from its least node, clearing the successors it
+    passes; its least rotation is counted in one pass over the sorted list.
+    """
+    cycles = []
+    for start, node in enumerate(succ):
+        if node is None:  # a walked node's successor is cleared
+            continue
+        word = letters[start]
+        while node != start:
+            word += letters[node]
+            succ[node], node = None, succ[node]
+        cycles.append(word)
     found = sorted(map(_cycle_rotation, cycles))
     found.sort(key=len)
-    return WordCensus._trusted(tuple([(_cycle_word(w), found.count(w))
-                                      for w in dict.fromkeys(found)]))
+    counts, last, m = [], "", 0
+    for w in found:
+        if w != last:
+            if m:
+                counts.append((_cycle_word(last), m))
+            last, m = w, 0
+        m += 1
+    if m:
+        counts.append((_cycle_word(last), m))
+    return WordCensus._trusted(tuple(counts))
 
 
 def _census_of_maps(f_next: list[int | None], v_next: list[int | None]) -> WordCensus:
@@ -230,21 +247,19 @@ def _census_of_maps(f_next: list[int | None], v_next: list[int | None]) -> WordC
             succ[k], letters[k] = j, "V"
     if None in succ or len(set(succ)) != n:
         raise DecompositionError("a node has no successor or is entered twice")
-    cycles = []
-    for start, node in enumerate(succ):
-        if node is None:  # a walked node's successor is cleared
-            continue
-        word = letters[start]
-        while node != start:
-            word += letters[node]
-            succ[node], node = None, succ[node]
-        cycles.append(word)
-    return _census_of_cycles(cycles)
+    return _census_of_cycles(succ, letters)
 
 
 def census_of_type(t: EOType) -> WordCensus:
-    """Word census of the canonical module of a type, without building matrices."""
-    return _census_of_maps(*node_maps(t))
+    """Word census of the canonical module of a type, without building matrices.
+
+    With (rises, flats) = riffle(t), psi climbs from 0 by steps of 0 or 1, so
+    psi(rises[k] + 1) = k + 1 and V enters node k < g from rises[k], while F
+    sends node g + m to flats[m].  Walking forward along F and backward along
+    V thus steps by the permutation rises + flats; a node reads V iff < g.
+    """
+    rises, flats = riffle(t)
+    return _census_of_cycles(rises + flats, "V" * len(rises) + "F" * len(flats))
 
 
 def decompose(m: DieudonneModule) -> WordCensus:

@@ -187,6 +187,37 @@ def reference_eo_type_of(m: DieudonneModule) -> EOType:
     return EOType(tuple(psi[1:g + 1]))
 
 
+def reference_census_of_type(t: EOType) -> list[tuple[str, int]]:
+    """(word, multiplicity) for the canonical module of t, by (length, word).
+
+    Walks the None-padded node maps: psi extends nu symmetrically to 0..2g,
+    V sends node i to psi(i + 1) - 1 at each rise of psi, and F sends node
+    g + m to the m-th flat.  Each cycle goes forward along F and backward along
+    V, and its least rotation is the least of all its rotations.
+    """
+    g = len(t.nu)
+    psi = [0, *t.nu] + [0] * g
+    for i in range(g + 1, 2 * g + 1):
+        psi[i] = psi[2 * g - i] + i - g
+    flats = [i for i in range(2 * g) if psi[i + 1] == psi[i]]
+    f_next = [None] * g + flats
+    v_next = [psi[i + 1] - 1 if psi[i + 1] > psi[i] else None for i in range(2 * g)]
+    v_source = {k: j for j, k in enumerate(v_next) if k is not None}
+    counts: dict[str, int] = {}
+    seen = [False] * (2 * g)
+    for start in range(2 * g):
+        word, node = "", start
+        while not seen[node]:
+            seen[node] = True
+            word += "F" if f_next[node] is not None else "V"
+            node = f_next[node] if f_next[node] is not None else v_source[node]
+        assert node == start or not word, "the node maps do not split into cycles"
+        if word:
+            least = min(word[i:] + word[:i] for i in range(len(word)))
+            counts[least] = counts.get(least, 0) + 1
+    return sorted(counts.items(), key=lambda item: (len(item[0]), item[0]))
+
+
 def twisted_word_module(letters: str, lam: int, field: PrimeField) -> DieudonneModule:
     """`word_module` with the edge that closes the word scaled by lam.
 

@@ -15,7 +15,7 @@ from ssrank.eo import (
     enumerate_types,
     eo_type_of,
     extend_final,
-    node_maps,
+    riffle,
     validate_sequence,
 )
 from ssrank.ffmat import Matrix, PrimeField
@@ -68,14 +68,21 @@ def test_extend_final_examples():
         FinalType((0, 1, 1, 1, 2))  # not symmetric
 
 
-def test_node_maps_match_the_validated_final_type():
+def test_riffle_matches_the_validated_final_type():
     for g in range(10):
         for t in enumerate_types(g):
             psi = extend_final(t).psi
             steps = range(2 * g)
-            v_next = [psi[i + 1] - 1 if psi[i + 1] > psi[i] else None for i in steps]
-            stagnant = [i for i in steps if psi[i + 1] == psi[i]]
-            assert node_maps(t) == ([None] * g + stagnant, v_next)
+            rises, flats = riffle(t)
+            assert rises == [i for i in steps if psi[i + 1] > psi[i]]
+            assert flats == [i for i in steps if psi[i + 1] == psi[i]]
+            assert [psi[i + 1] for i in rises] == list(range(1, g + 1))
+
+
+def test_p_rank_is_the_largest_fixed_index():
+    for g in range(13):
+        for t in enumerate_types(g):
+            assert t.p_rank() == max((i for i, v in enumerate(t.nu, start=1) if v == i), default=0)
 
 
 def test_canonical_module_smallest_types(gf2):

@@ -29,7 +29,7 @@ from ssrank.words import (
     word_module,
 )
 
-from helpers import conjugated
+from helpers import conjugated, reference_census_of_type
 
 
 def test_cyclic_word_canonical_rotation():
@@ -138,7 +138,7 @@ def test_decompose_round_trip_words(gf2):
 
 def test_decompose_matches_type_census(gf2, gf3):
     # decompose reads the successor maps off the matrices of the word-form canonical
-    # module, independently of node_maps; the cycle walk itself is shared, and the
+    # module, not through census_of_type; the cycle walk itself is shared, and the
     # catalogue golden SHA-256 tests pin the census bytes on their own
     for field, g_max in ((gf2, 9), (gf3, 6)):
         for g in range(g_max + 1):
@@ -156,15 +156,19 @@ def test_decompose_at_p97_g32_on_a_conjugated_canonical_module():
     assert decompose(m) == census_of_type(t)
 
 
-def test_census_of_type_checks_the_maps_form_a_permutation(monkeypatch):
-    t = EOType.of([0])
-    assert census_of_type(t).as_dict() == {"FV": 1}
+def test_census_of_maps_checks_the_maps_form_a_permutation():
+    assert words._census_of_maps([1, None], [1, None]).as_dict() == {"FV": 1}  # F and V send 0 to 1
     for maps in (([None, None], [None, 0]),  # node 1 has no successor
                  ([1, 0], [None, 0]),  # node 0 has an F-image and a V-preimage
                  ([0, 0], [None, None])):  # node 0 is entered twice
-        monkeypatch.setattr(words, "node_maps", lambda _t, maps=maps: maps)
         with pytest.raises(DecompositionError):
-            census_of_type(t)
+            words._census_of_maps(*maps)
+
+
+def test_census_of_type_matches_the_node_map_walk():
+    for g in range(13):
+        for t in enumerate_types(g):
+            assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
 
 
 def test_asymmetric_census_is_not_quasipolarizable(gf2, gf3):
