@@ -313,6 +313,13 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
     return None
 
 
+def _basis_matrix(m: DieudonneModule, s: Subspace) -> Matrix:
+    """The echelon basis of a subspace of m's space, one row each; ValueError for any other subspace."""
+    if s.field != m.field or s.ambient_dim != m.dim:
+        raise ValueError("subspace field or ambient does not match the module")
+    return Matrix._from_rows(m.field, s.dim, m.dim, s._rows)
+
+
 def orthogonal_complement(m: DieudonneModule, n_sub: Subspace) -> Subspace:
     """Orthogonal complement of an operator-stable subspace under the form.
 
@@ -322,9 +329,7 @@ def orthogonal_complement(m: DieudonneModule, n_sub: Subspace) -> Subspace:
     """
     if m.form is None:
         raise ValueError("module carries no form")
-    if n_sub.ambient_dim != m.dim:
-        raise ValueError("subspace ambient does not match the module")
-    basis_matrix = Matrix.build(m.field, n_sub.basis, m.dim)
+    basis_matrix = _basis_matrix(m, n_sub)
     restricted = basis_matrix @ m.form @ basis_matrix.transpose()
     if restricted.rank() != n_sub.dim:
         raise ValueError("form restricts degenerately; not a polarized factor")
@@ -339,8 +344,7 @@ def orthogonal_complement(m: DieudonneModule, n_sub: Subspace) -> Subspace:
 
 def restrict_to(m: DieudonneModule, s: Subspace) -> DieudonneModule:
     """The module structure induced on an operator-stable subspace."""
-    if s.ambient_dim != m.dim:
-        raise ValueError("subspace ambient does not match the module")
+    basis_matrix = _basis_matrix(m, s)
     cols_f = []
     cols_v = []
     for b in s.basis:
@@ -351,7 +355,6 @@ def restrict_to(m: DieudonneModule, s: Subspace) -> DieudonneModule:
     new_v = Matrix.from_columns(m.field, k, cols_v)
     new_form = None
     if m.form is not None:
-        basis_matrix = Matrix.build(m.field, s.basis, m.dim)
         new_form = basis_matrix @ m.form @ basis_matrix.transpose()
     return DieudonneModule(new_f, new_v, new_form)
 

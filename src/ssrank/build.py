@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from .bt1 import DieudonneModule, a_number, direct_sum, dual, p_rank, zero_module
+from .bt1 import DieudonneModule, direct_sum, dual, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import Matrix, PrimeField, _set, _Value
-from .words import FV, superspecial_rank, word_module
+from .words import FV, census_invariants, decompose, superspecial_rank, word_module
 
 
 class InfeasibleProfileError(ValueError):
@@ -125,14 +125,15 @@ def realize(q: ProfileQuery, field: PrimeField) -> DieudonneModule:
     h = g - f - s with a-number a1 = a - s and no FV word: with c = h - a1,
     nu is 0, 1, ..., c - 2, then c - 1 repeated floor((a1 + 1) / 2) times,
     then c repeated floor((a1 + 2) / 2) times.  Proof sketch: nu_i < i
-    everywhere, so f = 0, and a = h - nu_h = h - c = a1.  Walking the node
-    maps gives the census: for odd a1 = 2k + 1 the single self-dual word
-    F^(c+1) (VF)^k V^(c+1) (FV)^k, for even a1 = 2k the word
+    everywhere, so f = 0, and a = h - nu_h = h - c = a1.  Walking the riffle
+    permutation of psi gives the census: for odd a1 = 2k + 1 the single
+    self-dual word F^(c+1) (VF)^k V^(c+1) (FV)^k, for even a1 = 2k the word
     F^(c+1) (VF)^(k-1) V and its dual.  Each word contains F^(c+1) with
-    c >= 1, so none is FV and s = 0 (checked for every 2 <= h < 40).
+    c >= 1, so none is FV and s = 0 (the tests check every 2 <= h < 40).
 
     Every part carries its constructed form and none is checked on its own;
-    the re-measure validates the sum, and with it every part, once.
+    decomposing the sum validates it, and with it every part, once, and its
+    word census gives f, a and s.
     """
     if not feasible(q):
         raise InfeasibleProfileError(f"profile {q} is not feasible")
@@ -145,7 +146,8 @@ def realize(q: ProfileQuery, field: PrimeField) -> DieudonneModule:
         nu = list(range(c - 1)) + [c - 1] * ((a1 + 1) // 2) + [c] * ((a1 + 2) // 2)
         parts.append(canonical_module(EOType.of(nu), field))
     module = direct_sum(zero_module(field), *parts)
-    measured = (p_rank(module), a_number(module), superspecial_rank(module))
+    bundle = census_invariants(decompose(module))
+    measured = (bundle.f, bundle.a, bundle.s)
     if measured != (q.f, q.a, q.s):
         raise RuntimeError(f"realization produced {measured}, wanted {(q.f, q.a, q.s)}")
     return module

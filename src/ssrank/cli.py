@@ -365,7 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except build.InfeasibleProfileError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, bt1.PolarizationSearchError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,34 +169,6 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     return DieudonneModule(Matrix._sparse(field, n, frob), Matrix._sparse(field, n, ver))
 
 
-def _word_maps(m: DieudonneModule) -> tuple[list[int | None], list[int | None]] | None:
-    """Successor maps (f_next, v_next) of a module in word form, else None.
-
-    f_next[j] is where F sends node j, v_next[j] where V does, None where it
-    kills j.  None unless every operator column is a signed unit or zero and
-    no target is hit twice.  A packed column (entry i in slot i) is a signed
-    unit at i exactly when shifting out the slots below its lowest set bit
-    leaves 1 or p - 1.
-    """
-    bits, units = m.field._bits, {1, m.field.p - 1}
-    maps = []
-    for op in (m.frobenius, m.verschiebung):
-        targets: list[int | None] = []
-        for col in op._columns():
-            if not col:
-                targets.append(None)
-                continue
-            i = ((col & -col).bit_length() - 1) // bits
-            if col >> bits * i not in units:
-                return None
-            targets.append(i)
-        hit = [t for t in targets if t is not None]
-        if len(hit) != len(set(hit)):
-            return None
-        maps.append(targets)
-    return maps[0], maps[1]
-
-
 # A walk from a cycle's least node reads a recurring word the same way each time
 # (the 8190 types with g <= 12 have 1114 words), so each is rotated and made once.
 _cycle_rotation = functools.lru_cache(maxsize=4096)(_least_rotation)
@@ -232,19 +204,36 @@ def _census_of_cycles(succ: list[int | None], letters: Sequence[str]) -> WordCen
     return WordCensus._trusted(tuple(counts))
 
 
-def _census_of_maps(f_next: list[int | None], v_next: list[int | None]) -> WordCensus:
-    """Census of the cycles walked forward along F and backward along V.
+def _word_census(m: DieudonneModule) -> WordCensus | None:
+    """Census of a module in word form, read straight off its packed columns, else None.
 
-    That walk gives each node one successor; once checked to be a
-    permutation, its cycles are read off with no more checks.
+    None unless every operator column is zero or a signed unit and neither
+    operator hits a node twice; a packed column (entry i in slot i) is a
+    signed unit at i exactly when shifting out the slots below its lowest set
+    bit leaves 1 or p - 1.  Walking forward along F and backward along V then
+    gives each node one successor; once checked to be a permutation, its
+    cycles are read off with no more checks.
     """
-    n = len(f_next)
-    succ, letters = list(f_next), ["F"] * n
-    for j, k in enumerate(v_next):
-        if k is not None:
-            if succ[k] is not None:
-                raise DecompositionError("node has both an F-image and a V-preimage")
-            succ[k], letters[k] = j, "V"
+    bits, units = m.field._bits, {1, m.field.p - 1}
+    maps = []
+    for op in (m.frobenius, m.verschiebung):
+        targets = {}  # node -> the node the operator sends it to; killed nodes left out
+        for j, col in enumerate(op._columns()):
+            if col:
+                i = ((col & -col).bit_length() - 1) // bits
+                if col >> bits * i not in units:
+                    return None
+                targets[j] = i
+        if len(set(targets.values())) != len(targets):
+            return None
+        maps.append(targets)
+    f_next, v_next = maps
+    n = m.dim
+    succ, letters = [f_next.get(j) for j in range(n)], ["F"] * n
+    for j, k in v_next.items():
+        if succ[k] is not None:
+            raise DecompositionError("node has both an F-image and a V-preimage")
+        succ[k], letters[k] = j, "V"
     if None in succ or len(set(succ)) != n:
         raise DecompositionError("a node has no successor or is entered twice")
     return _census_of_cycles(succ, letters)
@@ -272,9 +261,9 @@ def decompose(m: DieudonneModule) -> WordCensus:
     type [0] and census FV for every c != 0, and a compatible form only for c = -1.
     """
     require_valid(m)
-    maps = _word_maps(m)
-    if maps is not None:
-        return _census_of_maps(*maps)
+    census = _word_census(m)
+    if census is not None:
+        return census
     try:
         return census_of_type(eo_type_of(m))
     except (Bt1ValidationError, ValueError) as exc:

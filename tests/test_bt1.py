@@ -341,6 +341,21 @@ def test_orthogonal_complement_requires_nondegenerate_restriction(gf2):
         orthogonal_complement(m, degenerate_line)
 
 
+def test_restrict_to_and_orthogonal_complement_take_only_subspaces_of_the_module(gf2, gf3):
+    m = i11(gf2)
+    for sub in (Subspace.span(gf3, 2, [[0, 1]]), Subspace.full(gf3, 2), Subspace.full(gf2, 3)):
+        for op in (restrict_to, orthogonal_complement):
+            with pytest.raises(ValueError, match="field or ambient"):
+                op(m, sub)
+
+
+def test_restrict_to_rejects_a_subspace_that_is_not_operator_stable(gf2):
+    m = i11(gf2)  # F x = y, and x spans a line that does not hold y
+    with pytest.raises(ValueError):
+        restrict_to(m, Subspace.span(gf2, 2, [[1, 0]]))
+    assert decompose(restrict_to(m, Subspace.full(gf2, 2))).as_dict() == {"FV": 1}
+
+
 def test_split_etale_mult(gf2):
     f, locloc = split_etale_mult(ord1(gf2))
     assert f == 1 and locloc.dim == 0

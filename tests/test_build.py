@@ -25,7 +25,7 @@ from ssrank.build import (
 )
 from ssrank.eo import EOType, enumerate_types, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField
-from ssrank.words import census_of_type, decompose, superspecial_rank
+from ssrank.words import census_invariants, census_of_type, decompose, superspecial_rank
 
 
 def test_i11_matrices(gf2, gf3):
@@ -146,6 +146,22 @@ def test_realize_all_feasible_small(gf2):
                     assert (p_rank(m), a_number(m), superspecial_rank(m)) == (f, a, s)
                     assert check_polarization(m)
                     eo_type_of(m)  # raises unless the module is quasipolarizable
+
+
+def test_realize_nu_formula_for_every_h_below_40(gf2):
+    # the type realize appends off the boundary a = g - f: length h, a-number a1, no FV word
+    def nu_of(h, a1):
+        c = h - a1
+        return EOType.of(list(range(c - 1)) + [c - 1] * ((a1 + 1) // 2) + [c] * ((a1 + 2) // 2))
+
+    for h in range(2, 40):
+        for a1 in range(1, h):
+            bundle = census_invariants(census_of_type(nu_of(h, a1)))
+            assert (bundle.g, bundle.f, bundle.a, bundle.s) == (h, 0, a1, 0), (h, a1)
+    # and that is the type realize builds: f = s = 0 leaves it the only part
+    for h in range(2, 6):
+        for a1 in range(1, h):
+            assert decompose(realize(ProfileQuery(h, 0, a1, 0), gf2)) == census_of_type(nu_of(h, a1))
 
 
 def test_realize_odd_characteristic(gf3):

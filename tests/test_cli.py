@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -160,24 +161,27 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
     inv = change.inverse()
     twisted = bt1.DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv,
                                   inv.transpose() @ m.form @ inv)
-    assert words._word_maps(twisted) is None  # decompose must go through eo_type_of
+    assert words._word_census(twisted) is None  # decompose must go through eo_type_of
     path = tmp_path / "twisted.json"
     path.write_text(bt1.to_json(twisted), encoding="ascii")
 
     calls = {"validate_bt1": 0, "_form_violations": 0}
+    measures = {"decompose": 0, "p_rank": 0, "a_number": 0}
 
-    def counted(name):
-        original = getattr(bt1, name)
+    def counted(owner, name, tally):
+        original = getattr(owner, name)
 
         def wrapper(m):
-            calls[name] += 1
+            tally[name] += 1
             return original(m)
         for module_name, namespace in list(sys.modules.items()):
             if module_name.split(".")[0] == "ssrank" and vars(namespace).get(name) is original:
                 monkeypatch.setattr(namespace, name, wrapper)
 
     for name in calls:
-        counted(name)
+        counted(bt1, name, calls)
+    for name in measures:
+        counted(words if name == "decompose" else bt1, name, measures)
     expected = {"invariants": {"p": 2, "dim": 6, "g": 3, "f": 0, "a": 2, "u": 0},
                 "decompose": {"census": words.census_of_type(t).as_dict(),
                               "g": 3, "f": 0, "a": 2, "s": 0},
@@ -195,8 +199,49 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
                        (("build", "jrs", "--r", "2", "--s", "3"), 0),
                        (("build", "word", "--w", "FFVFV"), 0)):
         calls.update(dict.fromkeys(calls, 0))
+        measures.update(dict.fromkeys(measures, 0))
         assert run(capsys, *argv)[0] == 0, argv
         assert list(calls.values()) == [once, once], argv
+        if argv[1] in ("profile", "ss"):  # one word census measures the built module
+            assert measures == {"decompose": 1, "p_rank": 0, "a_number": 0}, argv
+
+
+def _wrong_part(name):
+    """A replacement for one build block that puts exactly one of f, a and s off."""
+    original = getattr(build, name)
+    if name == "ord1":  # two ordinary blocks for one: f doubles
+        return lambda field: bt1.direct_sum(original(field), original(field))
+    if name == "canonical_module":  # type [0, 1, 1] has a = 2, f = s = 0
+        return lambda t, field: original(eo.EOType.of([0, 1, 1]), field)
+    return lambda field: words.word_module(words.CyclicWord("FFVV"), field)  # a = 1, no FV
+
+
+@pytest.mark.parametrize("part, query, measured", [
+    ("ord1", (1, 1, 0, 0), (2, 0, 0)),
+    ("canonical_module", (3, 0, 1, 0), (0, 2, 0)),
+    ("i11", (2, 0, 2, 2), (0, 2, 0)),
+])
+def test_a_wrong_realization_is_caught_and_exits_2(capsys, monkeypatch, part, query, measured):
+    monkeypatch.setattr(build, part, _wrong_part(part))
+    message = f"realization produced {measured}, wanted {query[1:]}"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build.realize(ProfileQuery(*query), GF2)
+    argv = [arg for flag, v in zip(("--g", "--f", "--a", "--s"), query) for arg in (flag, str(v))]
+    assert run(capsys, "build", "profile", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_wrong_supersingular_profile_is_caught_and_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(build, "i11", _wrong_part("i11"))
+    with pytest.raises(RuntimeError, match="wrong superspecial rank"):
+        build.supersingular_profile(2, 2, GF2)
+    assert run(capsys, "build", "ss", "--g", "2", "--s", "2") == (
+        2, "", "error: constructed module has the wrong superspecial rank\n")
+
+
+def test_an_oracle_that_disagrees_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(curves, "hyp2_module_oracle", lambda divisor: bt1.zero_module(GF2))
+    assert run(capsys, "curve", "hyp2", "--poles", "1,3,9", "--oracle") == (
+        2, "", "error: oracle disagrees with the closed form\n")
 
 
 def test_module_missing_file(capsys):

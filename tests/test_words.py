@@ -16,7 +16,7 @@ from ssrank.bt1 import (
 )
 from ssrank.build import h_rs, i11, j_rs
 from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
-from ssrank.ffmat import Matrix, PrimeField
+from ssrank.ffmat import GF2, Matrix, PrimeField
 from ssrank.words import (
     CyclicWord,
     DecompositionError,
@@ -98,14 +98,7 @@ def test_word_maps_read_back_the_letters():
         field = PrimeField(p)
         for length in range(1, 9):
             for w in all_cyclic_words(length):
-                n = len(w)
-                f_next, v_next = [None] * n, [None] * n
-                for i, letter in enumerate(w.letters):
-                    if letter == "F":
-                        f_next[i] = (i + 1) % n
-                    else:
-                        v_next[(i + 1) % n] = i
-                assert words._word_maps(word_module(w, field)) == (f_next, v_next), (p, w)
+                assert words._word_census(word_module(w, field)).as_dict() == {w.letters: 1}, (p, w)
 
 
 def test_word_maps_refuse_columns_that_are_not_signed_units():
@@ -114,11 +107,11 @@ def test_word_maps_refuse_columns_that_are_not_signed_units():
     for ver, word_form in (([[0, 0], [96, 0]], True), ([[0, 0], [1, 0]], True),
                            ([[0, 0], [2, 0]], False), ([[0, 0], [95, 0]], False),
                            ([[1, 0], [1, 0]], False), ([[96, 0], [96, 0]], False)):
-        maps = words._word_maps(DieudonneModule(frob, Matrix.build(field, ver)))
-        assert (maps is not None) == word_form, ver
+        census = words._word_census(DieudonneModule(frob, Matrix.build(field, ver)))
+        assert (census is not None) == word_form, ver
     # a target hit twice is not word form either
-    assert words._word_maps(DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]),
-                                            Matrix.zeros(field, 2, 2))) is None
+    assert words._word_census(DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]),
+                                              Matrix.zeros(field, 2, 2))) is None
 
 
 def test_decompose_canonical_examples(gf2):
@@ -156,13 +149,20 @@ def test_decompose_at_p97_g32_on_a_conjugated_canonical_module():
     assert decompose(m) == census_of_type(t)
 
 
+def _census_of_matrices(frob, ver):
+    return words._word_census(DieudonneModule(Matrix.build(GF2, frob), Matrix.build(GF2, ver)))
+
+
 def test_census_of_maps_checks_the_maps_form_a_permutation():
-    assert words._census_of_maps([1, None], [1, None]).as_dict() == {"FV": 1}  # F and V send 0 to 1
-    for maps in (([None, None], [None, 0]),  # node 1 has no successor
-                 ([1, 0], [None, 0]),  # node 0 has an F-image and a V-preimage
-                 ([0, 0], [None, None])):  # node 0 is entered twice
+    # F and V send 0 to 1
+    assert _census_of_matrices([[0, 0], [1, 0]], [[0, 0], [1, 0]]).as_dict() == {"FV": 1}
+    for frob, ver in (([[0, 0], [0, 0]], [[0, 1], [0, 0]]),  # node 1 has no successor
+                      ([[0, 1], [1, 0]], [[0, 1], [0, 0]]),  # node 0 has an F-image and a V-preimage
+                      ([[0, 0], [1, 0]], [[0, 0], [0, 1]])):  # F e0 = e1 = V e1: node 1 is entered twice
         with pytest.raises(DecompositionError):
-            words._census_of_maps(*maps)
+            _census_of_matrices(frob, ver)
+    # F sending both nodes to 0 hits a node twice, so that is not word form at all
+    assert _census_of_matrices([[1, 1], [0, 0]], [[0, 0], [0, 0]]) is None
 
 
 def test_census_of_type_matches_the_node_map_walk():
