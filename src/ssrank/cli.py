@@ -14,8 +14,10 @@ which are dense matrices, at g = 64: `build profile --g`, `build ss --g`,
 the length of `eo module --nu` and the genus of `curve hyp2 --poles` with
 `--oracle`; r + s of `build jrs`, the length of `build word --w` and the
 dim of a `module ... --in` file at 2g = 128, except for `module polarize`,
-capped at dim 24 (g = 12); the genus of `curve hyp2 --poles` without
-`--oracle` at 100000.
+capped at dim 24 (g = 12); the bytes of a `module ... --in` file, read no
+further than the cap, at 843392, which json.dumps(indent=4) of any dim-128
+module stays under, and at 30944 (dim 24) for `module polarize`; the genus
+of `curve hyp2 --poles` without `--oracle` at 100000.
 """
 
 from __future__ import annotations
@@ -138,7 +140,10 @@ def _parse_int(text: str, message: str) -> int:
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise UsageError(message)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise UsageError(message) from None
 
 
 def _int_option(text: str) -> int:
@@ -222,9 +227,29 @@ def _emit_report(obj) -> None:
     _print(json.dumps(obj, indent=2, sort_keys=False))
 
 
+def _module_file_cap(g_cap: int) -> int:
+    """The most bytes read from a `module ... --in` file for modules up to genus g_cap.
+
+    json.dumps(indent=4) of a dim-d module with a form and entries in -(p-1)..p-1 spends at
+    most 17 bytes on an entry ("-96" indented by 12, then ",\n"), 20 on a row's brackets and
+    under 128 on the rest, a final newline included.
+    """
+    d = 2 * g_cap
+    return 3 * d * (17 * d + 20) + 128
+
+
 def _read_module(path: str, g_cap: int) -> bt1.DieudonneModule:
-    with open(path, "r", encoding="utf-8") as handle:
-        return bt1.from_json(handle.read(), max_dim=2 * g_cap)
+    """The module in a file, of which at most cap + 1 bytes are read, with dim capped at 2 g_cap."""
+    cap = _module_file_cap(g_cap)
+    with open(path, "rb") as handle:
+        # read(n) allocates n bytes up front, so ask for what the file holds; a pipe says 0
+        size = os.fstat(handle.fileno()).st_size
+        data = handle.read(min(size, cap) + 1)
+        if len(data) > size:
+            data += handle.read(cap + 1 - len(data))
+    if len(data) > cap:
+        raise ValueError(f"module file is capped at {cap} bytes")
+    return bt1.from_json(data.decode("utf-8"), max_dim=2 * g_cap)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:

@@ -171,39 +171,53 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     consecutive chain members the V-rank must jump either not at all or by
     the full dimension gap (asserted), which interpolates psi everywhere.
 
-    One reduction of (F e_j | e_j) per module gives ker F and a section
-    sigma of F on im F.  Each member N then costs two: one of the rows
-    (V b | b) over its basis gives V(N) (kept for psi) and N meet ker V; as
-    Fx lies in N meet im F and ker V = im F in a valid module, x - sigma(Fx)
-    lies in ker F, so one of ker F's rows with sigma's images of N meet ker V
-    gives F^{-1}(N) = ker F + sigma(N meet ker V) exactly.
+    One reduction of (F e_j | e_j) per module gives im F, ker F and a
+    section sigma of F on im F.  Each member N then costs one reduction, of
+    the rows (V b | b) over a basis b of N that need not be echelon, which
+    gives V(N) (kept for psi) and K = N meet ker V.  Lower members are the
+    V-images; they lie in im V = ker F and are keyed by their echelon basis.
+    Upper members are the F^{-1}(N): as Fx lies in K and ker V = im F in a
+    valid module, x - sigma(Fx) lies in ker F, so F^{-1}(N) = ker F + sigma(K),
+    a direct sum because F o sigma is the identity on im F.  Each is kept
+    unreduced as ker F's rows followed by sigma's images of K's rows, and
+    keyed by K = F(F^{-1}(N)), which determines it.  K = 0 gives ker F =
+    V(M), a lower member; M is F^{-1}(M), keyed by ker V = im F.  Every
+    lower member lies in ker F and every upper one strictly contains it,
+    so the chain check compares lower members among themselves and upper
+    members through their keys, and no pair across.
     """
     require_valid(m)
     n = m.dim
     if n % 2 != 0:
         raise FiltrationError("module dimension is odd; no EO type")
     g = n // 2
-    full = Subspace.full(m.field, n)
-    _, sources, ker_f = m.frobenius.image_sources_kernel(full)
+    im_f, sources, ker_f = m.frobenius.image_sources_kernel(Subspace.full(m.field, n))
     section = sources.transpose()
 
-    v_image: dict[Subspace, Subspace] = {}
-    frontier = [Subspace.zero(m.field, n), full]
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            if sub not in v_image:
-                image, _, meet = m.verschiebung.image_sources_kernel(sub)
-                v_image[sub] = image
-                fresh += (image, ker_f.sum_with_image(section, meet))
-        frontier = fresh
+    lower: dict[Subspace, int] = {}  # lower member -> dim of its V-image
+    upper: dict[Subspace, int] = {}  # K -> dim V(ker F + sigma(K))
 
-    ordered = sorted(v_image, key=lambda s: s.dim)
-    for small, big in zip(ordered, ordered[1:]):
-        if small.dim == big.dim or not big.contains(small):
-            raise FiltrationError("canonical closure is not a chain")
+    def f_inverse(meet: Subspace) -> tuple[dict[Subspace, int], Subspace]:
+        """Where F^{-1}(N) is kept, given K = N meet ker V."""
+        return (upper, meet) if meet.dim else (lower, ker_f)
 
-    psi_at = {sub.dim: v_image[sub].dim for sub in ordered}
+    todo = [(lower, Subspace.zero(m.field, n)), f_inverse(im_f)]
+    while todo:
+        members, key = todo.pop()
+        if key not in members:
+            rows = key._rows if members is lower else ker_f._rows + tuple(section._images(key))
+            image, _, meet = m.verschiebung._image_sources_kernel(rows)
+            members[key] = len(image)
+            todo += ((lower, Subspace._from_rows(m.field, n, image)),
+                     f_inverse(Subspace._from_rows(m.field, n, meet)))
+
+    for keys in (sorted(lower, key=lambda s: s.dim), sorted(upper, key=lambda s: s.dim)):
+        for small, big in zip(keys, keys[1:]):
+            if small.dim == big.dim or not big.contains(small):
+                raise FiltrationError("canonical closure is not a chain")
+
+    psi_at = {sub.dim: rank for sub, rank in lower.items()}
+    psi_at.update((ker_f.dim + sub.dim, rank) for sub, rank in upper.items())
     psi = [0] * (n + 1)
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):

@@ -484,16 +484,27 @@ class Matrix(_Value):
         """
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
-        field, m, n = self.field, self.nrows, self.ncols
+        field, m = self.field, self.nrows
+        rows, sources, kernel = self._image_sources_kernel(s._rows)
+        image = Subspace._from_rows(field, m, rows)
+        by_pivot = dict(zip(image.pivots(), sources))
+        return (image, Matrix._from_rows(field, m, self.ncols, (by_pivot.get(i, 0) for i in range(m))),
+                Subspace._from_rows(field, self.ncols, kernel))
+
+    def _image_sources_kernel(self, basis: Sequence[Row]) -> tuple[tuple[Row, ...], ...]:
+        """The rows of `image_sources_kernel` for S spanned by basis, which need not be echelon.
+
+        Returns the echelon rows of M(S), the source of each in the same order, and the
+        echelon rows of S meet ker M.  The RREF of (M b | b) is canonical for its row span,
+        so the halves are canonical whatever rows b span S.
+        """
+        field, m = self.field, self.nrows
         split = field._bits * m
-        images = _combine(field, self._columns(), m, s._rows)
-        reduced, pivots = rref(field, [im | b << split for im, b in zip(images, s._rows)], m + n)
+        images = _combine(field, self._columns(), m, basis)
+        reduced, pivots = rref(field, [im | b << split for im, b in zip(images, basis)], m + self.ncols)
         rank = sum(pc < m for pc in pivots)
-        right = [r >> split for r in reduced]
-        by_pivot = dict(zip(pivots[:rank], right))
-        return (Subspace._from_rows(field, m, tuple(r & ((1 << split) - 1) for r in reduced[:rank])),
-                Matrix._from_rows(field, m, n, (by_pivot.get(i, 0) for i in range(m))),
-                Subspace._from_rows(field, n, tuple(right[rank:])))
+        right = tuple(r >> split for r in reduced)
+        return tuple(r & ((1 << split) - 1) for r in reduced[:rank]), right[:rank], right[rank:]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -620,12 +631,6 @@ class Subspace(_Value):
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return _span(self.field, self.ambient_dim, self._rows + other._rows)
-
-    def sum_with_image(self, m: Matrix, s: "Subspace") -> "Subspace":
-        """This subspace plus M(S), from one reduction."""
-        if m.field != self.field or m.nrows != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return _span(self.field, self.ambient_dim, [*self._rows, *m._images(s)])
 
     def annihilator(self) -> "Subspace":
         """All v with b . v = 0 for every basis vector b (dot-product dual)."""

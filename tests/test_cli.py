@@ -16,7 +16,7 @@ import pytest
 import ssrank
 from ssrank import bt1, build, curves, eo, words
 from ssrank.build import feasible, ProfileQuery, i11
-from ssrank.cli import _int_option, build_parser, main
+from ssrank.cli import MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, build_parser, main
 from ssrank.ffmat import GF2, Matrix, PrimeField
 
 from helpers import conjugated
@@ -562,6 +562,86 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
                        ("1000000000000000003", "2 <= p <= 97")):
         code, out, err = run(capsys, "curve", "hermitian", "--p", p, "--n", "1")
         assert (code, out) == (2, "") and message in err, p
+
+
+def test_module_files_are_capped_in_bytes_before_parsing(tmp_path, capsys, monkeypatch):
+    parsed = []
+
+    def record(text, max_dim=None):
+        parsed.append(len(text))
+        raise ValueError("parsed")
+
+    monkeypatch.setattr(bt1, "from_json", record)
+    for cmd, g_cap in (("check", MODULE_G_CAP), ("polarize", POLARIZE_G_CAP)):
+        cap, dim = _module_file_cap(g_cap), 2 * g_cap
+        widest = [[-96] * dim for _ in range(dim)]
+        text = json.dumps({"p": 97, "dim": dim, "F": widest, "V": widest, "form": widest},
+                          indent=4) + "\n"
+        assert cap - 128 < len(text) <= cap, cmd
+        path = tmp_path / f"{cmd}.json"
+        path.write_text(text + " " * (cap - len(text)))
+        assert run(capsys, "module", cmd, "--in", str(path)) == (2, "", "error: parsed\n")
+        assert parsed.pop() == cap
+        path.write_text(text + " " * (cap + 1 - len(text)))
+        assert run(capsys, "module", cmd, "--in", str(path)) == (
+            2, "", f"error: module file is capped at {cap} bytes\n")
+        assert not parsed
+
+
+def _piped(text):
+    """A /dev/fd path to a pipe holding text, its writer closed, and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    return f"/dev/fd/{read_end}", read_end
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_module_files_read_from_a_pipe_keep_the_byte_cap(capsys):
+    # a pipe reports size 0, so the reader must go on past the size it is told
+    cap = _module_file_cap(POLARIZE_G_CAP)
+    for text, cmd, expected in (
+            (bt1.to_json(i11(GF2)), "check", (0, '{\n  "valid": true,\n  "violations": []\n}\n', "")),
+            (" " * (cap + 1), "polarize", (2, "", f"error: module file is capped at {cap} bytes\n"))):
+        path, read_end = _piped(text)  # at most 64 KiB, which a pipe holds unread
+        try:
+            assert run(capsys, "module", cmd, "--in", path) == expected
+        finally:
+            os.close(read_end)
+
+
+_HUGE = "9" * 5000  # more digits than int() converts by default (4300)
+
+
+def test_over_long_integers_are_usage_errors(tmp_path, capsys):
+    out_path = str(tmp_path / "atlas.csv")
+    options = [  # one integer option set to _HUGE each
+        ("eo", "list", "--g", _HUGE), ("eo", "module", "--nu", "0", "--p", _HUGE),
+        ("build", "word", "--w", "FV", "--p", _HUGE),
+        ("build", "jrs", "--r", _HUGE, "--s", "1"), ("build", "jrs", "--r", "1", "--s", _HUGE),
+        ("build", "jrs", "--r", "1", "--s", "1", "--p", _HUGE),
+        *[("build", "profile", *itertools.chain(*[(flag, _HUGE if flag == huge else "1")
+                                                   for flag in ("--g", "--f", "--a", "--s", "--p")]))
+          for huge in ("--g", "--f", "--a", "--s", "--p")],
+        ("build", "ss", "--g", _HUGE, "--s", "1"), ("build", "ss", "--g", "1", "--s", _HUGE),
+        ("build", "ss", "--g", "1", "--s", "1", "--p", _HUGE),
+        ("curve", "hermitian", "--p", _HUGE, "--n", "1"),
+        ("curve", "hermitian", "--p", "2", "--n", _HUGE),
+        ("table", "feasibility", "--g", _HUGE), ("atlas", "--g-max", _HUGE, "--out", out_path),
+    ]
+    assert len(options) == sum(a.type is not None for a in _parser_actions(build_parser()))
+    for argv in options:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "invalid int value" in err, argv[:3]
+    for argv, message in (
+            (("eo", "list", "--g", "2", "--filter", f"f=0,s={_HUGE}"),
+             "filter value for 's' must be an integer"),
+            (("eo", "module", "--nu", f"0,{_HUGE}"),
+             "--nu must be a comma-separated list of integers"),
+            (("curve", "hyp2", "--poles", f"3,{_HUGE}"),
+             "--poles must be a comma-separated list of integers")):
+        assert run(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv[:3]
+    assert not os.path.exists(out_path)
 
 
 def test_module_json_takes_only_integers(tmp_path, capsys):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from ssrank import ffmat
 from ssrank.bt1 import DieudonneModule, a_number, check_polarization, direct_sum, p_rank, \
-    validate_bt1, dual
+    require_valid, validate_bt1, dual
 from ssrank.build import j_rs, ord1
 from ssrank.eo import (
     EOType,
@@ -227,3 +228,69 @@ def test_filtration_errors_match_the_reference():
                 with pytest.raises(FiltrationError) as caught:
                     recover(m)
                 assert str(caught.value) == message
+
+
+def _member_dims(t: EOType) -> set[int]:
+    """The dimensions of the canonical filtration of a type's module, read off psi alone:
+    {0, 2g} closed under d -> psi(d), the dim of V(N), and d -> g + d - psi(d), the dim of
+    F^{-1}(N) = ker F + sigma(N meet ker V)."""
+    psi, g = extend_final(t).psi, t.g
+    dims, todo = set(), [0, 2 * g]
+    while todo:
+        d = todo.pop()
+        if d not in dims:
+            dims.add(d)
+            todo += (psi[d], g + d - psi[d])
+    return dims
+
+
+def test_eo_type_of_makes_one_reduction_per_filtration_member(monkeypatch):
+    # one reduction of F for the module, then one of (V b | b) per member
+    calls, rref = [], ffmat.rref
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(ffmat, "rref", counting)
+    for p in (2, 3):
+        field, rng = PrimeField(p), random.Random(5150 + p)
+        for g in range(1, 7):
+            for t in enumerate_types(g):
+                m = conjugated(canonical_module(t, field), rng)
+                require_valid(m)
+                calls.clear()
+                assert eo_type_of(m) == t
+                assert len(calls) == len(_member_dims(t)) + 1, (p, t)
+
+
+_EDGE_WORDS = ("F", "V", "FV", "FFV", "FVV", "FFVV", "FFVFVV")
+
+
+def _outcome(recover, m):
+    """The type recovered from m, or the message of the FiltrationError raised."""
+    try:
+        return recover(m)
+    except FiltrationError as exc:
+        return str(exc)
+
+
+def test_eo_type_of_matches_the_reference_on_sums_of_words():
+    # F = 0 on the word V and V = 0 on the word F; on a sum of V's, M lies in ker F and
+    # meets ker V = im F in 0, so the top member itself has K = 0
+    outcomes = set()
+    for p in (2, 3, 5, 97):
+        field, rng = PrimeField(p), random.Random(6310 + p)
+        empty = Matrix.zeros(field, 0, 0)
+        sums = [[], ["V"], ["FFV"], ["V", "V"], ["F", "F"], ["F", "V"], ["FV", "V"], ["FV", "F"]]
+        drawn = (rng.choices(_EDGE_WORDS, k=rng.randrange(1, 4)) for _ in range(50))
+        sums += [letters for letters in drawn if sum(map(len, letters)) % 2 == 0]
+        for letters in sums:
+            parts = [word_module(CyclicWord.of(w), field) for w in letters]
+            m = conjugated(direct_sum(*parts), rng) if parts else DieudonneModule(empty, empty)
+            got = _outcome(eo_type_of, m)
+            assert got == _outcome(reference_eo_type_of, m), (p, letters)
+            outcomes.add(got if isinstance(got, str) else "a type")
+    assert outcomes == {"a type", "module dimension is odd; no EO type",
+                        "V has rank different from g; module is not self-balanced",
+                        "final profile is not symmetric; module is not quasipolarizable"}

@@ -266,23 +266,6 @@ def test_contains_matches_the_span_test(p):
             assert big.contains(small) == (big.sum_with(small) == big)
 
 
-@pytest.mark.parametrize("p", [2, 3, 97])
-def test_sum_with_image_matches_the_two_step_sum(p):
-    rng = random.Random(29 + p)
-    field = PrimeField(p)
-    for _ in range(60):
-        nrows, ncols = rng.randrange(7), rng.randrange(7)
-        m = Matrix.build(field, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
-        base, s = (Subspace.span(field, dim, [[rng.randrange(p) for _ in range(dim)]
-                                              for _ in range(rng.randrange(dim + 1))])
-                   for dim in (nrows, ncols))
-        assert base.sum_with_image(m, s) == base.sum_with(m.map_subspace(s))
-    with pytest.raises(ValueError):
-        Subspace.zero(GF2, 3).sum_with_image(I11_OP, Subspace.zero(GF2, 2))
-    with pytest.raises(ValueError):
-        Subspace.zero(GF2, 2).sum_with_image(I11_OP, Subspace.zero(GF2, 3))
-
-
 def test_vstack():
     a, b = Matrix.build(GF2, [[1, 0]]), Matrix.identity(GF2, 2)
     assert vstack(a, b) == Matrix.build(GF2, [[1, 0], [1, 0], [0, 1]])
