@@ -28,6 +28,7 @@ from .words import (
     census_of_type,
     decompose,
     superspecial_rank,
+    type_censuses,
     word_module,
 )
 from .build import (

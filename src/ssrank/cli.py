@@ -165,38 +165,31 @@ def _parse_filter(text: str | None) -> dict[str, int]:
         key = key.strip()
         if key not in ("f", "a", "s"):
             raise UsageError(f"unknown filter key {key!r}; allowed: f, a, s")
+        if key in out:
+            raise UsageError(f"filter key {key!r} given twice")
         out[key] = _parse_int(value, f"filter value for {key!r} must be an integer")
     return out
 
 
 def _type_rows(g: int, wanted: Mapping[str, int]) -> Iterator[tuple]:
-    """(type, f, a, s, census) for each type of length g that passes the filter.
-
-    f and a are read off nu, so a type they reject costs no census walk.
-    """
-    for t in eo.enumerate_types(g):
-        f, a = t.p_rank(), t.a_number()
-        if wanted.get("f", f) != f or wanted.get("a", a) != a:
-            continue
-        census = words.census_of_type(t)
-        s = census.multiplicity(words.FV)
-        if wanted.get("s", s) == s:
-            yield t, f, a, s, census
+    """(nu, f, a, s, census) for each type of length g that passes the filter, nu-lex."""
+    for nu, f, a, census in words.type_censuses(g, **wanted):
+        yield nu, f, a, census.multiplicity(words.FV), census
 
 
-def _csv_line(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
-    return f"{len(t.nu)},{';'.join(map(str, t.nu))},{f},{a},{s},{census.joined()}"
+def _csv_line(nu: tuple[int, ...], f: int, a: int, s: int, census: words.WordCensus) -> str:
+    return f"{len(nu)},{';'.join(map(str, nu))},{f},{a},{s},{census.joined()}"
 
 
-def _json_row(t: eo.EOType, f: int, a: int, s: int, census: words.WordCensus) -> str:
+def _json_row(nu: tuple[int, ...], f: int, a: int, s: int, census: words.WordCensus) -> str:
     """One row laid out exactly as json.dumps(rows, indent=2) lays out a list item.
 
     Word keys are letters F and V only, so they need no escaping.
     """
-    nu = "[\n      " + ",\n      ".join(map(str, t.nu)) + "\n    ]" if t.nu else "[]"
+    nu_text = "[\n      " + ",\n      ".join(map(str, nu)) + "\n    ]" if nu else "[]"
     counts = ("{\n      " + ",\n      ".join([f'"{w.letters}": {m}' for w, m in census.counts])
               + "\n    }" if census.counts else "{}")
-    return (f'  {{\n    "g": {len(t.nu)},\n    "nu": {nu},\n    "f": {f},\n    "a": {a},\n'
+    return (f'  {{\n    "g": {len(nu)},\n    "nu": {nu_text},\n    "f": {f},\n    "a": {a},\n'
             f'    "s": {s},\n    "words": {counts}\n  }}')
 
 

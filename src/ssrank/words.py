@@ -8,8 +8,7 @@ that census.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator
 
 from .bt1 import (
     Bt1ValidationError,
@@ -17,7 +16,7 @@ from .bt1 import (
     InvariantBundle,
     require_valid,
 )
-from .eo import EOType, eo_type_of, riffle
+from .eo import EOType, eo_type_of
 from .ffmat import Matrix, PrimeField, _set, _Value
 
 
@@ -90,15 +89,6 @@ def _least_rotation(s: str) -> str:
     return best
 
 
-def all_cyclic_words(length: int) -> list[CyclicWord]:
-    """All cyclic words of the given length, lexicographic by canonical form."""
-    seen = set()
-    for bits in range(2 ** length):
-        s = "".join("V" if (bits >> i) & 1 else "F" for i in range(length))
-        seen.add(_least_rotation(s))
-    return [CyclicWord(s) for s in sorted(seen)]
-
-
 def _census_key(item: tuple[CyclicWord, int]) -> tuple[int, str]:
     return len(item[0].letters), item[0].letters
 
@@ -114,10 +104,6 @@ class WordCensus(_Value):
         if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in counts):
             raise ValueError("census must list distinct words in order, with positive multiplicities")
         _set(self, "counts", counts)
-
-    @classmethod
-    def from_counter(cls, counter: Mapping[CyclicWord, int]) -> "WordCensus":
-        return cls(tuple(sorted(((w, m) for w, m in counter.items() if m), key=_census_key)))
 
     @classmethod
     def _trusted(cls, counts: tuple[tuple[CyclicWord, int], ...]) -> "WordCensus":
@@ -169,38 +155,44 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     return DieudonneModule(Matrix._sparse(field, n, frob), Matrix._sparse(field, n, ver))
 
 
-# A walk from a cycle's least node reads a recurring word the same way each time
-# (the 8190 types with g <= 12 have 1114 words), so each is rotated and made once.
-_cycle_rotation = functools.lru_cache(maxsize=4096)(_least_rotation)
-_cycle_word = functools.lru_cache(maxsize=4096)(CyclicWord._trusted)
+# Every rotation of a cycle word maps to one shared entry (length, least rotation, word),
+# so a census sorts and counts entries without building a word twice.  The g <= 12
+# catalogue needs 2,228 keys (1,114 words and the other rotations its walk closes on);
+# module files bring arbitrary raw words, so the cache is emptied when it fills.
+_ENTRY_CAP = 4096
+_entries: dict[str, tuple[int, str, CyclicWord]] = {}
 
 
-def _census_of_cycles(succ: list[int | None], letters: Sequence[str]) -> WordCensus:
-    """Census of the cycles of the permutation succ, node j read as letters[j].
+def _entry(raw: str) -> tuple[int, str, CyclicWord]:
+    """The shared census entry of the cyclic word whose letters, in some rotation, are raw."""
+    entry = _entries.get(raw)
+    if entry is None:
+        least = _least_rotation(raw)
+        entry = _entries.get(least) or (len(least), least, CyclicWord._trusted(least))
+        if len(_entries) >= _ENTRY_CAP - 1:
+            _entries.clear()
+        _entries[raw] = _entries[least] = entry
+    return entry
 
-    Each cycle is walked from its least node, clearing the successors it
-    passes; its least rotation is counted in one pass over the sorted list.
+
+_FV_ENTRY = _entry("FV")
+
+
+def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
+    """The census of cycles given by their entries: sorted by (length, letters), then counted.
+
+    Equal entries compare equal also when the cache was emptied between them.
     """
-    cycles = []
-    for start, node in enumerate(succ):
-        if node is None:  # a walked node's successor is cleared
-            continue
-        word = letters[start]
-        while node != start:
-            word += letters[node]
-            succ[node], node = None, succ[node]
-        cycles.append(word)
-    found = sorted(map(_cycle_rotation, cycles))
-    found.sort(key=len)
-    counts, last, m = [], "", 0
-    for w in found:
-        if w != last:
+    entries.sort()
+    counts, last, m = [], None, 0
+    for entry in entries:
+        if entry != last:
             if m:
-                counts.append((_cycle_word(last), m))
-            last, m = w, 0
+                counts.append((last[2], m))
+            last, m = entry, 0
         m += 1
     if m:
-        counts.append((_cycle_word(last), m))
+        counts.append((last[2], m))
     return WordCensus._trusted(tuple(counts))
 
 
@@ -211,8 +203,8 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
     operator hits a node twice; a packed column (entry i in slot i) is a
     signed unit at i exactly when shifting out the slots below its lowest set
     bit leaves 1 or p - 1.  Walking forward along F and backward along V then
-    gives each node one successor; once checked to be a permutation, its
-    cycles are read off with no more checks.
+    gives each node one successor; once checked to be a permutation, each
+    cycle is walked from its least node, clearing the successors it passes.
     """
     bits, units = m.field._bits, {1, m.field.p - 1}
     maps = []
@@ -236,19 +228,116 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
         succ[k], letters[k] = j, "V"
     if None in succ or len(set(succ)) != n:
         raise DecompositionError("a node has no successor or is entered twice")
-    return _census_of_cycles(succ, letters)
+    cycles = []
+    for start, node in enumerate(succ):
+        if node is None:  # a walked node's successor is cleared
+            continue
+        word = letters[start]
+        while node != start:
+            word += letters[node]
+            succ[node], node = None, succ[node]
+        cycles.append(_entry(word))
+    return _tally(cycles)
+
+
+def _singletons(g: int) -> list[tuple[int, str]]:
+    """The path fragments before any step: node k alone, reading V iff k < g, at both ends."""
+    return [(k, "V" if k < g else "F") for k in range(2 * g)] * 2
+
+
+def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, rise: int) -> None:
+    """Add the two riffle edges that step j of nu fixes, from psi(j) = p; see type_censuses.
+
+    ends[t] is (head, letters) for the fragment whose tail is t, and ends[2g + h]
+    is (tail, letters) for the one whose head is h; entries of nodes that stopped
+    being ends are stale and never read again.  A closed cycle's entry goes to closed.
+    """
+    n = 2 * g
+    r = p if rise else g + j - p
+    for pos in (j, n - 1 - j):
+        head, front = ends[r]
+        tail, back = ends[n + pos]
+        if head == pos:  # r's own fragment starts at pos: the edge closes it
+            closed.append(_entry(front))
+        else:
+            word = front + back
+            ends[tail] = (head, word)
+            ends[n + head] = (tail, word)
+        r = n - 1 - r  # the mirror edge
 
 
 def census_of_type(t: EOType) -> WordCensus:
     """Word census of the canonical module of a type, without building matrices.
 
-    With (rises, flats) = riffle(t), psi climbs from 0 by steps of 0 or 1, so
-    psi(rises[k] + 1) = k + 1 and V enters node k < g from rises[k], while F
-    sends node g + m to flats[m].  Walking forward along F and backward along
-    V thus steps by the permutation rises + flats; a node reads V iff < g.
+    The steps of type_censuses, taken along t's single path.
     """
-    rises, flats = riffle(t)
-    return _census_of_cycles(rises + flats, "V" * len(rises) + "F" * len(flats))
+    g, ends, closed, prev = t.g, _singletons(t.g), [], 0
+    for j, v in enumerate(t.nu):
+        _step(ends, closed, g, j, prev, v - prev)
+        prev = v
+    return _tally(closed)
+
+
+def type_censuses(g: int, f: int | None = None, a: int | None = None,
+                  s: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int, WordCensus]]:
+    """(nu, f, a, census) for every type of length g with the given f, a and s, nu-lex.
+
+    One depth-first walk over nu's g step bits b_j = nu_(j+1) - nu_j (nu_0 = 0),
+    1 a rise and 0 a flat.  Two types first differ at their first differing
+    bit, where the one with a 0 has the smaller entry, so taking the flat
+    child before the rise child lists the types in nu-lex order.  f = max{i :
+    nu_i = i} is the number of leading rises and a = g - nu_g the number of
+    flats, so a prefix of length j ending at p = nu_j bounds both: f lies in
+    [j, g] while every step so far rises and is fixed once one is flat, and a
+    lies in [j - p, g - p].  A subtree that cannot reach a wanted f or a is
+    skipped whole.
+
+    The census is read off the riffle permutation succ = rises + flats of the
+    final type psi (psi(0) = 0, psi(i) = nu_i for i <= g, psi(2g - i) = psi(i) +
+    g - i; see eo.riffle).  In eo.canonical_module V sends node rises[k] to
+    node k < g and F sends node g + m to flats[m], so walking forward along F
+    and backward along V steps by succ, a node reading V iff it is < g, and
+    the census words are the letters along the cycles of succ.  succ lists the
+    steps 0..2g - 1 stably sorted with rises first, so succ(r) = i where r,
+    the rank of step i, is psi(i) for a rise (the rises before it) and g + i -
+    psi(i) for a flat (g, then the flats before it).  psi(2g - i) = psi(i) +
+    g - i gives psi(2g - j) - psi(2g - 1 - j) = 1 - (psi(j + 1) - psi(j)), so
+    the mirror step 2g - 1 - j is flat exactly when step j rises.  With
+    p = psi(j) and j < g:
+      - a rise at j has rank p; its flat mirror has rank g + (2g - 1 - j) -
+        psi(2g - 1 - j) = g + (2g - 1 - j) - (p + 1 + g - j - 1) = 2g - 1 - p;
+      - a flat at j has rank g + j - p; its rising mirror has rank
+        psi(2g - 1 - j) = psi(j + 1) + g - j - 1 = p + g - j - 1 =
+        2g - 1 - (g + j - p).
+    So step j adds the edges rank -> j and 2g - 1 - rank -> 2g - 1 - j, and
+    after g steps every node has its successor.  Each edge joins the path
+    fragment ending at its source to the one starting at its target; when
+    those are one fragment, the edge closes a cycle, whose letters read from
+    its head are a rotation of its word.  A closed cycle takes no more edges,
+    so its word is shared by every type below that node, and the FV words
+    closed so far bound s from below, which prunes a wanted s as well.
+    """
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    todo = [((), 0, _singletons(g), [])]  # (nu prefix, leading rises, fragment ends, closed)
+    while todo:
+        nu, lead, ends, closed = todo.pop()
+        j = len(nu)
+        p = nu[-1] if nu else 0
+        if f is not None and not lead <= f <= (g if lead == j else lead):
+            continue
+        if a is not None and not j - p <= a <= g - p:
+            continue
+        if s is not None and closed.count(_FV_ENTRY) > s:
+            continue
+        if j < g:
+            for rise in (1, 0):  # the flat child goes on last, so it is walked first
+                child_ends, child_closed = ends[:], closed[:]
+                _step(child_ends, child_closed, g, j, p, rise)
+                todo.append((nu + (p + rise,), lead + rise if lead == j else lead,
+                             child_ends, child_closed))
+        elif s is None or closed.count(_FV_ENTRY) == s:
+            yield nu, lead, g - p, _tally(closed)
 
 
 def decompose(m: DieudonneModule) -> WordCensus:

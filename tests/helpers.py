@@ -1,15 +1,18 @@
 """Shared test utilities: independent brute-force searches (embeddings over F_2,
 polarizations over F_p), twisted word modules, and the straightforward forms
-of faster code paths, kept as references."""
+of faster code paths, kept as references, and word and census builders that
+only tests use."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Mapping
 
 from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
 from ssrank.eo import EOType, FiltrationError
 from ssrank.ffmat import Matrix, PrimeField, Subspace
-from ssrank.words import CyclicWord, word_module
+from ssrank.words import CyclicWord, WordCensus, _least_rotation, word_module
 
 
 def _pack(vec) -> int:
@@ -216,6 +219,41 @@ def reference_census_of_type(t: EOType) -> list[tuple[str, int]]:
             least = min(word[i:] + word[:i] for i in range(len(word)))
             counts[least] = counts.get(least, 0) + 1
     return sorted(counts.items(), key=lambda item: (len(item[0]), item[0]))
+
+
+def all_cyclic_words(length: int) -> list[CyclicWord]:
+    """All cyclic words of the given length, lexicographic by canonical form."""
+    seen = set()
+    for bits in range(2 ** length):
+        s = "".join("V" if (bits >> i) & 1 else "F" for i in range(length))
+        seen.add(_least_rotation(s))
+    return [CyclicWord(s) for s in sorted(seen)]
+
+
+def census_from_counter(counter: Mapping[CyclicWord, int]) -> WordCensus:
+    """The census of the words with nonzero count, through the validating constructor."""
+    return WordCensus(tuple(sorted(((w, m) for w, m in counter.items() if m),
+                                   key=lambda item: (len(item[0]), item[0].letters))))
+
+
+def _omega_order(u: str, v: str) -> int:
+    """Compare u^omega with v^omega: they differ, if at all, within uv and vu."""
+    return (u + v > v + u) - (u + v < v + u)
+
+
+def type_of_census(census: WordCensus) -> EOType:
+    """The type whose canonical census is census, by the extended Burrows-Wheeler transform.
+
+    Every rotation of every word, repeated by its multiplicity, sorted in
+    omega-order with V < F; their last letters are the step word of psi, V at
+    a rise and F at a flat, so nu_i counts the V among the first i of them.
+    """
+    order = str.maketrans("VF", "01")
+    rotations = sorted(((w.letters[i:] + w.letters[:i]).translate(order)
+                        for w, m in census.counts for _ in range(m) for i in range(len(w))),
+                       key=functools.cmp_to_key(_omega_order))
+    rises = [r[-1] == "0" for r in rotations]
+    return EOType(tuple(itertools.accumulate(rises[:len(rises) // 2])))
 
 
 def twisted_word_module(letters: str, lam: int, field: PrimeField) -> DieudonneModule:

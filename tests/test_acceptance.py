@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import brute_force_embedding_count
+from helpers import all_cyclic_words, brute_force_embedding_count
 from ssrank import bt1, cli
 from ssrank.bt1 import (
     a_number,
@@ -37,7 +37,6 @@ from ssrank.eo import EOType, canonical_module, enumerate_types, eo_type_of
 from ssrank.ffmat import GF2
 from ssrank.words import (
     CyclicWord,
-    all_cyclic_words,
     census_invariants,
     census_of_type,
     superspecial_rank,

@@ -33,6 +33,7 @@ from ssrank.ffmat import Matrix, PrimeField, Subspace
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
 from helpers import (
+    all_cyclic_words,
     brute_force_has_polarization,
     compatible_form_basis,
     reference_validate_bt1,
@@ -107,8 +108,6 @@ def test_unpolarized_rank_examples(gf2):
 
 def test_unpolarized_rank_brute_force_small(gf2):
     # dimension <= 4: compare the closed form against exhaustive embedding search
-    from ssrank.words import all_cyclic_words, word_module
-
     for w in all_cyclic_words(4) + all_cyclic_words(3) + all_cyclic_words(2):
         m = word_module(w, gf2)
         assert unpolarized_ss_rank(m) == brute_force_u(m)
@@ -387,8 +386,6 @@ def test_invariant_bundle_consistency(gf2):
 
 def test_additivity_randomized(gf2):
     rng = random.Random(1812)
-    from ssrank.words import all_cyclic_words, word_module
-
     mixed_pool = [w for w in all_cyclic_words(2) + all_cyclic_words(3) + all_cyclic_words(4)
                   if w.is_mixed()]
     for _ in range(30):

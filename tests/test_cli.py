@@ -19,7 +19,7 @@ from ssrank.build import feasible, ProfileQuery, i11
 from ssrank.cli import MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, build_parser, main
 from ssrank.ffmat import GF2, Matrix, PrimeField
 
-from helpers import conjugated
+from helpers import all_cyclic_words, conjugated
 
 
 def run(capsys, *argv):
@@ -350,6 +350,8 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "eo", "module", "--nu", "0,2")
     assert code == 1 and "not a valid EO type" in err
+    code, out, err = run(capsys, "eo", "list", "--g", "3", "--filter", "a=1,a=2")
+    assert (code, out) == (1, "") and "given twice" in err
 
 
 def test_integer_lists_take_only_signed_ascii_digits(capsys):
@@ -456,7 +458,7 @@ def _built_module_requests():
         for r, s in itertools.product(range(1, 6), repeat=2):
             yield "build", "jrs", "--r", str(r), "--s", str(s), "--p", p
         for length in range(1, 7):
-            for w in words.all_cyclic_words(length):
+            for w in all_cyclic_words(length):
                 yield "build", "word", "--w", w.letters, "--p", p
         for g in range(6):
             for t in eo.enumerate_types(g):
@@ -473,7 +475,9 @@ def test_built_module_output_is_golden(capsys):
     assert digest.hexdigest() == BUILT_MODULES_SHA256
 
 def test_filtered_rows_match_a_filtered_list(capsys):
-    # reference: the full row list built from the library, filtered afterwards
+    # reference: the full row list built from the library, filtered afterwards; the
+    # empty filter checks the unfiltered listing against it, and values from -1 to g + 1
+    # reach every bound the walk prunes on, from either side
     for g in range(8):
         rows = []  # (row, semicolon-joined census)
         for t in eo.enumerate_types(g):
@@ -484,7 +488,7 @@ def test_filtered_rows_match_a_filtered_list(capsys):
         empty_seen = False
         for keys in itertools.chain.from_iterable(
                 itertools.combinations("fas", k) for k in range(4)):
-            for values in itertools.product(range(g + 2), repeat=len(keys)):
+            for values in itertools.product(range(-1, g + 2), repeat=len(keys)):
                 wanted = dict(zip(keys, values))
                 kept = [(r, joined) for r, joined in rows
                         if all(r[k] == v for k, v in wanted.items())]
@@ -529,7 +533,8 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
     module_caps.append((("module", "polarize", "--in", module_file(24)),
                         ("module", "polarize", "--in", module_file(25))))
 
-    for owner, name in ((eo, "enumerate_types"), (curves, "doubling_orbits"),
+    for owner, name in ((eo, "enumerate_types"), (words, "type_censuses"),
+                        (curves, "doubling_orbits"),
                         (build, "realize"), (build, "supersingular_profile"), (build, "j_rs"),
                         (words, "word_module"), (eo, "canonical_module"),
                         (curves, "hyp2_analyze"), (curves, "hyp2_module_oracle"),

@@ -21,7 +21,6 @@ from ssrank.words import (
     CyclicWord,
     DecompositionError,
     WordCensus,
-    all_cyclic_words,
     census_invariants,
     census_of_type,
     decompose,
@@ -29,7 +28,13 @@ from ssrank.words import (
     word_module,
 )
 
-from helpers import conjugated, reference_census_of_type
+from helpers import (
+    all_cyclic_words,
+    census_from_counter,
+    conjugated,
+    reference_census_of_type,
+    type_of_census,
+)
 
 
 def test_cyclic_word_canonical_rotation():
@@ -171,6 +176,39 @@ def test_census_of_type_matches_the_node_map_walk():
             assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
 
 
+def test_type_censuses_list_enumeration_order_with_the_node_map_walk():
+    for g in range(13):
+        got = [(nu, f, a, [(w.letters, m) for w, m in census.counts])
+               for nu, f, a, census in words.type_censuses(g)]
+        assert got == [(t.nu, t.p_rank(), t.a_number(), reference_census_of_type(t))
+                       for t in enumerate_types(g)], g
+    with pytest.raises(ValueError):
+        next(words.type_censuses(-1))
+
+
+def test_census_gives_back_its_type_through_the_extended_bwt():
+    for g in range(13):
+        for t in enumerate_types(g):
+            assert type_of_census(census_of_type(t)) == t
+
+
+def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypatch):
+    monkeypatch.setattr(words, "_entries", {})
+    monkeypatch.setattr(words, "_ENTRY_CAP", 4)
+    for g in range(7):
+        for t in enumerate_types(g):
+            assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
+            assert len(words._entries) <= 4
+    field, fv = PrimeField(3), CyclicWord("FV")
+    for length in range(1, 7):
+        for w in all_cyclic_words(length):
+            m = direct_sum(direct_sum(word_module(w, field), word_module(fv, field)),
+                           word_module(w, field))
+            counts = {w: 2}
+            counts[fv] = counts.get(fv, 0) + 1
+            assert decompose(m) == census_from_counter(counts), w
+
+
 def test_asymmetric_census_is_not_quasipolarizable(gf2, gf3):
     for field in (gf2, gf3):
         m = direct_sum(word_module(CyclicWord("FFV"), field), word_module(CyclicWord("V"), field))
@@ -251,28 +289,28 @@ def test_superspecial_rank_fixtures(gf2):
 
 
 def test_census_invariants_examples():
-    c = WordCensus.from_counter({CyclicWord("FV"): 3})
+    c = census_from_counter({CyclicWord("FV"): 3})
     b = census_invariants(c)
     assert (b.f, b.a, b.s, b.g) == (0, 3, 3, 3)
 
-    c = WordCensus.from_counter({CyclicWord("F"): 2, CyclicWord("V"): 2, CyclicWord("FFVV"): 1})
+    c = census_from_counter({CyclicWord("F"): 2, CyclicWord("V"): 2, CyclicWord("FFVV"): 1})
     b = census_invariants(c)
     assert (b.f, b.a, b.s, b.g) == (2, 1, 0, 4)
 
-    c = WordCensus.from_counter({CyclicWord("FFFVVV"): 1})
+    c = census_from_counter({CyclicWord("FFFVVV"): 1})
     b = census_invariants(c)
     assert (b.f, b.a, b.s) == (0, 1, 0)
 
     with pytest.raises(ValueError):
-        census_invariants(WordCensus.from_counter({CyclicWord("F"): 1}))
+        census_invariants(census_from_counter({CyclicWord("F"): 1}))
     with pytest.raises(ValueError):
-        WordCensus.from_counter({CyclicWord("F"): 1, CyclicWord("V"): -1})
+        census_from_counter({CyclicWord("F"): 1, CyclicWord("V"): -1})
     with pytest.raises(ValueError):
         WordCensus(((CyclicWord("FV"), 1), (CyclicWord("F"), 1)))
     with pytest.raises(ValueError):
         WordCensus(((CyclicWord("FV"), 1), (CyclicWord("FV"), 1)))  # one word listed twice
     # pure cycles weigh by their length (a Frobenius k-cycle is etale of rank p^k)
-    c = WordCensus.from_counter({CyclicWord("FF"): 1, CyclicWord("V"): 2})
+    c = census_from_counter({CyclicWord("FF"): 1, CyclicWord("V"): 2})
     assert census_invariants(c).f == 2
 
 
@@ -305,7 +343,7 @@ def test_full_a_number_forces_supersingular_census(gf2):
 
 
 def test_census_serialization_order():
-    census = WordCensus.from_counter({CyclicWord("FV"): 1, CyclicWord("FFVV"): 2, CyclicWord("F"): 1})
+    census = census_from_counter({CyclicWord("FV"): 1, CyclicWord("FFVV"): 2, CyclicWord("F"): 1})
     assert list(census.as_dict()) == ["F", "FV", "FFVV"]
     assert census.joined() == "F;FV;FFVV;FFVV"
     assert census.total_length() == 11
