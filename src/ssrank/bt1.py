@@ -136,7 +136,8 @@ def _form_violations(m: DieudonneModule) -> list[str]:
     out = []
     if gram.transpose() != gram.neg():
         out.append("form is not antisymmetric")
-    if any(gram.entries[i][i] for i in range(gram.nrows)):
+    bits = gram.field._bits  # entry (i, i) is slot i of packed row i
+    if any(row >> bits * i & (1 << bits) - 1 for i, row in enumerate(gram._rows)):
         out.append("form has a nonzero diagonal entry")
     if gram.rank() != m.dim:
         out.append("form is degenerate")
@@ -376,16 +377,38 @@ def invariants(m: DieudonneModule) -> InvariantBundle:
     return InvariantBundle(g=g, f=p_rank(m), a=a_number(m), u=unpolarized_ss_rank(m))
 
 
+def _json_rows(m: Matrix) -> str:
+    """A square matrix's entries as nested JSON lists without spaces, read off its packed rows."""
+    n = m.ncols
+    if m.field.p == 2:  # bit j is entry j, so a row's entries are its binary digits reversed
+        spec = f"0{n}b"
+        return "[" + ",".join(["[" + ",".join(format(r, spec)[::-1]) + "]" for r in m._rows]) + "]"
+    return repr([list(r.to_bytes(n, "little")) for r in m._rows]).replace(" ", "")
+
+
 def to_json(m: DieudonneModule) -> str:
-    """Canonical one-line JSON serialization of a module."""
-    obj = {
-        "p": m.field.p,
-        "dim": m.dim,
-        "F": [list(row) for row in m.frobenius.entries],
-        "V": [list(row) for row in m.verschiebung.entries],
-        "form": [list(row) for row in m.form.entries] if m.form is not None else None,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    """Canonical one-line JSON serialization of a module.
+
+    Byte for byte json.dumps({"p", "dim", "F", "V", "form"}, separators=(",", ":")) of the
+    entry lists, with form null when the module carries none.
+    """
+    form = _json_rows(m.form) if m.form is not None else "null"
+    return (f'{{"p":{m.field.p},"dim":{m.dim},"F":{_json_rows(m.frobenius)},'
+            f'"V":{_json_rows(m.verschiebung)},"form":{form}}}')
+
+
+def _packed_rows(field: PrimeField, raw, dim: int) -> list[int]:
+    """The rows of a JSON dim x dim array of integers, each checked, then reduced mod p and packed once."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise ValueError("matrix must be a dim x dim array")
+    p, pack, rows = field.p, field._pack, []
+    for row in raw:
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError("matrix must be a dim x dim array")
+        if not set(map(type, row)) <= {int}:
+            raise ValueError("matrix entries must be integers")
+        rows.append(pack(bytes(map(p.__rmod__, row))))
+    return rows
 
 
 def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
@@ -405,14 +428,7 @@ def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
     raw_form = obj.get("form")
 
     def matrix_of(raw) -> Matrix:
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise ValueError("matrix must be a dim x dim array")
-        for row in raw:
-            if not isinstance(row, list) or len(row) != dim:
-                raise ValueError("matrix must be a dim x dim array")
-            if not set(map(type, row)) <= {int}:
-                raise ValueError("matrix entries must be integers")
-        return Matrix.build(field, raw, dim)
+        return Matrix._from_rows(field, dim, dim, _packed_rows(field, raw, dim))
 
     form = matrix_of(raw_form) if raw_form is not None else None
     return DieudonneModule(matrix_of(raw_f), matrix_of(raw_v), form)

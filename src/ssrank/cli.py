@@ -50,6 +50,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # (group, cmd) -> the leaf that parses that command's options; ("atlas",) -> atlas's
+    leaves: dict[tuple[str, ...], _Parser]
+
     def error(self, message: str) -> None:  # argparse would exit(2); we map usage to 1
         raise UsageError(message)
 
@@ -59,14 +62,15 @@ def build_parser() -> _Parser:
     """The parser, built on the first call and shared by every later request.
 
     parse_args leaves it unchanged, so nothing carries from one request to
-    the next.  --help shows the module docstring up to its size caps.
+    the next.  --help shows the module docstring up to its size caps.  Each
+    leaf carries the group, cmd and run defaults, so it parses its command's
+    options alone (`parser.leaves`) to the same Namespace as the whole tree.
     """
     description = (__doc__ or "").partition("\n\nSize caps")[0] or None
     parser = _Parser(prog="ssrank", description=description)
     top = parser.add_subparsers(dest="group", required=True)
 
     eo_cmd = top.add_parser("eo", help="Ekedahl-Oort type catalogue")
-    eo_cmd.set_defaults(run=_run_eo)
     eo_sub = eo_cmd.add_subparsers(dest="cmd", required=True)
     eo_list = eo_sub.add_parser("list", help="enumerate all 2^g types with invariants")
     eo_list.add_argument("--g", type=_int_option, required=True)
@@ -77,7 +81,6 @@ def build_parser() -> _Parser:
     eo_module.add_argument("--p", type=_int_option, default=2)
 
     mod_cmd = top.add_parser("module", help="operate on a serialized module")
-    mod_cmd.set_defaults(run=_run_module)
     mod_sub = mod_cmd.add_subparsers(dest="cmd", required=True)
     for name, help_text in (("invariants", "p-rank, a-number, unpolarized rank"),
                             ("decompose", "cyclic-word census and census invariants"),
@@ -87,7 +90,6 @@ def build_parser() -> _Parser:
         sub.add_argument("--in", dest="path", required=True, metavar="FILE.json")
 
     build_cmd = top.add_parser("build", help="construct modules")
-    build_cmd.set_defaults(run=_run_build)
     build_sub = build_cmd.add_subparsers(dest="cmd", required=True)
     b_word = build_sub.add_parser("word", help="module of a cyclic word")
     b_word.add_argument("--w", required=True, metavar="FVV...")
@@ -106,7 +108,6 @@ def build_parser() -> _Parser:
     b_ss.add_argument("--p", type=_int_option, default=2)
 
     curve_cmd = top.add_parser("curve", help="curve applications")
-    curve_cmd.set_defaults(run=_run_curve)
     curve_sub = curve_cmd.add_subparsers(dest="cmd", required=True)
     c_hyp = curve_sub.add_parser("hyp2", help="hyperelliptic curve in characteristic 2")
     c_hyp.add_argument("--poles", required=True, metavar="3,9")
@@ -117,16 +118,22 @@ def build_parser() -> _Parser:
     c_herm.add_argument("--n", type=_int_option, required=True)
 
     table_cmd = top.add_parser("table", help="tabulations")
-    table_cmd.set_defaults(run=_run_table)
     table_sub = table_cmd.add_subparsers(dest="cmd", required=True)
     t_feas = table_sub.add_parser("feasibility", help="feasibility of (f,a,s) at fixed g")
     t_feas.add_argument("--g", type=_int_option, required=True)
 
     atlas_cmd = top.add_parser("atlas", help="write the EO atlas CSV")
-    atlas_cmd.set_defaults(run=_run_atlas)
     atlas_cmd.add_argument("--g-max", type=_int_option, required=True)
     atlas_cmd.add_argument("--out", required=True, metavar="PATH")
+    atlas_cmd.set_defaults(group="atlas", run=_run_atlas)
 
+    parser.leaves = {("atlas",): atlas_cmd}
+    for group, sub, run in (("eo", eo_sub, _run_eo), ("module", mod_sub, _run_module),
+                            ("build", build_sub, _run_build), ("curve", curve_sub, _run_curve),
+                            ("table", table_sub, _run_table)):
+        for cmd, leaf in sub.choices.items():
+            leaf.set_defaults(group=group, cmd=cmd, run=run)
+            parser.leaves[group, cmd] = leaf
     return parser
 
 
@@ -365,10 +372,26 @@ def _run_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv with the leaf its first words name, else with the whole tree.
+
+    The whole tree handles --help, a bare group, an unknown command and an
+    option before the command; the leaf is the object that the whole tree
+    would hand the rest of argv to, so both give the same result and errors.
+    """
     parser = build_parser()
+    for depth in (2, 1):  # (group, cmd), then ("atlas",)
+        leaf = parser.leaves.get(tuple(argv[:depth]))
+        if leaf is not None:
+            return leaf.parse_args(argv[depth:])
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         code = args.run(args)
         sys.stdout.flush()  # so that a reader gone early shows up here, not at interpreter exit
         return code

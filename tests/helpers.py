@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections.abc import Mapping
 
 from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
@@ -303,3 +304,12 @@ def brute_force_has_polarization(m: DieudonneModule) -> bool:
         if Matrix.build(m.field, rows, n).rank() == n:
             return True
     return False
+
+
+def reference_to_json(m: DieudonneModule) -> str:
+    """The canonical module JSON as json.dumps of the entry lists."""
+    def lists(matrix: Matrix | None):
+        return [list(row) for row in matrix.entries] if matrix is not None else None
+
+    return json.dumps({"p": m.field.p, "dim": m.dim, "F": lists(m.frobenius),
+                       "V": lists(m.verschiebung), "form": lists(m.form)}, separators=(",", ":"))

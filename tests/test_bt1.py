@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     all_cyclic_words,
     brute_force_has_polarization,
     compatible_form_basis,
+    reference_to_json,
     reference_validate_bt1,
     twisted_word_module,
 )
@@ -408,13 +410,61 @@ def test_json_round_trip(gf2, gf3):
                           '"form":[[0,1],[1,0]]}')
 
 
+def test_json_writer_matches_json_dumps_of_the_entries():
+    rng = random.Random(4127)
+    for p in (2, 3, 5, 97):
+        field = PrimeField(p)
+        for n in (0, 1, 2, 3, 8, 13, 24):
+            f, v, form = (Matrix.build(field, [[rng.randrange(p) for _ in range(n)]
+                                               for _ in range(n)], n) for _ in range(3))
+            full = Matrix.build(field, [[p - 1] * n] * n, n)  # every entry at its widest
+            for m in (DieudonneModule(f, v), DieudonneModule(f, v, form),
+                      DieudonneModule(full, v.transpose(), full)):
+                text = to_json(m)
+                assert text == reference_to_json(m), (p, n)
+                assert from_json(text) == m
+
+
+def test_json_reader_reduces_every_integer():
+    raw = [[-1, 97, 256, 2**64 + 5], [-(2**70) - 3, 0, 1, 255],
+           [98, -97, 2**65, -256], [3, 5, 96, -2]]
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        reduced = Matrix.build(field, [[e % p for e in row] for row in raw])
+        m = from_json(json.dumps({"p": p, "dim": 4, "F": raw, "V": raw[::-1], "form": raw}))
+        assert m.frobenius == reduced and m.form == reduced
+        assert m.verschiebung == Matrix.build(field, [[e % p for e in row] for row in raw[::-1]])
+
+
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        from_json('{"p":2,"dim":2,"F":[[0,0],[1,0]]}')
-    with pytest.raises(ValueError):
-        from_json('{"p":2,"dim":2,"F":[[0,0]],"V":[[0,0],[1,0]],"form":null}')
-    with pytest.raises(ValueError):
-        from_json('[1,2,3]')
+    good = {"p": 3, "dim": 2, "F": [[0, 0], [1, 0]], "V": [[0, 0], [2, 0]], "form": [[0, 1], [2, 0]]}
+    shape, integers = "matrix must be a dim x dim array", "matrix entries must be integers"
+    changes = [
+        ({"F": [[0, 0], [True, 0]]}, integers), ({"F": [[0, 0], [1.0, 0]]}, integers),
+        ({"V": [[0, "0"], [2, 0]]}, integers), ({"form": [[None, 1], [2, 0]]}, integers),
+        ({"F": [[0, 0], [1]]}, shape), ({"F": [[0, 0], [1, 0, 0]]}, shape),
+        ({"V": [[0, 0], 2]}, shape), ({"V": [[0, 0]]}, shape), ({"F": [[0, 0]] * 3}, shape),
+        ({"F": "x"}, shape), ({"V": None}, shape), ({"form": [[0, 1]]}, shape),
+        ({"dim": 3}, shape), ({"dim": -1}, shape),
+        ({"p": True}, "module JSON p and dim must be integers"),
+        ({"dim": 2.0}, "module JSON p and dim must be integers"),
+        ({"p": 4}, "p must be a prime with 2 <= p <= 97, got 4"),
+        # the form is read first, then F, then V
+        ({"form": [[0, 1]], "F": [[0, 0], [True, 0]]}, shape),
+        ({"form": [[0, False], [2, 0]], "F": [[0]], "V": [[0]]}, integers),
+        ({"F": [[0, 0], [1, 0.5]], "V": [[0, 0]]}, integers),
+        ({"F": [[0, 0]], "V": [[0, 0], [2.5, 0]]}, shape),
+    ]
+    cases = [({**good, **change}, message) for change, message in changes]
+    cases += [({k: v for k, v in good.items() if k != key}, f"module JSON is missing key '{key}'")
+              for key in ("p", "dim", "F", "V")]
+    for obj, message in cases:
+        with pytest.raises(ValueError) as exc:
+            from_json(json.dumps(obj))
+        assert str(exc.value) == message, obj
+    assert from_json(json.dumps({**good, "form": None})).form is None
+    with pytest.raises(ValueError, match="module JSON must be an object"):
+        from_json("[1,2,3]")
 
 
 def test_zero_module_invariants(gf2):
@@ -460,6 +510,9 @@ def test_rank_form_validation_matches_the_kernel_image_reference():
             for form in forms:
                 m = DieudonneModule(f, v, form)
                 assert validate_bt1(m) == reference_validate_bt1(m)
+                if form is not None:
+                    nonzero_diagonal = any(form.entries[i][i] for i in range(n))
+                    assert ("form has a nonzero diagonal entry" in validate_bt1(m)) == nonzero_diagonal
 
 
 def test_stacked_a_number_matches_the_kernel_intersection():

@@ -541,6 +541,7 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
                         (build, "feasible")):
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(Matrix, "build", refuse)
+    monkeypatch.setattr(bt1, "_packed_rows", refuse)  # a module file's first matrix
 
     for at_cap, above in (
             (("eo", "list", "--g", "12"), ("eo", "list", "--g", "13")),
@@ -703,6 +704,86 @@ def test_parser_is_reused_without_carrying_state(capsys):
         assert exc.value.code == 0
         helps.append(capsys.readouterr())
     assert helps[0] == helps[1] and helps[0].out.startswith("usage: ssrank")
+
+
+def _subcommands(parser):
+    """The name -> parser map of parser's subcommands, empty at a leaf."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+# one workload-shaped argv or more for every command; parsed only, never run
+_EVERY_COMMAND = (
+    ("eo", "list", "--g", "12"), ("eo", "list", "--g", "9", "--format", "csv"),
+    ("eo", "list", "--g", "7", "--filter", "f=1,s=0", "--format", "json"),
+    ("eo", "module", "--nu", "0,1,1", "--p", "3"), ("eo", "module", "--nu", "0,1"),
+    ("module", "invariants", "--in", "m0001.json"), ("module", "decompose", "--in", "m0002.json"),
+    ("module", "check", "--in", "m0003.json"), ("module", "polarize", "--in", "m0004.json"),
+    ("build", "word", "--w", "FVV"), ("build", "word", "--w", "FFV", "--p", "5"),
+    ("build", "jrs", "--r", "2", "--s", "3"), ("build", "jrs", "--r", "1", "--s", "1", "--p", "97"),
+    ("build", "profile", "--g", "6", "--f", "1", "--a", "3", "--s", "2", "--p", "2"),
+    ("build", "profile", "--g", "4", "--f", "0", "--a", "2", "--s", "1"),
+    ("build", "ss", "--g", "5", "--s", "3", "--p", "3"), ("build", "ss", "--g", "2", "--s", "0"),
+    ("curve", "hyp2", "--poles", "3,9", "--oracle"), ("curve", "hyp2", "--poles", "5"),
+    ("curve", "hermitian", "--p", "3", "--n", "2"), ("table", "feasibility", "--g", "7"),
+    ("atlas", "--g-max", "12", "--out", "atlas.csv"),
+)
+
+
+def test_leaf_and_full_tree_parses_agree():
+    parser = build_parser()
+    commands = set()
+    for group, group_parser in _subcommands(parser).items():
+        commands |= {(group, cmd) for cmd in _subcommands(group_parser)} or {(group,)}
+    assert set(parser.leaves) == commands
+    assert {argv[:2] if argv[:2] in commands else argv[:1] for argv in _EVERY_COMMAND} == commands
+    for argv in _EVERY_COMMAND:
+        depth = 2 if argv[:2] in commands else 1
+        by_leaf = parser.leaves[argv[:depth]].parse_args(argv[depth:])
+        assert by_leaf == parser.parse_args(argv), argv
+        assert (by_leaf.group, getattr(by_leaf, "cmd", None)) == (argv[0], argv[1] if depth == 2 else None)
+
+
+def _answer(capsys, argv):
+    """main(argv) as (exit code, stdout, stderr); --help exits through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_malformed_argv_answers_alike_on_both_routes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    leaves = parser.leaves
+    corpus = [
+        (), ("--help",), ("-h",), ("nonsense",), ("eo", "bogus"), ("atlas", "list"),
+        ("-x", "eo", "list", "--g", "1"), ("eo", "-h", "list"),
+        ("eo", "list", "--g", "2", "--bogus"), ("eo", "list", "--g"), ("eo", "list"),
+        ("eo", "list", "--g", "x"), ("build", "profile", "--g", "3", "--f", "0", "--a", "1"),
+        ("build", "jrs", "--r", "1", "--s", "1.5"), ("module", "check", "--in"),
+        ("curve", "hyp2", "--poles"), ("atlas", "--g-max", "3"), ("table", "feasibility", "g", "3"),
+        ("--", "eo", "list", "--g", "1"), ("eo", "--", "list", "--g", "1"),
+        ("eo", "list", "--", "--g", "1"), ("eo", "list", "--g", "1", "--"),
+        ("eo", "list", "--g", "1", "--", "extra"), ("atlas", "--", "--g-max", "1", "--out", "a.csv"),
+        ("atlas", "--g-m", "0", "--out", "a.csv"), ("eo", "list", "--g", "1", "--fo", "csv"),
+        ("eo", "list", "--g", "1", "--f", "a=1"), ("build", "ss", "--g", "2", "--s", "0", "--p", "3"),
+        ("eo", "list", "--g", "3", "--g", "1", "--format", "json", "--format", "csv"),
+        ("build", "ss", "--g", "2", "--s", "0", "--p", "3", "--p", "5"),
+        ("curve", "hyp2", "--poles", "3", "--oracle", "--oracle"),
+    ]
+    for group, group_parser in _subcommands(parser).items():
+        corpus += [(group,), (group, "--help"), (group, "-h")]
+        corpus += [(group, cmd, flag) for cmd in _subcommands(group_parser) for flag in ("--help", "-h")]
+    for argv in corpus:
+        by_leaf = _answer(capsys, argv)
+        monkeypatch.setattr(parser, "leaves", {})
+        by_tree = _answer(capsys, argv)
+        monkeypatch.setattr(parser, "leaves", leaves)
+        assert by_leaf == by_tree, argv
+        assert by_leaf[0] in (0, 1, 2), argv
 
 
 def test_in_process_responses_match_a_fresh_process(capsys):
