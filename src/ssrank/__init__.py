@@ -1,6 +1,6 @@
 """Exact invariants of p-torsion group schemes via their mod-p module structure."""
 
-from .ffmat import GF2, Matrix, PrimeField, Subspace, solve_linear_system
+from .ffmat import GF2, Matrix, PrimeField, Subspace
 from .bt1 import (
     Bt1ValidationError,
     DieudonneModule,
@@ -12,9 +12,7 @@ from .bt1 import (
     dual,
     from_json,
     invariants,
-    orthogonal_complement,
     p_rank,
-    split_etale_mult,
     to_json,
     unpolarized_ss_rank,
     validate_bt1,
@@ -38,7 +36,6 @@ from .build import (
     h_rs,
     i11,
     j_rs,
-    m11_embedding,
     ord1,
     realize,
     supersingular_profile,

@@ -16,7 +16,7 @@ import itertools
 import json
 from collections.abc import Iterable, Iterator
 
-from .ffmat import Matrix, PrimeField, Subspace, _set, _Value, block_diag, solve_linear_system, vstack
+from .ffmat import Matrix, PrimeField, Subspace, _set, _Value, block_diag, vstack
 
 
 class Bt1ValidationError(ValueError):
@@ -89,19 +89,6 @@ class InvariantBundle(_Value):
         _set(self, "a", a)
         _set(self, "s", s)
         _set(self, "u", u)
-
-    def check_consistent(self) -> None:
-        if self.g is not None:
-            if not 0 <= self.f <= self.g:
-                raise ValueError("p-rank out of range")
-            if self.f < self.g and self.a < 1:
-                raise ValueError("a-number must be positive below the ordinary locus")
-            if self.a > self.g - self.f:
-                raise ValueError("a-number exceeds g - f")
-        if self.s is not None and self.s > self.a:
-            raise ValueError("superspecial rank exceeds a-number")
-        if self.u is not None and self.u > self.a:
-            raise ValueError("unpolarized superspecial rank exceeds a-number")
 
 
 def zero_module(field: PrimeField) -> DieudonneModule:
@@ -278,7 +265,7 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
     if n % 2:
         return None
     pairs = list(itertools.combinations(range(n), 2))
-    solutions = solve_linear_system(m.field, len(pairs), _compatibility_rows(m, pairs))
+    solutions = Matrix.build(m.field, _compatibility_rows(m, pairs), len(pairs)).kernel()
     basis = [[(i, j, e) for (i, j), e in zip(pairs, bvec) if e] for bvec in solutions.basis]
     # a row on which every solution vanishes makes the whole family degenerate
     if not basis or len({x for bvec in basis for i, j, _ in bvec for x in (i, j)}) < n:
@@ -312,64 +299,6 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
         if r == n:
             return gram
     return None
-
-
-def _basis_matrix(m: DieudonneModule, s: Subspace) -> Matrix:
-    """The echelon basis of a subspace of m's space, one row each; ValueError for any other subspace."""
-    if s.field != m.field or s.ambient_dim != m.dim:
-        raise ValueError("subspace field or ambient does not match the module")
-    return Matrix._from_rows(m.field, s.dim, m.dim, s._rows)
-
-
-def orthogonal_complement(m: DieudonneModule, n_sub: Subspace) -> Subspace:
-    """Orthogonal complement of an operator-stable subspace under the form.
-
-    Requires a polarized module and a subspace on which the form restricts
-    nondegenerately; the complement is then operator-stable and splits the
-    module.
-    """
-    if m.form is None:
-        raise ValueError("module carries no form")
-    basis_matrix = _basis_matrix(m, n_sub)
-    restricted = basis_matrix @ m.form @ basis_matrix.transpose()
-    if restricted.rank() != n_sub.dim:
-        raise ValueError("form restricts degenerately; not a polarized factor")
-    complement = (basis_matrix @ m.form).kernel()
-    for op in (m.frobenius, m.verschiebung):
-        if not complement.contains(op.map_subspace(complement)):
-            raise ValueError("complement is not operator-stable; input was not a submodule")
-    if complement.intersect(n_sub).dim != 0 or complement.dim + n_sub.dim != m.dim:
-        raise ValueError("complement does not split the module")
-    return complement
-
-
-def restrict_to(m: DieudonneModule, s: Subspace) -> DieudonneModule:
-    """The module structure induced on an operator-stable subspace."""
-    basis_matrix = _basis_matrix(m, s)
-    cols_f = []
-    cols_v = []
-    for b in s.basis:
-        cols_f.append(s.coordinates(m.frobenius.apply(b)))
-        cols_v.append(s.coordinates(m.verschiebung.apply(b)))
-    k = s.dim
-    new_f = Matrix.from_columns(m.field, k, cols_f)
-    new_v = Matrix.from_columns(m.field, k, cols_v)
-    new_form = None
-    if m.form is not None:
-        new_form = basis_matrix @ m.form @ basis_matrix.transpose()
-    return DieudonneModule(new_f, new_v, new_form)
-
-
-def split_etale_mult(m: DieudonneModule) -> tuple[int, DieudonneModule]:
-    """Peel off the etale-multiplicative part, returning (p-rank, local-local part)."""
-    f_rank = p_rank(m)
-    n = m.dim
-    nilpotent_f = m.frobenius.power(n).kernel()
-    nilpotent_v = m.verschiebung.power(n).kernel()
-    local_local = nilpotent_f.intersect(nilpotent_v)
-    if local_local.dim != n - 2 * f_rank:
-        raise Bt1ValidationError(["local-local part has unexpected dimension"])
-    return f_rank, restrict_to(m, local_local)
 
 
 def invariants(m: DieudonneModule) -> InvariantBundle:

@@ -73,35 +73,6 @@ def h_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
     return direct_sum(left, dual(left)).with_form(_hyperbolic_form(field, left.dim))
 
 
-class M11Embedding(_Value):
-    """Witness for the inclusion of a supersingular block into j_rs."""
-
-    __slots__ = _fields = ("r", "s", "generator", "frobenius_image")
-
-    def __init__(self, r: int, s: int, generator: tuple[int, ...],
-                 frobenius_image: tuple[int, ...]) -> None:
-        self._assign(r, s, generator, frobenius_image)
-
-
-def m11_embedding(r: int, s: int, field: PrimeField) -> M11Embedding:
-    """The explicit vector y = F^(r-1) x + V^(s-1) x with Fy = -Vy != 0."""
-    if r < 2 or s < 2:
-        raise ValueError("need r, s >= 2")
-    module = j_rs(r, s, field)
-    n = module.dim
-    y = [0] * n
-    y[r - 1] = 1          # F^(r-1) x
-    y[r + s - 1] = 1      # V^(s-1) x
-    fy = module.frobenius.apply(y)
-    vy = module.verschiebung.apply(y)
-    if tuple((a + b) % field.p for a, b in zip(fy, vy)) != (0,) * n or not any(fy):
-        raise ValueError("embedding vector does not satisfy Fy = -Vy != 0")
-    span_rank = Matrix.build(field, [y, list(fy)], n).rank()
-    if span_rank != 2:
-        raise ValueError("embedding vector does not span a 2-dimensional block")
-    return M11Embedding(r=r, s=s, generator=tuple(y), frobenius_image=tuple(fy))
-
-
 def feasible(q: ProfileQuery) -> bool:
     """Whether (g, f, a, s) occurs for a polarized module of half-dimension g.
 

@@ -266,10 +266,15 @@ def _parse_value(make, value):
         raise UsageError(str(exc)) from None
 
 
+def _check_nonnegative(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
-        if args.g < 0:
-            raise ValueError("g must be nonnegative")
+        _check_nonnegative(args, "g")
         _check_cap("g", args.g, ATLAS_G_CAP)
         rows = _type_rows(args.g, _parse_filter(args.filter))
         if args.format == "csv":
@@ -321,9 +326,11 @@ def _run_build(args: argparse.Namespace) -> int:
         _check_cap("r + s", args.r + args.s, 2 * MODULE_G_CAP)
         module = build.j_rs(args.r, args.s, field)
     elif args.cmd == "profile":
+        _check_nonnegative(args, "g", "f", "a", "s")
         _check_cap("g", args.g, MODULE_G_CAP)
         module = build.realize(build.ProfileQuery(g=args.g, f=args.f, a=args.a, s=args.s), field)
     else:  # ss
+        _check_nonnegative(args, "g", "s")
         _check_cap("g", args.g, MODULE_G_CAP)
         module = build.supersingular_profile(args.g, args.s, field)
     _print(bt1.to_json(module))
@@ -353,9 +360,8 @@ def _run_curve(args: argparse.Namespace) -> int:
 
 
 def _run_table(args: argparse.Namespace) -> int:  # the one subcommand, feasibility
+    _check_nonnegative(args, "g")
     g = args.g
-    if g < 0:
-        raise ValueError("g must be nonnegative")
     _check_cap("g", g, MODULE_G_CAP)
     rows = []
     for f in range(g + 1):

@@ -13,7 +13,6 @@ from .bt1 import DieudonneModule, direct_sum, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import GF2, PrimeField, _set, _Value
 from .build import ord1
-from .words import superspecial_rank
 
 
 class PoleDivisor(_Value):
@@ -141,7 +140,3 @@ def ekedahl_bound(p: int, g: int) -> bool:
     """Genus bound for superspecial curves: g <= p(p-1)/2."""
     return g <= p * (p - 1) // 2
 
-
-def hyp2_oracle_rank(divisor: PoleDivisor) -> int:
-    """Superspecial rank of the assembled module (the independent route)."""
-    return superspecial_rank(hyp2_module_oracle(divisor))

@@ -13,11 +13,11 @@ wide enough for their worst case, and each result is reduced once.  Entries are
 unpacked only when read: `Matrix.entries`, `Matrix.column()`, `Subspace.basis`.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
-`Subspace(...)` constructors, `Matrix.build`, `Matrix.from_columns` and
-`Subspace.span`.  Results computed here go through the trusted private
-constructors `Matrix._from_rows` and `Subspace._from_rows`, which neither
-re-reduce nor re-validate; the library's explicit constructions write their
-(row, column, value) triples through `Matrix._sparse`.
+`Subspace(...)` constructors, `Matrix.build` and `Subspace.span`.  Results
+computed here go through the trusted private constructors `Matrix._from_rows`
+and `Subspace._from_rows`, which neither re-reduce nor re-validate; the
+library's explicit constructions write their (row, column, value) triples
+through `Matrix._sparse`.
 Everything here is a value: operations never mutate their inputs and
 results are safe to share between threads.
 """
@@ -376,10 +376,6 @@ class Matrix(_Value):
         _check_dims(n)
         return cls._from_rows(field, n, n, (1 << field._bits * i for i in range(n)))
 
-    @classmethod
-    def from_columns(cls, field: PrimeField, nrows: int, columns: Sequence[Sequence[int]]) -> "Matrix":
-        return cls.build(field, columns, nrows).transpose()
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.field._unpack(self._columns()[j], self.nrows))
 
@@ -426,20 +422,6 @@ class Matrix(_Value):
         image, = _combine(field, self._columns(), self.nrows, [v])
         return tuple(field._unpack(image, self.nrows))
 
-    def power(self, k: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -465,14 +447,6 @@ class Matrix(_Value):
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
         return _combine(self.field, self._columns(), self.nrows, s._rows)
-
-    def preimage(self, s: "Subspace") -> "Subspace":
-        """Full preimage {v : M v in S}; always contains the kernel."""
-        if s.ambient_dim != self.nrows:
-            raise ValueError("ambient dimension does not match nrows")
-        ann = s.annihilator()
-        constraints = Matrix._from_rows(self.field, ann.dim, self.nrows, ann._rows) @ self
-        return constraints.kernel()
 
     def image_sources_kernel(self, s: "Subspace") -> tuple["Subspace", "Matrix", "Subspace"]:
         """M(S), sources in S for it, and S meet ker M, from one reduction of the rows (M b | b).
@@ -608,49 +582,16 @@ class Subspace(_Value):
         bits = self.field._bits
         return tuple(((r & -r).bit_length() - 1) // bits for r in self._rows)
 
-    def _holds(self, vectors: Sequence[Row]) -> bool:
-        """Whether every vector lies in this subspace: each must equal the combination of
-        the basis with its entries at the pivots as coefficients, since every other basis
-        row is 0 at a row's pivot."""
+    def contains(self, other: "Subspace") -> bool:
+        """Whether other lies in this subspace: each of its rows must equal the combination
+        of this basis with its entries at the pivots as coefficients, since every other
+        basis row is 0 at a row's pivot."""
+        if self.field != other.field or self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient mismatch")
         bits = self.field._bits
         by_pivot = [0] * self.ambient_dim
         for r in self._rows:  # a pivot entry is 1, so r & -r is the lowest bit of the pivot slot
             by_pivot[((r & -r).bit_length() - 1) // bits] = r
         mask = ((1 << bits) - 1) * sum(r & -r for r in self._rows)
-        projected = _combine(self.field, by_pivot, self.ambient_dim, [v & mask for v in vectors])
-        return projected == list(vectors)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return self._holds(other._rows)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return _span(self.field, self.ambient_dim, self._rows + other._rows)
-
-    def annihilator(self) -> "Subspace":
-        """All v with b . v = 0 for every basis vector b (dot-product dual)."""
-        return _span(self.field, self.ambient_dim,
-                     _null_vectors(self.field, self._rows, self.pivots(), self.ambient_dim))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return self.annihilator().sum_with(other.annihilator()).annihilator()
-
-    def coordinates(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a member vector in the echelon basis; raises if absent."""
-        p = self.field.p
-        v = self.field._pack(bytes([e % p for e in vec]))
-        if len(vec) != self.ambient_dim or not self._holds([v]):
-            raise ValueError("vector is not in the subspace")
-        return tuple(vec[pc] % p for pc in self.pivots())
-
-
-def solve_linear_system(field: PrimeField, n_unknowns: int, constraint_rows: Iterable[Sequence[int]]) -> Subspace:
-    """Solution space of a homogeneous linear system over F_p."""
-    rows = list(constraint_rows)
-    return Matrix.build(field, rows, n_unknowns).kernel()
+        projected = _combine(self.field, by_pivot, self.ambient_dim, [v & mask for v in other._rows])
+        return projected == list(other._rows)

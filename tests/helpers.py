@@ -143,8 +143,14 @@ def reference_validate_bt1(m: DieudonneModule) -> list[str]:
     return violations
 
 
+def reference_preimage(op: Matrix, sub: Subspace) -> Subspace:
+    """{v : op v in sub}: the kernel of (the rows of sub's annihilator) @ op."""
+    annihilator = Matrix.build(op.field, sub.basis, op.nrows).kernel()
+    return (Matrix.build(op.field, annihilator.basis, op.nrows) @ op).kernel()
+
+
 def reference_eo_type_of(m: DieudonneModule) -> EOType:
-    """EO type from the canonical filtration closed with `map_subspace` and `preimage`."""
+    """EO type from the canonical filtration closed with `map_subspace` and `reference_preimage`."""
     require_valid(m)
     n = m.dim
     if n % 2 != 0:
@@ -157,7 +163,7 @@ def reference_eo_type_of(m: DieudonneModule) -> EOType:
     while frontier:
         fresh = []
         for sub in frontier:
-            for candidate in (ver.map_subspace(sub), frob.preimage(sub)):
+            for candidate in (ver.map_subspace(sub), reference_preimage(frob, sub)):
                 if candidate not in chain:
                     chain.add(candidate)
                     fresh.append(candidate)
@@ -288,7 +294,7 @@ def compatible_form_basis(m: DieudonneModule) -> tuple[tuple[int, ...], ...]:
         unit = Matrix.build(field, rows, n)
         image = (m.frobenius.transpose() @ unit).add((unit @ m.verschiebung).neg())
         images.append([e for row in image.entries for e in row])
-    return Matrix.from_columns(field, n * n, images).kernel().basis
+    return Matrix.build(field, images, n * n).transpose().kernel().basis
 
 
 def brute_force_has_polarization(m: DieudonneModule) -> bool:

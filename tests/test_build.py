@@ -18,7 +18,6 @@ from ssrank.build import (
     h_rs,
     i11,
     j_rs,
-    m11_embedding,
     ord1,
     realize,
     supersingular_profile,
@@ -54,7 +53,12 @@ def test_j_rs_fixtures(gf2, gf3):
     assert eo_type_of(j33) == EOType.of([0, 1, 2])
     assert unpolarized_ss_rank(j_rs(2, 2, gf2)) == 1
     for r, s in itertools.product(range(1, 5), repeat=2):
-        assert validate_bt1(j_rs(r, s, gf3)) == []
+        m = j_rs(r, s, gf3)
+        assert validate_bt1(m) == []
+        if r > 1 and s > 1:  # y = F^(r-1) x + V^(s-1) x has Fy = -Vy != 0, so j_rs holds an FV block
+            y = [int(i in (r - 1, r + s - 1)) for i in range(r + s)]
+            fy = m.frobenius.apply(y)
+            assert any(fy) and m.verschiebung.apply(y) == tuple(-e % 3 for e in fy)
     with pytest.raises(ValueError):
         j_rs(0, 1, gf2)
 
@@ -81,21 +85,6 @@ def test_constructed_forms_are_polarizations(p):
     assert check_polarization(i11(field)) and check_polarization(ord1(field))
     for r, s in itertools.product(range(1, 6), repeat=2):
         assert check_polarization(h_rs(r, s, field)), (r, s)
-
-
-def test_m11_embedding(gf2, gf3):
-    w = m11_embedding(2, 2, gf2)
-    assert w.generator == (0, 1, 0, 1)      # Fx + Vx
-    assert any(w.frobenius_image)           # Fy = F^2 x != 0
-    w = m11_embedding(3, 2, gf2)
-    assert w.generator == (0, 0, 1, 0, 1)   # F^2 x + Vx
-    w = m11_embedding(2, 2, gf3)
-    module = j_rs(2, 2, gf3)
-    fy = module.frobenius.apply(w.generator)
-    vy = module.verschiebung.apply(w.generator)
-    assert vy == tuple((-e) % 3 for e in fy)  # Vy = -Fy with the sign visible
-    with pytest.raises(ValueError):
-        m11_embedding(1, 2, gf2)
 
 
 def test_feasible_examples():

@@ -400,6 +400,21 @@ def test_every_integer_option_goes_through_one_parser(capsys):
     assert code == 2 and "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("build", "profile", "--g", "-1", "--f", "0", "--a", "0", "--s", "0"), "g"),
+    (("build", "profile", "--g", "2", "--f", "-1", "--a", "0", "--s", "0"), "f"),
+    (("build", "profile", "--g", "2", "--f", "0", "--a", "-1", "--s", "0"), "a"),
+    (("build", "profile", "--g", "2", "--f", "0", "--a", "1", "--s", "-1"), "s"),
+    (("build", "profile", "--g", "-3", "--f", "-1", "--a", "-1", "--s", "-1"), "g"),
+    (("build", "ss", "--g", "-1", "--s", "-1"), "g"),
+    (("build", "ss", "--g", "3", "--s", "-1"), "s"),
+    (("table", "feasibility", "--g", "-1"), "g"),
+])
+def test_a_negative_parameter_is_an_error_not_infeasible(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {name} must be nonnegative\n"), argv
+
+
 def _ssrank(*argv):
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as the CLI usually has

@@ -12,7 +12,6 @@ from ssrank.curves import (
     hermitian_analyze,
     hyp2_analyze,
     hyp2_module_oracle,
-    hyp2_oracle_rank,
     hyp2_rank0_type,
 )
 from ssrank.eo import EOType, canonical_module
@@ -66,7 +65,7 @@ def test_oracle_matches_closed_form_single_pole():
     for g in range(1, 16):
         divisor = PoleDivisor.of([2 * g + 1])
         report = hyp2_analyze(divisor)
-        assert report.s == hyp2_oracle_rank(divisor)
+        assert report.s == superspecial_rank(hyp2_module_oracle(divisor))
         assert report.s == (1 if g % 3 == 1 else 0)
 
 
@@ -86,7 +85,7 @@ def test_oracle_random_divisors():
         r = rng.randrange(0, 4)
         divisor = PoleDivisor.of([2 * rng.randrange(0, 8) + 1 for _ in range(r + 1)])
         report = hyp2_analyze(divisor)
-        assert report.s == hyp2_oracle_rank(divisor)
+        assert report.s == superspecial_rank(hyp2_module_oracle(divisor))
         assert report.s <= 1 + report.f
         assert report.g == report.f + sum(report.c)
 

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _slot_bytes, rref, solve_linear_system, vstack
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _slot_bytes, rref, vstack
 
-from helpers import reference_rref_modp
+from helpers import reference_preimage, reference_rref_modp
 
 # F and V of the 2-dimensional supersingular block over F_2: x -> y, y -> 0.
 I11_OP = Matrix.build(GF2, [[0, 0], [1, 0]])
@@ -47,46 +47,6 @@ def test_kernel_image_examples():
     assert I11_OP.kernel() == Subspace.span(GF2, 2, [[0, 1]])
 
 
-def test_preimage_examples():
-    m = I11_OP
-    assert m.preimage(Subspace.full(GF2, 2)) == Subspace.full(GF2, 2)
-    s = Subspace.span(GF2, 2, [[1, 1]])
-    assert Matrix.identity(GF2, 2).preimage(s) == s
-    assert m.preimage(Subspace.zero(GF2, 2)) == Subspace.span(GF2, 2, [[0, 1]])
-
-
-def test_preimage_dimension_mismatch():
-    with pytest.raises(ValueError):
-        I11_OP.preimage(Subspace.zero(GF2, 3))
-
-
-def test_lattice_examples():
-    s = Subspace.span(GF2, 3, [[1, 0, 1]])
-    assert s.sum_with(Subspace.zero(GF2, 3)) == s
-    assert s.intersect(Subspace.full(GF2, 3)) == s
-    line = I11_OP.kernel().intersect(I11_OP.kernel())
-    assert line.dim == 1 and line == Subspace.span(GF2, 2, [[0, 1]])
-    with pytest.raises(ValueError):
-        s.sum_with(Subspace.zero(GF2, 4))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_lattice_dimension_formula_randomized(p):
-    rng = random.Random(700 + p)
-    field = PrimeField(p)
-    for _ in range(40):
-        n = rng.randrange(1, 7)
-        a = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
-                                     for _ in range(rng.randrange(4))])
-        b = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
-                                     for _ in range(rng.randrange(4))])
-        total = a.sum_with(b)
-        meet = a.intersect(b)
-        assert a.dim + b.dim == total.dim + meet.dim
-        assert total.contains(a) and total.contains(b)
-        assert a.contains(meet) and b.contains(meet)
-
-
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_rank_nullity_and_preimage_randomized(p):
     rng = random.Random(41 + p)
@@ -95,9 +55,9 @@ def test_rank_nullity_and_preimage_randomized(p):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = random_matrix(rng, field, nrows, ncols)
         assert m.kernel().dim + m.rank() == ncols
-        assert m.preimage(m.image()) == Subspace.full(field, ncols)
+        assert reference_preimage(m, m.image()) == Subspace.full(field, ncols)
         s = Subspace.span(field, nrows, [[rng.randrange(p) for _ in range(nrows)]])
-        pre = m.preimage(s)
+        pre = reference_preimage(m, s)
         assert pre.contains(m.kernel())
         assert s.contains(m.map_subspace(pre))
 
@@ -238,7 +198,8 @@ def test_image_sources_kernel_matches_the_lattice(p):
                                          for _ in range(rng.randrange(ncols + 1))])
         image, sources, kernel = m.image_sources_kernel(s)
         assert image == m.map_subspace(s)
-        assert kernel == s.intersect(m.kernel())
+        assert s.contains(kernel) and m.map_subspace(kernel).dim == 0
+        assert kernel.dim == s.dim - image.dim
         section = sources.transpose()
         assert s.contains(section.map_subspace(image))
         for w in image.basis:
@@ -249,7 +210,8 @@ def test_image_sources_kernel_matches_the_lattice(p):
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_contains_matches_the_span_test(p):
-    """S contains T exactly when S + T = S; members are built as combinations of S's basis."""
+    """S contains T exactly when S + T, the span of both bases, is S; members are built as
+    combinations of S's basis."""
     rng = random.Random(23 + p)
     field = PrimeField(p)
     for _ in range(150):
@@ -263,7 +225,7 @@ def test_contains_matches_the_span_test(p):
                                          for _ in range(rng.randrange(3))])
         assert big.contains(inside)
         for small in (inside, other, big, Subspace.zero(field, n), Subspace.full(field, n)):
-            assert big.contains(small) == (big.sum_with(small) == big)
+            assert big.contains(small) == (Subspace.span(field, n, big.basis + small.basis) == big)
 
 
 def test_vstack():
@@ -283,13 +245,13 @@ def test_echelon_form_is_canonical():
         Subspace(GF2, 3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))  # not RREF
 
 
-def test_solve_linear_system():
-    assert solve_linear_system(GF2, 4, []) == Subspace.full(GF2, 4)
+def test_kernel_of_constraint_rows():
+    assert Matrix.build(GF2, [], 4).kernel() == Subspace.full(GF2, 4)
     rows = [[1, 0], [0, 1]]
-    assert solve_linear_system(GF2, 2, rows) == Subspace.zero(GF2, 2)
+    assert Matrix.build(GF2, rows, 2).kernel() == Subspace.zero(GF2, 2)
 
 
-def test_solve_linear_system_polarization_family():
+def test_kernel_of_constraint_rows_polarization_family():
     # Compatibility for the supersingular block: brute-force all 2x2 matrices
     # over F_2, keep the antisymmetric zero-diagonal ones with F^T G = G V.
     f = v = I11_OP
@@ -305,9 +267,9 @@ def test_solve_linear_system_polarization_family():
             continue
         family.append(g)
     assert len(family) == 2  # zero and the hyperbolic plane: a 1-dimensional family
-    # same family through the solver: one unknown u = G_01, and every entry of
+    # same family as a kernel: one unknown u = G_01, and every entry of
     # F^T G - G V vanishes identically in u, so all four constraint rows are 0
-    sol = solve_linear_system(GF2, 1, [[0], [0], [0], [0]])
+    sol = Matrix.build(GF2, [[0], [0], [0], [0]], 1).kernel()
     assert sol.dim == 1
 
 
@@ -321,8 +283,8 @@ def test_matmul_apply_power_inverse(p):
         b = random_matrix(rng, field, n, n)
         vec = [rng.randrange(p) for _ in range(n)]
         assert (a @ b).apply(vec) == a.apply(b.apply(vec))
-        assert a.power(3) == a @ a @ a
-        assert a.power(0) == Matrix.identity(field, n)
+        assert (a @ a) @ a == a @ (a @ a)
+        assert Matrix.identity(field, n) @ a == a == a @ Matrix.identity(field, n)
     m = Matrix.build(field, [[1, 1], [0, 1]])
     assert m @ m.inverse() == Matrix.identity(field, 2)
     with pytest.raises(ValueError):
@@ -371,13 +333,6 @@ def _dense_kernel(rows, n):
     return _dense_span(basis, n)
 
 
-def _dense_intersect(a, b, n):
-    # Zassenhaus: reduce [a | a] and [b | 0]; rows with a zero left half span a ∩ b
-    stacked = [list(v) + list(v) for v in a] + [list(v) + [0] * n for v in b]
-    reduced, _ = reference_rref_modp(stacked, 2 * n, 2)
-    return _dense_span([r[n:] for r in reduced if not any(r[:n])], n)
-
-
 def _random_rows(rng, nrows, ncols):
     """Random 0/1 rows, sometimes of low rank so kernels and preimages are large."""
     if ncols and rng.random() < 0.4:
@@ -416,16 +371,13 @@ def test_packed_gf2_matches_dense_reference():
         a_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
         b_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
         a, b = Subspace.span(GF2, nrows, a_basis), Subspace.span(GF2, nrows, b_basis)
-        ann = _dense_kernel(a_basis, nrows)
-        _assert_same_subspace(a.annihilator(), ann, nrows)
-        constraint = _dense_mul(ann, rows, nrows, ncols)
-        _assert_same_subspace(m.preimage(a), _dense_kernel(constraint, ncols), ncols)
+        constraint = _dense_mul(_dense_kernel(a_basis, nrows), rows, nrows, ncols)
+        _assert_same_subspace(reference_preimage(m, a), _dense_kernel(constraint, ncols), ncols)
         total = _dense_span(list(a_basis) + list(b_basis), nrows)
-        _assert_same_subspace(a.sum_with(b), total, nrows)
-        meet = _dense_intersect(a_basis, b_basis, nrows)
-        _assert_same_subspace(a.intersect(b), meet, nrows)
+        both = Subspace.span(GF2, nrows, a_basis + b_basis)
+        _assert_same_subspace(both, total, nrows)
         assert a.contains(b) == (total == a_basis)
-        assert a.sum_with(b).contains(b) and a.contains(a.intersect(b))
+        assert both.contains(a) and both.contains(b)
 
         inner = rng.randrange(25)
         other = _random_rows(rng, ncols, inner)
@@ -439,8 +391,6 @@ def test_packed_gf2_matches_dense_reference():
 def test_public_constructors_check_input():
     with pytest.raises(ValueError):
         Matrix.build(GF2, [[1, 0], [1]])  # ragged rows
-    with pytest.raises(ValueError):
-        Matrix.from_columns(GF2, 2, [[1, 0], [1]])
     with pytest.raises(ValueError):
         Subspace.span(GF2, 3, [[1, 0]])
     with pytest.raises(ValueError):

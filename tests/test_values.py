@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ssrank.bt1 import DieudonneModule, InvariantBundle, require_valid
-from ssrank.build import M11Embedding, ProfileQuery, i11
+from ssrank.build import ProfileQuery, i11
 from ssrank.curves import HermitianReport, HyperellipticReport, PoleDivisor, hermitian_analyze, hyp2_analyze
 from ssrank.eo import EOType, FinalType
 from ssrank.ffmat import GF2, Matrix, PrimeField
@@ -44,10 +44,6 @@ CASES = {
                       ("g", "f", "a", "s", "u"), "InvariantBundle(g=3, f=0, a=2, s=1, u=None)"),
     ProfileQuery: (lambda: ProfileQuery(3, 0, 3, 1), lambda: ProfileQuery(3, 0, 3, 2),
                    ("g", "f", "a", "s"), "ProfileQuery(g=3, f=0, a=3, s=1)"),
-    M11Embedding: (lambda: M11Embedding(2, 2, (0, 1, 0, 1), (0, 0, 1, 0)),
-                   lambda: M11Embedding(2, 3, (0, 1, 0, 1), (0, 0, 1, 0)),
-                   ("r", "s", "generator", "frobenius_image"),
-                   "M11Embedding(r=2, s=2, generator=(0, 1, 0, 1), frobenius_image=(0, 0, 1, 0))"),
     PoleDivisor: (lambda: PoleDivisor((3, 9)), lambda: PoleDivisor((9, 3)), ("orders",),
                   "PoleDivisor(orders=(3, 9))"),
     HyperellipticReport: (lambda: hyp2_analyze(PoleDivisor((3, 9))),
