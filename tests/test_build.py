@@ -53,14 +53,24 @@ def test_j_rs_fixtures(gf2, gf3):
     assert eo_type_of(j33) == EOType.of([0, 1, 2])
     assert unpolarized_ss_rank(j_rs(2, 2, gf2)) == 1
     for r, s in itertools.product(range(1, 5), repeat=2):
-        m = j_rs(r, s, gf3)
-        assert validate_bt1(m) == []
-        if r > 1 and s > 1:  # y = F^(r-1) x + V^(s-1) x has Fy = -Vy != 0, so j_rs holds an FV block
-            y = [int(i in (r - 1, r + s - 1)) for i in range(r + s)]
-            fy = m.frobenius.apply(y)
-            assert any(fy) and m.verschiebung.apply(y) == tuple(-e % 3 for e in fy)
+        assert validate_bt1(j_rs(r, s, gf3)) == []
     with pytest.raises(ValueError):
         j_rs(0, 1, gf2)
+
+
+def test_m11_embedding(gf2, gf3):
+    # y = F^(r-1) x + V^(s-1) x has Fy = -Vy != 0, so j_rs(r, s) holds an FV block once r, s > 1
+    def witness(r, s):
+        return tuple(int(i in (r - 1, r + s - 1)) for i in range(r + s))
+
+    assert witness(2, 2) == (0, 1, 0, 1)       # Fx + Vx
+    assert witness(3, 2) == (0, 0, 1, 0, 1)    # F^2 x + Vx
+    assert any(j_rs(2, 2, gf2).frobenius.apply(witness(2, 2)))
+    for r, s in itertools.product(range(2, 5), repeat=2):
+        module = j_rs(r, s, gf3)
+        fy = module.frobenius.apply(witness(r, s))
+        vy = module.verschiebung.apply(witness(r, s))
+        assert any(fy) and vy == tuple((-e) % 3 for e in fy), (r, s)
 
 
 def test_h_rs_fixtures(gf2, gf3):
