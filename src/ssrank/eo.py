@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from .bt1 import DieudonneModule, require_valid
-from .ffmat import Matrix, PrimeField, Subspace, _set, _Value
+from .ffmat import Matrix, PrimeField, Subspace, _combine, _set, _Value
 
 
 class FiltrationError(ValueError):
@@ -78,29 +78,6 @@ class EOType(_Value):
         return "[" + ",".join(str(v) for v in self.nu) + "]"
 
 
-class FinalType(_Value):
-    """The symmetric extension psi(0..2g) of an EO type."""
-
-    __slots__ = _fields = ("psi",)
-
-    def __init__(self, psi: tuple[int, ...]) -> None:
-        psi = tuple(psi)
-        if len(psi) % 2 == 0 or not psi:
-            raise ValueError("psi must have odd length 2g + 1")
-        g = (len(psi) - 1) // 2
-        if psi[0] != 0 or psi[2 * g] != g:
-            raise ValueError("psi must run from 0 to g")
-        if any(b - a not in (0, 1) for a, b in zip(psi, psi[1:])):
-            raise ValueError("psi steps must be 0 or 1")
-        if any(psi[i] != psi[2 * g - i] + i - g for i in range(g + 1, 2 * g + 1)):
-            raise ValueError("psi is not symmetric")
-        _set(self, "psi", psi)
-
-    @property
-    def g(self) -> int:
-        return (len(self.psi) - 1) // 2
-
-
 def enumerate_types(g: int) -> Iterator[EOType]:
     """All 2^g EO types of length g, in lexicographic order."""
     if g < 0:
@@ -114,12 +91,6 @@ def enumerate_types(g: int) -> Iterator[EOType]:
         if i < 0:
             return
         nu[i:] = [nu[i] + 1] * (g - i)  # raise the rightmost entry that can; refill after it
-
-
-def extend_final(t: EOType) -> FinalType:
-    """The validated final type of t: 0, then nu, then psi(i) = psi(2g - i) + i - g above g."""
-    psi = (0, *t.nu)
-    return FinalType(psi + tuple(psi[t.g - k] + k for k in range(1, t.g + 1)))
 
 
 def riffle(t: EOType) -> tuple[list[int], list[int]]:
@@ -191,8 +162,11 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     if n % 2 != 0:
         raise FiltrationError("module dimension is odd; no EO type")
     g = n // 2
-    im_f, sources, ker_f = m.frobenius.image_sources_kernel(Subspace.full(m.field, n))
-    section = sources.transpose()
+    field = m.field
+    im_rows, sources, ker_rows = m.frobenius._image_sources_kernel(Subspace.full(field, n)._rows)
+    im_f, ker_f = Subspace._from_rows(field, n, im_rows), Subspace._from_rows(field, n, ker_rows)
+    by_pivot = dict(zip(im_f.pivots(), sources))
+    section = [by_pivot.get(i, 0) for i in range(n)]  # sigma e_i: the source of im F's row with pivot i
 
     lower: dict[Subspace, int] = {}  # lower member -> dim of its V-image
     upper: dict[Subspace, int] = {}  # K -> dim V(ker F + sigma(K))
@@ -201,15 +175,16 @@ def eo_type_of(m: DieudonneModule) -> EOType:
         """Where F^{-1}(N) is kept, given K = N meet ker V."""
         return (upper, meet) if meet.dim else (lower, ker_f)
 
-    todo = [(lower, Subspace.zero(m.field, n)), f_inverse(im_f)]
+    todo = [(lower, Subspace.zero(field, n)), f_inverse(im_f)]
     while todo:
         members, key = todo.pop()
         if key not in members:
-            rows = key._rows if members is lower else ker_f._rows + tuple(section._images(key))
+            rows = (key._rows if members is lower
+                    else ker_f._rows + tuple(_combine(field, section, n, key._rows)))
             image, _, meet = m.verschiebung._image_sources_kernel(rows)
             members[key] = len(image)
-            todo += ((lower, Subspace._from_rows(m.field, n, image)),
-                     f_inverse(Subspace._from_rows(m.field, n, meet)))
+            todo += ((lower, Subspace._from_rows(field, n, image)),
+                     f_inverse(Subspace._from_rows(field, n, meet)))
 
     for keys in (sorted(lower, key=lambda s: s.dim), sorted(upper, key=lambda s: s.dim)):
         for small, big in zip(keys, keys[1:]):

@@ -10,7 +10,7 @@ rows are equal ints.  Over F_2 the kernels XOR rows; over odd p they add integer
 multiples of whole rows with delayed modular reduction (Dumas, Giorgi and
 Pernet, TOMS 2008; Dumas, Fousse and Salvy, JSC 2011): sums go into slots just
 wide enough for their worst case, and each result is reduced once.  Entries are
-unpacked only when read: `Matrix.entries`, `Matrix.column()`, `Subspace.basis`.
+unpacked only when read: `Matrix.entries` and `Subspace.basis`.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
 `Subspace(...)` constructors, `Matrix.build` and `Subspace.span`.  Results
@@ -376,9 +376,6 @@ class Matrix(_Value):
         _check_dims(n)
         return cls._from_rows(field, n, n, (1 << field._bits * i for i in range(n)))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.field._unpack(self._columns()[j], self.nrows))
-
     def transpose(self) -> "Matrix":
         t = Matrix._from_rows(self.field, self.ncols, self.nrows, self._columns())
         _set(t, "_cols", self._rows)
@@ -413,15 +410,6 @@ class Matrix(_Value):
         return Matrix._from_rows(self.field, self.nrows, other.ncols,
                                  _combine(self.field, other._rows, other.ncols, self._rows))
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Image of a column vector under this matrix."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match ncols")
-        field = self.field
-        v = field._pack(bytes([e % field.p for e in vec]))
-        image, = _combine(field, self._columns(), self.nrows, [v])
-        return tuple(field._unpack(image, self.nrows))
-
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -434,43 +422,20 @@ class Matrix(_Value):
         reduced, pivots = rref(self.field, self._rows, self.ncols)
         return _span(self.field, self.ncols, _null_vectors(self.field, reduced, pivots, self.ncols))
 
-    def image(self) -> "Subspace":
-        """Column space as a subspace of F_p^nrows."""
-        return _span(self.field, self.nrows, self._columns())
-
     def map_subspace(self, s: "Subspace") -> "Subspace":
         """Image of a subspace under this matrix."""
-        return _span(self.field, self.nrows, self._images(s))
-
-    def _images(self, s: "Subspace") -> list[Row]:
-        """Images of the echelon basis of s, in internal form and unreduced."""
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
-        return _combine(self.field, self._columns(), self.nrows, s._rows)
-
-    def image_sources_kernel(self, s: "Subspace") -> tuple["Subspace", "Matrix", "Subspace"]:
-        """M(S), sources in S for it, and S meet ker M, from one reduction of the rows (M b | b).
-
-        Over the echelon basis b of S, rows with a nonzero left half give the echelon basis of
-        M(S) and, as right halves, its sources; the other rows' right halves are the echelon
-        basis of S meet ker M.  Row i of the nrows x ncols sources matrix is the source of the
-        image row with pivot column i (0 elsewhere), so M @ sources.T fixes all of M(S).
-        """
-        if s.ambient_dim != self.ncols:
-            raise ValueError("ambient dimension does not match ncols")
-        field, m = self.field, self.nrows
-        rows, sources, kernel = self._image_sources_kernel(s._rows)
-        image = Subspace._from_rows(field, m, rows)
-        by_pivot = dict(zip(image.pivots(), sources))
-        return (image, Matrix._from_rows(field, m, self.ncols, (by_pivot.get(i, 0) for i in range(m))),
-                Subspace._from_rows(field, self.ncols, kernel))
+        return _span(self.field, self.nrows, _combine(self.field, self._columns(), self.nrows, s._rows))
 
     def _image_sources_kernel(self, basis: Sequence[Row]) -> tuple[tuple[Row, ...], ...]:
-        """The rows of `image_sources_kernel` for S spanned by basis, which need not be echelon.
+        """M(S), sources in S for it, and S meet ker M, from one reduction of the rows (M b | b)
+        over rows b that span S and need not be echelon.
 
-        Returns the echelon rows of M(S), the source of each in the same order, and the
-        echelon rows of S meet ker M.  The RREF of (M b | b) is canonical for its row span,
-        so the halves are canonical whatever rows b span S.
+        Rows with a nonzero left half give the echelon rows of M(S) and, as right halves, the
+        source of each in the same order; the other rows' right halves are the echelon rows of
+        S meet ker M.  The RREF of (M b | b) is canonical for its row span, so the halves are
+        canonical whatever rows b span S.
         """
         field, m = self.field, self.nrows
         split = field._bits * m

@@ -26,7 +26,7 @@ from ssrank.bt1 import (
 )
 from ssrank.build import h_rs, i11, j_rs, ord1
 from ssrank.eo import EOType, canonical_module, eo_type_of
-from ssrank.ffmat import Matrix, PrimeField, Subspace
+from ssrank.ffmat import Matrix, PrimeField, Subspace, vstack
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
 from helpers import (
@@ -134,11 +134,9 @@ def brute_force_u(m) -> int:
             return
         for idx in range(start, len(vectors)):
             cand = vectors[idx]
-            stacked = []
-            for v in chosen + [cand]:
-                stacked.append(list(v))
-                stacked.append(list(m.frobenius.apply(v)))
-            if Matrix.build(field, stacked, m.dim).rank() == 2 * (len(chosen) + 1):
+            vectors_so_far = Matrix.build(field, chosen + [cand], m.dim)
+            stacked = vstack(vectors_so_far, vectors_so_far @ m.frobenius.transpose())
+            if stacked.rank() == 2 * (len(chosen) + 1):
                 extend(chosen + [cand], idx + 1)
 
     extend([], 0)

@@ -33,8 +33,8 @@ def test_i11_matrices(gf2, gf3):
     assert m.verschiebung == m.frobenius
     assert m.form == Matrix.build(gf2, [[0, 1], [1, 0]])
     m3 = i11(gf3)
-    assert m3.frobenius.column(0) == (0, 1)
-    assert m3.verschiebung.column(0) == (0, 2)  # Vx = -Fx
+    assert m3.frobenius.transpose().entries[0] == (0, 1)
+    assert m3.verschiebung.transpose().entries[0] == (0, 2)  # Vx = -Fx
     assert check_polarization(m3)
 
 
@@ -60,17 +60,16 @@ def test_j_rs_fixtures(gf2, gf3):
 
 def test_m11_embedding(gf2, gf3):
     # y = F^(r-1) x + V^(s-1) x has Fy = -Vy != 0, so j_rs(r, s) holds an FV block once r, s > 1
-    def witness(r, s):
-        return tuple(int(i in (r - 1, r + s - 1)) for i in range(r + s))
+    def witness(r, s, field):
+        return Matrix.build(field, [[int(i in (r - 1, r + s - 1))] for i in range(r + s)], 1)
 
-    assert witness(2, 2) == (0, 1, 0, 1)       # Fx + Vx
-    assert witness(3, 2) == (0, 0, 1, 0, 1)    # F^2 x + Vx
-    assert any(j_rs(2, 2, gf2).frobenius.apply(witness(2, 2)))
+    assert witness(2, 2, gf2).transpose().entries == ((0, 1, 0, 1),)       # Fx + Vx
+    assert witness(3, 2, gf2).transpose().entries == ((0, 0, 1, 0, 1),)    # F^2 x + Vx
+    assert not (j_rs(2, 2, gf2).frobenius @ witness(2, 2, gf2)).is_zero()
     for r, s in itertools.product(range(2, 5), repeat=2):
-        module = j_rs(r, s, gf3)
-        fy = module.frobenius.apply(witness(r, s))
-        vy = module.verschiebung.apply(witness(r, s))
-        assert any(fy) and vy == tuple((-e) % 3 for e in fy), (r, s)
+        module, y = j_rs(r, s, gf3), witness(r, s, gf3)
+        fy, vy = module.frobenius @ y, module.verschiebung @ y
+        assert not fy.is_zero() and vy == fy.neg(), (r, s)
 
 
 def test_h_rs_fixtures(gf2, gf3):

@@ -122,6 +122,21 @@ def test_polarize_at_its_cap_on_a_conjugated_superspecial_module(tmp_path, capsy
     assert bt1.check_polarization(polarized)
 
 
+@pytest.mark.parametrize("cmd, expected", [
+    ("check", (0, '{\n  "valid": true,\n  "violations": []\n}\n', "")),
+    ("invariants", (2, "", "error: multiplicative rank 0 != etale rank 1\n")),
+    ("decompose", (2, "", "error: census is not self-balanced: etale 1 != multiplicative 0\n")),
+    ("polarize", (2, "", "error: no compatible nondegenerate form exists\n")),
+])
+def test_a_valid_module_with_unequal_etale_and_multiplicative_ranks(tmp_path, capsys, cmd, expected):
+    # the word F: one etale summand and no multiplicative one, a valid BT1 module of dim 1
+    code, out, err = run(capsys, "build", "word", "--w", "F")
+    assert (code, err) == (0, "")
+    path = tmp_path / "f.json"
+    path.write_text(out, encoding="ascii")
+    assert run(capsys, "module", cmd, "--in", str(path)) == expected
+
+
 def test_module_check_rejects_invalid(tmp_path, capsys):
     zero_ops = Matrix.zeros(GF2, 2, 2)
     bad = bt1.DieudonneModule(zero_ops, zero_ops)
@@ -697,6 +712,33 @@ def test_package_imports_only_the_standard_library():
             for root in roots:
                 assert root in sys.stdlib_module_names or root == "ssrank", (name, root)
                 assert root != "random", name  # every answer is deterministic by construction
+
+
+PUBLIC_NAMES = {
+    "GF2", "Matrix", "PrimeField", "Subspace",
+    "Bt1ValidationError", "DieudonneModule", "InvariantBundle", "PolarizationSearchError",
+    "a_number", "check_polarization", "direct_sum", "dual", "from_json", "invariants", "p_rank",
+    "to_json", "unpolarized_ss_rank", "validate_bt1", "zero_module",
+    "EOType", "canonical_module", "enumerate_types", "eo_type_of",
+    "CyclicWord", "WordCensus", "census_invariants", "census_of_type", "decompose",
+    "superspecial_rank", "type_censuses", "word_module",
+    "InfeasibleProfileError", "ProfileQuery", "feasible", "h_rs", "i11", "j_rs", "ord1",
+    "realize", "supersingular_profile",
+    "HermitianReport", "HyperellipticReport", "PoleDivisor", "doubling_orbits", "ekedahl_bound",
+    "hermitian_analyze", "hyp2_analyze", "hyp2_module_oracle", "hyp2_rank0_type",
+}
+
+
+def test_package_exports_exactly_its_public_names():
+    assert len(ssrank.__all__) == len(set(ssrank.__all__)) and set(ssrank.__all__) == PUBLIC_NAMES
+    assert not any(isinstance(getattr(ssrank, name), type(ssrank)) for name in ssrank.__all__)
+
+
+def test_star_import_binds_no_submodule():
+    star: dict = {}
+    exec("from ssrank import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+    assert not any(isinstance(value, type(ssrank)) for value in star.values())
 
 
 def test_parser_is_reused_without_carrying_state(capsys):

@@ -11,11 +11,9 @@ from ssrank.build import j_rs, ord1
 from ssrank.eo import (
     EOType,
     FiltrationError,
-    FinalType,
     canonical_module,
     enumerate_types,
     eo_type_of,
-    extend_final,
     riffle,
     validate_sequence,
 )
@@ -59,21 +57,30 @@ def test_invariant_formulas():
     assert t.p_rank() == 0 and t.a_number() == 2
 
 
-def test_extend_final_examples():
-    assert extend_final(EOType.of([0, 1])).psi == (0, 0, 1, 1, 2)
-    assert extend_final(EOType.of([1])).psi == (0, 1, 1)
-    assert extend_final(EOType.of([0, 0])).psi == (0, 0, 0, 1, 2)
-    with pytest.raises(ValueError):
-        FinalType((0, 0, 2))  # step of size 2
-    with pytest.raises(ValueError):
-        FinalType((0, 1, 1, 1, 2))  # not symmetric
+def final_type(t: EOType) -> list[int]:
+    """psi(0..2g): psi(0) = 0, psi(i) = nu_i for i <= g, psi(2g - i) = psi(i) + g - i."""
+    psi = [0, *t.nu]
+    return psi + [psi[t.g - k] + k for k in range(1, t.g + 1)]
+
+
+def test_final_type_examples():
+    assert final_type(EOType.of([0, 1])) == [0, 0, 1, 1, 2]
+    assert final_type(EOType.of([1])) == [0, 1, 1]
+    assert final_type(EOType.of([0, 0])) == [0, 0, 0, 1, 2]
+    assert riffle(EOType.of([0, 1])) == ([1, 3], [0, 2])
+    assert riffle(EOType.of([1])) == ([0], [1])
+    assert riffle(EOType.of([0, 0])) == ([2, 3], [0, 1])
+    assert riffle(EOType.of([])) == ([], [])
 
 
 def test_riffle_matches_the_validated_final_type():
     for g in range(10):
         for t in enumerate_types(g):
-            psi = extend_final(t).psi
+            psi = final_type(t)
             steps = range(2 * g)
+            assert psi[0] == 0 and psi[2 * g] == g
+            assert all(psi[i + 1] - psi[i] in (0, 1) for i in steps)
+            assert all(psi[2 * g - i] == psi[i] + g - i for i in range(2 * g + 1))
             rises, flats = riffle(t)
             assert rises == [i for i in steps if psi[i + 1] > psi[i]]
             assert flats == [i for i in steps if psi[i + 1] == psi[i]]
@@ -98,7 +105,7 @@ def test_canonical_module_smallest_types(gf2):
     assert decompose(m).as_dict() == {"FFVV": 1}
     # single generator with F^2 x = V^2 x (signs coincide mod 2)
     f, v = m.frobenius, m.verschiebung
-    assert (f @ f).column(3) == (v @ v).column(3) != (0, 0, 0, 0)
+    assert (f @ f).transpose().entries[3] == (v @ v).transpose().entries[3] != (0, 0, 0, 0)
 
     two_part = canonical_module(EOType.of([0, 0, 1]), gf2)
     assert decompose(two_part).as_dict() == {"FV": 1, "FFVV": 1}
@@ -235,7 +242,7 @@ def _member_dims(t: EOType) -> set[int]:
     """The dimensions of the canonical filtration of a type's module, read off psi alone:
     {0, 2g} closed under d -> psi(d), the dim of V(N), and d -> g + d - psi(d), the dim of
     F^{-1}(N) = ker F + sigma(N meet ker V)."""
-    psi, g = extend_final(t).psi, t.g
+    psi, g = final_type(t), t.g
     dims, todo = set(), [0, 2 * g]
     while todo:
         d = todo.pop()

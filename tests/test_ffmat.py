@@ -41,9 +41,9 @@ def test_rank_examples(gf3):
 
 def test_kernel_image_examples():
     assert Matrix.identity(GF2, 3).kernel() == Subspace.zero(GF2, 3)
-    assert Matrix.zeros(GF2, 4, 4).image() == Subspace.zero(GF2, 4)
+    assert Matrix.zeros(GF2, 4, 4).map_subspace(Subspace.full(GF2, 4)) == Subspace.zero(GF2, 4)
     # the exchange axiom instance on the supersingular block: ker F = im V
-    assert I11_OP.kernel() == I11_OP.image()
+    assert I11_OP.kernel() == I11_OP.map_subspace(Subspace.full(GF2, 2))
     assert I11_OP.kernel() == Subspace.span(GF2, 2, [[0, 1]])
 
 
@@ -55,7 +55,8 @@ def test_rank_nullity_and_preimage_randomized(p):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = random_matrix(rng, field, nrows, ncols)
         assert m.kernel().dim + m.rank() == ncols
-        assert reference_preimage(m, m.image()) == Subspace.full(field, ncols)
+        full = Subspace.full(field, ncols)
+        assert reference_preimage(m, m.map_subspace(full)) == full
         s = Subspace.span(field, nrows, [[rng.randrange(p) for _ in range(nrows)]])
         pre = reference_preimage(m, s)
         assert pre.contains(m.kernel())
@@ -91,23 +92,29 @@ def reference_kernel(rows, ncols, p):
     return reference_rref_modp(basis, ncols, p)[0]
 
 
+def entry_lists(field, ncols, rows):
+    """Packed rows of ncols columns, read back as entry lists."""
+    return [list(r) for r in Matrix._from_rows(field, len(rows), ncols, rows).entries]
+
+
 def assert_kernels_match_the_reference(p, rows, ncols, span):
-    """rref, kernel and image_sources_kernel of the rows, on the subspace spanned by span."""
+    """rref and kernel of the rows, and their augmented reduction over the vectors `span`,
+    handed over as they are: not echelon, and possibly dependent."""
     field = PrimeField(p)
     assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
     m = Matrix.build(field, rows, ncols)
     assert [list(v) for v in m.kernel().basis] == reference_kernel(rows, ncols, p)
     s_basis = reference_rref_modp(span, ncols, p)[0]
-    image, sources, kernel = m.image_sources_kernel(Subspace.span(field, ncols, span))
+    image, sources, kernel = m._image_sources_kernel(Matrix.build(field, span, ncols)._rows)
     images = [[sum(a * b for a, b in zip(row, v)) % p for row in rows] for v in s_basis]
-    assert [list(v) for v in image.basis] == reference_rref_modp(images, len(rows), p)[0]
+    assert entry_lists(field, len(rows), image) == reference_rref_modp(images, len(rows), p)[0]
     # S meet ker M: the combinations c of S's basis with sum c_k M b_k = 0
     coeffs = reference_kernel([list(col) for col in zip(*images)], len(s_basis), p)
     meet = [[sum(c * b[j] for c, b in zip(cs, s_basis)) % p for j in range(ncols)] for cs in coeffs]
-    assert [list(v) for v in kernel.basis] == reference_rref_modp(meet, ncols, p)[0]
-    for w, pc in zip(image.basis, image.pivots()):
-        source = sources.entries[pc]
-        assert [sum(a * b for a, b in zip(row, source)) % p for row in rows] == list(w)
+    assert entry_lists(field, ncols, kernel) == reference_rref_modp(meet, ncols, p)[0]
+    assert len(sources) == len(image)
+    for w, source in zip(entry_lists(field, len(rows), image), entry_lists(field, ncols, sources)):
+        assert [sum(a * b for a, b in zip(row, source)) % p for row in rows] == w
 
 
 @pytest.mark.parametrize("p", [3, 5, 97])
@@ -162,7 +169,7 @@ def test_products_at_the_slot_width_edges(p, k, width):
     b = Matrix.build(field, [[p - 1] * 5] * k)
     expected = k * (p - 1) ** 2 % p
     assert (a @ b).entries == ((expected,) * 5,) * 3
-    assert a.apply([p - 1] * k) == (expected,) * 3
+    assert (a @ Matrix.build(field, [[p - 1]] * k)).entries == ((expected,),) * 3
     s = Subspace.span(field, k, [[p - 1] * k])
     assert a.map_subspace(s) == Subspace.span(field, 3, [[expected] * 3])
 
@@ -196,16 +203,20 @@ def test_image_sources_kernel_matches_the_lattice(p):
                                                       for _ in range(rank)], ncols)
         s = Subspace.span(field, ncols, [[rng.randrange(p) for _ in range(ncols)]
                                          for _ in range(rng.randrange(ncols + 1))])
-        image, sources, kernel = m.image_sources_kernel(s)
+        image_rows, source_rows, kernel_rows = m._image_sources_kernel(s._rows)
+        image = Subspace._from_rows(field, nrows, image_rows)
+        kernel = Subspace._from_rows(field, ncols, kernel_rows)
         assert image == m.map_subspace(s)
         assert s.contains(kernel) and m.map_subspace(kernel).dim == 0
         assert kernel.dim == s.dim - image.dim
-        section = sources.transpose()
+        # sigma, with the source of each image row as its column at that row's pivot
+        by_pivot = dict(zip(image.pivots(), source_rows))
+        section = Matrix._from_rows(field, nrows, ncols,
+                                    [by_pivot.get(i, 0) for i in range(nrows)]).transpose()
         assert s.contains(section.map_subspace(image))
         for w in image.basis:
-            assert m.apply(section.apply(w)) == w
-    with pytest.raises(ValueError):
-        I11_OP.image_sources_kernel(Subspace.zero(GF2, 3))
+            column = Matrix.build(field, [[e] for e in w], 1)
+            assert m @ (section @ column) == column
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
@@ -281,8 +292,8 @@ def test_matmul_apply_power_inverse(p):
         n = rng.randrange(1, 6)
         a = random_matrix(rng, field, n, n)
         b = random_matrix(rng, field, n, n)
-        vec = [rng.randrange(p) for _ in range(n)]
-        assert (a @ b).apply(vec) == a.apply(b.apply(vec))
+        vec = Matrix.build(field, [[rng.randrange(p)] for _ in range(n)], 1)
+        assert (a @ b) @ vec == a @ (b @ vec)
         assert (a @ a) @ a == a @ (a @ a)
         assert Matrix.identity(field, n) @ a == a == a @ Matrix.identity(field, n)
     m = Matrix.build(field, [[1, 1], [0, 1]])
@@ -304,7 +315,7 @@ def test_zero_dimensional_edges():
     empty = Matrix.zeros(GF2, 0, 0)
     assert empty.rank() == 0
     assert empty.kernel() == Subspace.zero(GF2, 0)
-    assert empty.image() == Subspace.zero(GF2, 0)
+    assert empty.map_subspace(Subspace.full(GF2, 0)) == Subspace.zero(GF2, 0)
     assert Subspace.full(GF2, 0) == Subspace.zero(GF2, 0)
 
 
@@ -360,7 +371,8 @@ def test_packed_gf2_matches_dense_reference():
         assert m.rank() == len(pivots)
         _assert_same_subspace(m.kernel(), _dense_kernel(rows, ncols), ncols)
         columns = [[row[j] for row in rows] for j in range(ncols)]
-        _assert_same_subspace(m.image(), _dense_span(columns, nrows), nrows)
+        _assert_same_subspace(m.map_subspace(Subspace.full(GF2, ncols)),
+                              _dense_span(columns, nrows), nrows)
 
         src = _dense_span(_random_rows(rng, rng.randrange(ncols + 1), ncols), ncols)
         s = Subspace.span(GF2, ncols, src)

@@ -17,7 +17,7 @@ import pytest
 from ssrank.bt1 import DieudonneModule, InvariantBundle, require_valid
 from ssrank.build import ProfileQuery, i11
 from ssrank.curves import HermitianReport, HyperellipticReport, PoleDivisor, hermitian_analyze, hyp2_analyze
-from ssrank.eo import EOType, FinalType
+from ssrank.eo import EOType
 from ssrank.ffmat import GF2, Matrix, PrimeField
 from ssrank.words import FV, CyclicWord, WordCensus
 
@@ -32,8 +32,6 @@ I11_REPR = (
 CASES = {
     PrimeField: (lambda: PrimeField(3), lambda: PrimeField(5), ("p",), "PrimeField(p=3)"),
     EOType: (lambda: EOType((0, 1)), lambda: EOType((1, 1)), ("nu",), "EOType(nu=(0, 1))"),
-    FinalType: (lambda: FinalType((0, 0, 1, 1, 2)), lambda: FinalType((0, 1, 2, 2, 2)), ("psi",),
-                "FinalType(psi=(0, 0, 1, 1, 2))"),
     CyclicWord: (lambda: CyclicWord("FVV"), lambda: CyclicWord("FFV"), ("letters",),
                  "CyclicWord(letters='FVV')"),
     WordCensus: (lambda: WordCensus(((CyclicWord("FV"), 2),)), lambda: WordCensus(((FV, 1),)),
@@ -121,8 +119,6 @@ def test_constructor_checks_keep_their_messages():
         DieudonneModule(f2, f2, Matrix.zeros(GF2, 3, 3))
     with pytest.raises(ValueError, match=r"^not a valid EO type: \[0, 2\]$"):
         EOType((0, 2))
-    with pytest.raises(ValueError, match="^psi is not symmetric$"):
-        FinalType((0, 0, 1, 2, 2))
     with pytest.raises(ValueError, match="canonical rotation"):
         CyclicWord("VF")
     with pytest.raises(ValueError, match="positive multiplicities"):
@@ -165,7 +161,6 @@ def test_sequence_fields_are_stored_as_tuples():
     census = WordCensus([(FV, 1)])
     assert census.counts == ((FV, 1),) and census == WordCensus(((FV, 1),))
     assert hash(census) == hash(WordCensus(((FV, 1),)))
-    assert FinalType([0, 0, 1]).psi == (0, 0, 1)
     assert PoleDivisor([3, 9]) == PoleDivisor((3, 9)) and PoleDivisor([3, 9]).orders == (3, 9)
 
 
