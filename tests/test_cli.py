@@ -504,6 +504,39 @@ def test_built_module_output_is_golden(capsys):
         digest.update(json.dumps([argv, *run(capsys, *argv)]).encode() + b"\n")
     assert digest.hexdigest() == BUILT_MODULES_SHA256
 
+def _polarize_inputs(capsys):
+    """(file name, module JSON) of every `module polarize` input of the golden digest, in a
+    fixed order: seeded conjugated canonical modules with g <= 4 at p = 2, 3 and 97; the word
+    FFVFVV, whose compatible forms are all degenerate; and j_rs for r, s <= 3."""
+    for p in (2, 3, 97):
+        rng = random.Random(p)
+        for g in range(5):
+            for t in eo.enumerate_types(g):
+                m = conjugated(eo.canonical_module(t, PrimeField(p)), rng)
+                yield f"eo-{p}-{''.join(map(str, t.nu))}.json", bt1.to_json(m)
+    built = [("build", "word", "--w", "FFVFVV", "--p", p) for p in ("2", "97")]
+    built += [("build", "jrs", "--r", str(r), "--s", str(s), "--p", p)
+              for p in ("2", "3", "97") for r, s in itertools.product(range(1, 4), repeat=2)]
+    for argv in built:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        yield "-".join(argv[1:]) + ".json", out
+
+
+POLARIZED_MODULES_SHA256 = "243ff37036af913f40cf0f1f509ccd4007461fbb43d7b8817d6926dd7987aeca"
+
+
+def test_polarized_module_output_is_golden(tmp_path, capsys, monkeypatch):
+    # inputs are named relative to the working directory, so argv is the same on every run
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for name, text in list(_polarize_inputs(capsys)):
+        (tmp_path / name).write_text(text, encoding="ascii")
+        argv = ("module", "polarize", "--in", name)
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode() + b"\n")
+    assert digest.hexdigest() == POLARIZED_MODULES_SHA256
+
+
 def test_filtered_rows_match_a_filtered_list(capsys):
     # reference: the full row list built from the library, filtered afterwards; the
     # empty filter checks the unfiltered listing against it, and values from -1 to g + 1
