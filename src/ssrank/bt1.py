@@ -12,11 +12,12 @@ so they agree with their values over an algebraic closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .ffmat import Matrix, PrimeField, Subspace, _set, _Value, block_diag, vstack
+from .ffmat import Matrix, PrimeField, Row, Subspace, _combine, _set, _Value, block_diag, vstack
 
 
 class Bt1ValidationError(ValueError):
@@ -191,6 +192,8 @@ def dual(m: DieudonneModule) -> DieudonneModule:
 
 def direct_sum(*parts: DieudonneModule) -> DieudonneModule:
     """Block-diagonal sum in the order given; the form is kept when every part has one."""
+    if not parts:
+        raise ValueError("direct_sum needs at least one module")
     form = None
     if all(m.form is not None for m in parts):
         form = block_diag(*[m.form for m in parts])
@@ -205,24 +208,22 @@ def check_polarization(m: DieudonneModule) -> bool:
     return not _form_violations(m)
 
 
-def _compatibility_rows(m: DieudonneModule, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The matrix of G -> F^T G - G V on the basis E_ij = e_i e_j^T - e_j e_i^T.
-
-    One column per pair (i, j), one row per entry (a, b) of the n x n image;
-    rows that vanish mod p are dropped.
-    """
-    n, p = m.dim, m.field.p
-    f, v = m.frobenius.entries, m.verschiebung.entries
-    cols = []
-    for i, j in pairs:
-        col = [0] * (n * n)
-        for a in range(n):
-            col[a * n + j] += f[i][a]
-            col[a * n + i] -= f[j][a]
-            col[i * n + a] -= v[j][a]
-            col[j * n + a] += v[i][a]
-        cols.append(col)
-    return [row for row in zip(*cols) if any(e % p for e in row)]
+def _compatible_forms(m: DieudonneModule) -> list[Row]:
+    """Echelon basis of the compatible alternating Gram matrices, packed row-major (entry (a, b)
+    in slot a * n + b): G -> F^T G - G V sends E_ij = e_i e_j^T - e_j e_i^T, i < j in combinations
+    order, to f_i e_j^T - f_j e_i^T - e_i v_j^T + e_j v_i^T (f_i, v_i the rows of F and V), and
+    each kernel vector on the pairs expands through the units +1 at (i, j), -1 at (j, i)."""
+    field, n = m.field, m.dim
+    p, bits, n2 = field.p, field._bits, n * n
+    pairs = list(itertools.combinations(range(n), 2))
+    f_col = _combine(field, [1 << bits * n * a for a in range(n)], n2, m.frobenius._rows)  # f_i e_0^T
+    v, signs = m.verschiebung._rows, 1 | (p - 1) << bits | (p - 1) << 2 * bits | 1 << 3 * bits
+    images = [_combine(field, [f_col[i] << bits * j, f_col[j] << bits * i, v[j] << bits * n * i,
+                               v[i] << bits * n * j], n2, [signs])[0] for i, j in pairs]
+    system = [r for r in Matrix._from_rows(field, len(pairs), n2, images).transpose()._rows if r]
+    solutions = Matrix._from_rows(field, len(system), len(pairs), system).kernel()
+    units = [1 << bits * (i * n + j) | (p - 1) << bits * (j * n + i) for i, j in pairs]
+    return _combine(field, units, n2, solutions._rows)
 
 
 def _sweep_candidates(d: int, g: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -264,25 +265,21 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
         return Matrix.zeros(m.field, 0, 0)
     if n % 2:
         return None
-    pairs = list(itertools.combinations(range(n), 2))
-    solutions = Matrix.build(m.field, _compatibility_rows(m, pairs), len(pairs)).kernel()
-    basis = [[(i, j, e) for (i, j), e in zip(pairs, bvec) if e] for bvec in solutions.basis]
+    forms, bits, row_mask = _compatible_forms(m), m.field._bits, (1 << m.field._bits * n) - 1
     # a row on which every solution vanishes makes the whole family degenerate
-    if not basis or len({x for bvec in basis for i, j, _ in bvec for x in (i, j)}) < n:
+    union = functools.reduce(int.__or__, forms, 0)
+    if not forms or not all(union >> bits * n * i & row_mask for i in range(n)):
         return None
-    g, d = n // 2, len(basis)
+    g, d = n // 2, len(forms)
     tries = itertools.count(1)
 
-    def gram_and_rank(terms: Iterable[tuple[int, int]]) -> tuple[Matrix, int]:
+    def gram_and_rank(terms: list[tuple[int, int]]) -> tuple[Matrix, int]:
         if next(tries) > _SWEEP_BUDGET:
             raise PolarizationSearchError(f"no compatible nondegenerate form found; the search "
                                           f"stopped after {_SWEEP_BUDGET} candidates, short of its grid")
-        rows = [[0] * n for _ in range(n)]
-        for k, c in terms:
-            for i, j, e in basis[k]:
-                rows[i][j] += c * e
-                rows[j][i] -= c * e
-        gram = Matrix.build(m.field, rows, n)
+        coeffs = sum(c << bits * t for t, (_, c) in enumerate(terms))
+        packed = _combine(m.field, [forms[k] for k, _ in terms], n * n, [coeffs])[0]
+        gram = Matrix._from_rows(m.field, n, n, [packed >> bits * n * i & row_mask for i in range(n)])
         return gram, gram.rank()
 
     chosen, rank = [], 0
@@ -295,7 +292,7 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
                 chosen, rank = chosen + [(k, t)], r
                 break
     for support, values in _sweep_candidates(d, g, p):
-        gram, r = gram_and_rank(zip(support, values))
+        gram, r = gram_and_rank(list(zip(support, values)))
         if r == n:
             return gram
     return None

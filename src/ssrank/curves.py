@@ -101,7 +101,9 @@ def hyp2_module_oracle(divisor: PoleDivisor) -> DieudonneModule:
 
 
 def doubling_orbits(n: int) -> tuple[tuple[int, ...], ...]:
-    """Orbits of Z/(2^n + 1) minus 0 under multiplication by 2."""
+    """Orbits of Z/(2^n + 1) minus 0 under multiplication by 2, for n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     modulus = 2 ** n + 1
     seen = [False] * modulus
     orbits = []

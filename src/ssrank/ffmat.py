@@ -10,7 +10,7 @@ rows are equal ints.  Over F_2 the kernels XOR rows; over odd p they add integer
 multiples of whole rows with delayed modular reduction (Dumas, Giorgi and
 Pernet, TOMS 2008; Dumas, Fousse and Salvy, JSC 2011): sums go into slots just
 wide enough for their worst case, and each result is reduced once.  Entries are
-unpacked only when read: `Matrix.entries` and `Subspace.basis`.
+unpacked, and not kept, on every read of `Matrix.entries` and `Subspace.basis`.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
 `Subspace(...)` constructors, `Matrix.build` and `Subspace.span`.  Results
@@ -273,7 +273,7 @@ def _span(field: PrimeField, ambient_dim: int, rows: Iterable[Row]) -> "Subspace
 class Matrix(_Value):
     """Dense matrix over F_p with the column-action convention."""
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols", "_entries")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
     _fields = ("field", "nrows", "ncols", "entries")  # shown and pickled; compared on _rows
 
     def __init__(self, field: PrimeField, nrows: int, ncols: int,
@@ -281,34 +281,31 @@ class Matrix(_Value):
         _set(self, "field", field)
         _set(self, "nrows", nrows)
         _set(self, "ncols", ncols)
-        _set(self, "_entries", tuple(map(tuple, entries)))
-        self.__post_init__()
+        self.__post_init__(tuple(map(tuple, entries)))
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         _check_dims(self.nrows, self.ncols)
-        if len(self._entries) != self.nrows:
+        if len(entries) != self.nrows:
             raise ValueError("row count does not match entries")
         p = self.field.p
-        for row in self._entries:
+        for row in entries:
             if len(row) != self.ncols:
                 raise ValueError("column count does not match entries")
             for e in row:
                 if not 0 <= e < p:
                     raise ValueError("entries must be reduced mod p")
-        _set(self, "_rows", _to_rows(self.field, self._entries))
+        _set(self, "_rows", _to_rows(self.field, entries))
         _set(self, "_cols", None)
 
     @classmethod
-    def _from_rows(cls, field: PrimeField, nrows: int, ncols: int, rows: Iterable[Row],
-                   entries: tuple[tuple[int, ...], ...] | None = None) -> "Matrix":
-        """Trusted constructor for rows already in internal form (and their entries, if known)."""
+    def _from_rows(cls, field: PrimeField, nrows: int, ncols: int, rows: Iterable[Row]) -> "Matrix":
+        """Trusted constructor for rows already in internal form."""
         m = object.__new__(cls)
         _set(m, "field", field)
         _set(m, "nrows", nrows)
         _set(m, "ncols", ncols)
         _set(m, "_rows", tuple(rows))
         _set(m, "_cols", None)
-        _set(m, "_entries", entries)
         return m
 
     @classmethod
@@ -323,9 +320,7 @@ class Matrix(_Value):
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        if self._entries is None:
-            _set(self, "_entries", tuple(tuple(self.field._unpack(r, self.ncols)) for r in self._rows))
-        return self._entries
+        return tuple(tuple(self.field._unpack(r, self.ncols)) for r in self._rows)
 
     def _columns(self) -> tuple[Row, ...]:
         """Columns in internal form, computed once."""
@@ -364,12 +359,12 @@ class Matrix(_Value):
         for row in tup:
             if len(row) != ncols:
                 raise ValueError("column count does not match entries")
-        return cls._from_rows(field, len(tup), ncols, _to_rows(field, tup), tup)
+        return cls._from_rows(field, len(tup), ncols, _to_rows(field, tup))
 
     @classmethod
     def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "Matrix":
         _check_dims(nrows, ncols)
-        return cls._from_rows(field, nrows, ncols, (0,) * nrows, ((0,) * ncols,) * nrows)
+        return cls._from_rows(field, nrows, ncols, (0,) * nrows)
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
@@ -457,7 +452,9 @@ class Matrix(_Value):
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    """Block-diagonal sum of matrices over one field, in the order given."""
+    """Block-diagonal sum of one or more matrices over one field, in the order given."""
+    if not blocks:
+        raise ValueError("block_diag needs at least one block")
     field = blocks[0].field
     if any(b.field != field for b in blocks):
         raise ValueError("field mismatch")
@@ -470,6 +467,8 @@ def block_diag(*blocks: Matrix) -> Matrix:
 
 def vstack(*blocks: Matrix) -> Matrix:
     """Matrices over one field and of one width, stacked top to bottom in the order given."""
+    if not blocks:
+        raise ValueError("vstack needs at least one block")
     field, ncols = blocks[0].field, blocks[0].ncols
     if any(b.field != field or b.ncols != ncols for b in blocks):
         raise ValueError("field or width mismatch")
@@ -480,21 +479,20 @@ def vstack(*blocks: Matrix) -> Matrix:
 class Subspace(_Value):
     """A subspace of F_p^n held as a canonical reduced row-echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_basis")
+    __slots__ = ("field", "ambient_dim", "_rows")
     _fields = ("field", "ambient_dim", "basis")  # shown and pickled; compared on _rows
 
     def __init__(self, field: PrimeField, ambient_dim: int,
                  basis: Iterable[Iterable[int]]) -> None:
         _set(self, "field", field)
         _set(self, "ambient_dim", ambient_dim)
-        _set(self, "_basis", tuple(map(tuple, basis)))
-        self.__post_init__()
+        self.__post_init__(tuple(map(tuple, basis)))
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, basis: tuple[tuple[int, ...], ...]) -> None:
         n, p = self.ambient_dim, self.field.p
         _check_dims(n)
-        if all(len(v) == n and all(0 <= e < p for e in v) for v in self._basis):
-            rows = _to_rows(self.field, self._basis)
+        if all(len(v) == n and all(0 <= e < p for e in v) for v in basis):
+            rows = _to_rows(self.field, basis)
             if rref(self.field, rows, n)[0] == rows:
                 _set(self, "_rows", rows)
                 return
@@ -507,7 +505,6 @@ class Subspace(_Value):
         _set(s, "field", field)
         _set(s, "ambient_dim", ambient_dim)
         _set(s, "_rows", rows)
-        _set(s, "_basis", None)
         return s
 
     @classmethod
@@ -526,9 +523,7 @@ class Subspace(_Value):
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        if self._basis is None:
-            _set(self, "_basis", tuple(tuple(self.field._unpack(r, self.ambient_dim)) for r in self._rows))
-        return self._basis
+        return tuple(tuple(self.field._unpack(r, self.ambient_dim)) for r in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

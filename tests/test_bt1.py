@@ -25,14 +25,15 @@ from ssrank.bt1 import (
     zero_module,
 )
 from ssrank.build import h_rs, i11, j_rs, ord1
-from ssrank.eo import EOType, canonical_module, eo_type_of
-from ssrank.ffmat import Matrix, PrimeField, Subspace, vstack
+from ssrank.eo import EOType, canonical_module, enumerate_types, eo_type_of
+from ssrank.ffmat import Matrix, PrimeField, Subspace, block_diag, vstack
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
 from helpers import (
     all_cyclic_words,
     brute_force_has_polarization,
     compatible_form_basis,
+    conjugated,
     reference_to_json,
     reference_validate_bt1,
     twisted_word_module,
@@ -204,6 +205,12 @@ def test_direct_sum_examples(gf2):
         direct_sum(i11(gf2), i11(PrimeField(3)))
 
 
+def test_a_sum_of_nothing_is_an_error():
+    for empty_sum, what in ((direct_sum, "module"), (block_diag, "block"), (vstack, "block")):
+        with pytest.raises(ValueError, match=f"needs at least one {what}"):
+            empty_sum()
+
+
 def test_direct_sum_is_n_ary(gf2, gf3):
     for field in (gf2, gf3):
         formed = (i11(field), ord1(field), canonical_module(EOType.of([0, 1]), field))
@@ -270,6 +277,44 @@ def test_find_polarization_matches_a_search_over_all_of_fp(p):
             assert gram is None or check_polarization(m.with_form(gram))
             verdicts.append(exists)
     assert len(set(verdicts)) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_packed_compatible_forms_match_the_matrix_product_reference(p):
+    field, rng = PrimeField(p), random.Random(p)
+    modules = [conjugated(canonical_module(t, field), rng) for g in range(4) for t in enumerate_types(g)]
+    twisted = [twisted_word_module(w, lam, field) for w in ("FV", "FFVV", "FFVFVV", "FFFVV")
+               for lam in sorted({1, 2 % p, p - 1} - {0})]
+    # twisted word modules, their sums, and sums with a canonical module in a random basis
+    modules += twisted + [direct_sum(a, b) for a, b in itertools.combinations(twisted[:4], 2)]
+    c01 = canonical_module(EOType.of([0, 1]), field)
+    modules += [conjugated(direct_sum(t, c01), rng) for t in twisted[:3]]
+    for m in modules:
+        n = m.dim
+        pairs = list(itertools.combinations(range(n), 2))
+        coefficients = []
+        for form in bt1._compatible_forms(m):
+            entries = field._unpack(form, n * n)
+            assert all(entries[i * n + i] == 0 for i in range(n))
+            assert all((entries[i * n + j] + entries[j * n + i]) % p == 0 for i, j in pairs)
+            coefficients.append(tuple(entries[i * n + j] for i, j in pairs))
+        assert tuple(coefficients) == compatible_form_basis(m)
+
+
+def test_find_polarization_stays_on_packed_rows(monkeypatch):
+    modules = [conjugated(canonical_module(EOType.of(nu), PrimeField(p)), random.Random(p))
+               for p in (2, 3, 97) for nu in ([0, 0, 0], [0, 1, 1], [1, 2, 2])]
+    modules += [word_module(CyclicWord.of("FFVFVV"), PrimeField(p)) for p in (2, 97)]
+
+    def unpacked(*args):
+        raise AssertionError("the search left the packed rows")
+
+    monkeypatch.setattr(Matrix, "build", classmethod(unpacked))
+    monkeypatch.setattr(Matrix, "entries", property(unpacked))
+    monkeypatch.setattr(Subspace, "basis", property(unpacked))
+    found = [find_polarization(m) for m in modules]
+    assert all(check_polarization(m.with_form(gram)) for m, gram in zip(modules[:-2], found))
+    assert found[-2:] == [None, None]
 
 
 def test_find_polarization_on_sparse_canonical_coordinates():

@@ -115,6 +115,13 @@ def test_hermitian_small_cases():
         hermitian_analyze(3, 0)
 
 
+def test_doubling_orbits_reject_n_below_one():
+    # n = 0 would give Z/2, whose one orbit under doubling is {0, 1}
+    for n in (0, -1, -5):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            doubling_orbits(n)
+
+
 def test_orbit_structure_parity():
     for n in range(1, 21):
         orbits = doubling_orbits(n)
