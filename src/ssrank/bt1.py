@@ -5,9 +5,9 @@ A module is a 2g-dimensional F_p-space with commuting-to-zero operators F
 ker F = im V and ker V = im F, optionally equipped with a nondegenerate
 alternating form compatible with the operators: <Fx, y> = <x, Vy>.
 
-Structure constants live in F_p; dimension-valued invariants (p-rank,
-a-number, unpolarized superspecial rank) are insensitive to base change,
-so they agree with their values over an algebraic closure.
+Structure constants live in F_p.  The p-rank and a-number agree with their
+values over an algebraic closure; u = dim F(ker(F + V)) is the F_p-rational
+count of supersingular blocks, and it can fall below the superspecial rank s.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .ffmat import Matrix, PrimeField, Row, Subspace, _combine, _set, _Value, block_diag, vstack
+from .ffmat import Matrix, PrimeField, Row, Subspace, _combine, _scale_table, _set, _Value, block_diag, vstack
 
 
 class Bt1ValidationError(ValueError):
@@ -211,8 +211,9 @@ def check_polarization(m: DieudonneModule) -> bool:
 def _compatible_forms(m: DieudonneModule) -> list[Row]:
     """Echelon basis of the compatible alternating Gram matrices, packed row-major (entry (a, b)
     in slot a * n + b): G -> F^T G - G V sends E_ij = e_i e_j^T - e_j e_i^T, i < j in combinations
-    order, to f_i e_j^T - f_j e_i^T - e_i v_j^T + e_j v_i^T (f_i, v_i the rows of F and V), and
-    each kernel vector on the pairs expands through the units +1 at (i, j), -1 at (j, i)."""
+    order, to f_i e_j^T - f_j e_i^T - e_i v_j^T + e_j v_i^T (f_i, v_i the rows of F and V).  A
+    kernel vector c on the pairs is the Gram matrix's upper triangle: the pairs (i, j > i) are
+    the contiguous slots from i * n - i(i + 1) / 2, placed in row i and, negated, in column i."""
     field, n = m.field, m.dim
     p, bits, n2 = field.p, field._bits, n * n
     pairs = list(itertools.combinations(range(n), 2))
@@ -222,8 +223,17 @@ def _compatible_forms(m: DieudonneModule) -> list[Row]:
                                v[i] << bits * n * j], n2, [signs])[0] for i, j in pairs]
     system = [r for r in Matrix._from_rows(field, len(pairs), n2, images).transpose()._rows if r]
     solutions = Matrix._from_rows(field, len(system), len(pairs), system).kernel()
-    units = [1 << bits * (i * n + j) | (p - 1) << bits * (j * n + i) for i, j in pairs]
-    return _combine(field, units, n2, solutions._rows)
+    if p == 2:  # cheaper: the XOR of the units E_ij at each kernel vector's set bits
+        return _combine(field, [1 << i * n + j | 1 << j * n + i for i, j in pairs], n2, solutions._rows)
+    neg, forms = _scale_table(p, p - 1), []
+    for c in solutions._rows:
+        upper, gram = field._unpack(c, len(pairs)), bytearray(n2)
+        for i in range(n):
+            start = i * n - i * (i + 1) // 2
+            row = upper[start:start + n - 1 - i]
+            gram[i * n + i + 1:(i + 1) * n], gram[(i + 1) * n + i::n] = row, row.translate(neg)
+        forms.append(field._pack(gram))
+    return forms
 
 
 def _sweep_candidates(d: int, g: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

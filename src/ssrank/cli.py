@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
 
     mod_cmd = top.add_parser("module", help="operate on a serialized module")
     mod_sub = mod_cmd.add_subparsers(dest="cmd", required=True)
-    for name, help_text in (("invariants", "p-rank, a-number, unpolarized rank"),
+    for name, help_text in (("invariants", "p-rank, a-number, unpolarized rank u over F_p (can be < s)"),
                             ("decompose", "cyclic-word census and census invariants"),
                             ("check", "validate the BT1 axioms and any attached form"),
                             ("polarize", "attach a compatible nondegenerate form")):

@@ -5,8 +5,8 @@ nu_i <= nu_{i+1} <= nu_i + 1; there are exactly 2^g of them.  Each type
 extends symmetrically to a final profile psi on 0..2g, from which a
 canonical module is assembled whose operators are signed partial
 permutation matrices and whose form is written down, not searched for.
-The reverse direction recovers the type of an arbitrary valid module from
-its canonical filtration.
+The reverse direction reads the final profile of any valid module off its
+canonical filtration, and the type of a quasipolarizable one.
 """
 
 from __future__ import annotations
@@ -93,18 +93,19 @@ def enumerate_types(g: int) -> Iterator[EOType]:
         nu[i:] = [nu[i] + 1] * (g - i)  # raise the rightmost entry that can; refill after it
 
 
-def riffle(t: EOType) -> tuple[list[int], list[int]]:
-    """The steps i < 2g where the final type psi of t rises, psi(i + 1) > psi(i), and the rest.
+def riffle(psi: EOType | Sequence[int]) -> tuple[list[int], list[int]]:
+    """The steps i where a profile psi rises, psi(i + 1) > psi(i), then the rest, both increasing.
 
-    Both lists increase.  Below g the steps are those of nu; psi(2g - i) =
-    psi(i) + g - i makes step 2g - 1 - i a rise exactly when step i is flat.
+    A type's riffle is that of its final type psi(0..2g): psi(i) = nu_i for
+    i <= g and psi(2g - i) = psi(i) + g - i.
     """
-    rises, flats, prev = [], [], 0
-    for i, v in enumerate(t.nu):
-        (rises if v > prev else flats).append(i)
-        prev = v
-    top = 2 * t.g - 1
-    return rises + [top - i for i in reversed(flats)], flats + [top - i for i in reversed(rises)]
+    if isinstance(psi, EOType):
+        g, psi = psi.g, [0, *psi.nu]
+        psi += [psi[g - k] + k for k in range(1, g + 1)]
+    rises, flats = [], []
+    for i, (lo, hi) in enumerate(zip(psi, psi[1:])):
+        (rises if hi > lo else flats).append(i)
+    return rises, flats
 
 
 def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:
@@ -134,8 +135,8 @@ def canonical_module(t: EOType, field: PrimeField) -> DieudonneModule:
                            Matrix._sparse(field, n, gram))
 
 
-def eo_type_of(m: DieudonneModule) -> EOType:
-    """Recover the EO type of a valid module from its canonical filtration.
+def _final_profile(m: DieudonneModule) -> list[int]:
+    """The final profile psi(0..n) of a valid module of dimension n, from its canonical filtration.
 
     Closes {0, M} under N -> V(N) and N -> F^{-1}(N); the result is a chain
     whose V-image dimensions pin psi at the chain's dimensions.  Between
@@ -158,11 +159,7 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     members through their keys, and no pair across.
     """
     require_valid(m)
-    n = m.dim
-    if n % 2 != 0:
-        raise FiltrationError("module dimension is odd; no EO type")
-    g = n // 2
-    field = m.field
+    n, field = m.dim, m.field
     im_rows, sources, ker_rows = m.frobenius._image_sources_kernel(Subspace.full(field, n)._rows)
     im_f, ker_f = Subspace._from_rows(field, n, im_rows), Subspace._from_rows(field, n, ker_rows)
     by_pivot = dict(zip(im_f.pivots(), sources))
@@ -201,8 +198,14 @@ def eo_type_of(m: DieudonneModule) -> EOType:
             raise FiltrationError("graded piece has partial V-rank; not a BT1 filtration")
         for i in range(lo, hi + 1):
             psi[i] = psi_at[lo] + (i - lo if jump else 0)
-    psi[n] = psi_at[n]
+    return psi
 
+
+def eo_type_of(m: DieudonneModule) -> EOType:
+    """Recover the EO type of a valid module: its final profile, checked to be a type's."""
+    psi, n, g = _final_profile(m), m.dim, m.dim // 2
+    if n % 2 != 0:
+        raise FiltrationError("module dimension is odd; no EO type")
     if psi[n] != g:
         raise FiltrationError("V has rank different from g; module is not self-balanced")
     for i in range(g + 1, n + 1):

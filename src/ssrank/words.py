@@ -8,20 +8,11 @@ that census.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
-from .bt1 import (
-    Bt1ValidationError,
-    DieudonneModule,
-    InvariantBundle,
-    require_valid,
-)
-from .eo import EOType, eo_type_of
+from .bt1 import DieudonneModule, InvariantBundle, require_valid
+from .eo import EOType, _final_profile, riffle
 from .ffmat import Matrix, PrimeField, _set, _Value
-
-
-class DecompositionError(ValueError):
-    """Module is neither in word form nor canonicalizable."""
 
 
 class CyclicWord(_Value):
@@ -37,6 +28,7 @@ class CyclicWord(_Value):
 
     @classmethod
     def of(cls, letters: str) -> "CyclicWord":
+        """The cyclic word of letters, in least rotation; a power u^k stays one word u^k."""
         _check_letters(letters)
         return cls._trusted(_least_rotation(letters))
 
@@ -89,10 +81,6 @@ def _least_rotation(s: str) -> str:
     return best
 
 
-def _census_key(item: tuple[CyclicWord, int]) -> tuple[int, str]:
-    return len(item[0].letters), item[0].letters
-
-
 class WordCensus(_Value):
     """Multiset of cyclic words with multiplicities, canonically ordered."""
 
@@ -100,7 +88,7 @@ class WordCensus(_Value):
 
     def __init__(self, counts: tuple[tuple[CyclicWord, int], ...]) -> None:
         counts = tuple((w, m) for w, m in counts)
-        keys = [_census_key(item) for item in counts]
+        keys = [(len(w.letters), w.letters) for w, _ in counts]
         if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in counts):
             raise ValueError("census must list distinct words in order, with positive multiplicities")
         _set(self, "counts", counts)
@@ -141,7 +129,8 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
     z_i.  For mixed words the wrap-around edge carries coefficient -1, so
     e.g. FV yields the relation Fx = -Vx of the rank-p^2 supersingular block
     rationally, not just over the algebraic closure.  (Mod 2 the twist is
-    invisible.)
+    invisible.)  A power u^k gives one band, which splits over an algebraic
+    closure into k bands of u, so `decompose` counts it as k copies of u.
     """
     n = len(w)
     closing = -1 if w.is_mixed() else 1
@@ -197,14 +186,16 @@ def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
 
 
 def _word_census(m: DieudonneModule) -> WordCensus | None:
-    """Census of a module in word form, read straight off its packed columns, else None.
+    """Census of a valid module in word form, read straight off its packed columns, else None.
 
     None unless every operator column is zero or a signed unit and neither
     operator hits a node twice; a packed column (entry i in slot i) is a
     signed unit at i exactly when shifting out the slots below its lowest set
     bit leaves 1 or p - 1.  Walking forward along F and backward along V then
-    gives each node one successor; once checked to be a permutation, each
-    cycle is walked from its least node, clearing the successors it passes.
+    gives each node one successor, and they form a permutation: ker F and
+    im V are spanned by the nodes F kills and V hits, so ker F = im V gives
+    each node an F-image or a V-preimage, never both, and likewise
+    ker V = im F makes each node hit by F or not killed by V, never both.
     """
     bits, units = m.field._bits, {1, m.field.p - 1}
     maps = []
@@ -220,14 +211,18 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
             return None
         maps.append(targets)
     f_next, v_next = maps
-    n = m.dim
-    succ, letters = [f_next.get(j) for j in range(n)], ["F"] * n
+    succ, letters = [f_next.get(j) for j in range(m.dim)], ["F"] * m.dim
     for j, k in v_next.items():
-        if succ[k] is not None:
-            raise DecompositionError("node has both an F-image and a V-preimage")
         succ[k], letters[k] = j, "V"
-    if None in succ or len(set(succ)) != n:
-        raise DecompositionError("a node has no successor or is entered twice")
+    return _cycle_census(succ, letters)
+
+
+def _cycle_census(succ: list[int | None], letters: Sequence[str]) -> WordCensus:
+    """The census of the cycles of the permutation succ, node k reading letters[k].
+
+    Each cycle is walked from its least node, clearing the successors it
+    passes.  A cycle that reads u^k, u primitive, counts as k copies of u.
+    """
     cycles = []
     for start, node in enumerate(succ):
         if node is None:  # a walked node's successor is cleared
@@ -236,13 +231,9 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
         while node != start:
             word += letters[node]
             succ[node], node = None, succ[node]
-        cycles.append(_entry(word))
+        period = (word + word).find(word, 1)
+        cycles += [_entry(word[:period])] * (len(word) // period)
     return _tally(cycles)
-
-
-def _singletons(g: int) -> list[tuple[int, str]]:
-    """The path fragments before any step: node k alone, reading V iff k < g, at both ends."""
-    return [(k, "V" if k < g else "F") for k in range(2 * g)] * 2
 
 
 def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, rise: int) -> None:
@@ -267,15 +258,9 @@ def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, ris
 
 
 def census_of_type(t: EOType) -> WordCensus:
-    """Word census of the canonical module of a type, without building matrices.
-
-    The steps of type_censuses, taken along t's single path.
-    """
-    g, ends, closed, prev = t.g, _singletons(t.g), [], 0
-    for j, v in enumerate(t.nu):
-        _step(ends, closed, g, j, prev, v - prev)
-        prev = v
-    return _tally(closed)
+    """Word census of the canonical module of a type, read off its riffle without building matrices."""
+    rises, flats = riffle(t)
+    return _cycle_census(rises + flats, "V" * t.g + "F" * t.g)
 
 
 def type_censuses(g: int, f: int | None = None, a: int | None = None,
@@ -319,7 +304,9 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
     """
     if g < 0:
         raise ValueError("g must be nonnegative")
-    todo = [((), 0, _singletons(g), [])]  # (nu prefix, leading rises, fragment ends, closed)
+    # (nu prefix, leading rises, fragment ends, closed); before any step each node k is a
+    # fragment of its own, reading V iff k < g, at both ends
+    todo = [((), 0, [(k, "V" if k < g else "F") for k in range(2 * g)] * 2, [])]
     while todo:
         nu, lead, ends, closed = todo.pop()
         j = len(nu)
@@ -341,22 +328,21 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
 
 
 def decompose(m: DieudonneModule) -> WordCensus:
-    """Cyclic-word census of a valid module.
+    """Cyclic-word census of a valid module, each word primitive.
 
     Word-form inputs (every operator column a signed unit vector or zero) are
-    walked directly; anything else is routed through its EO type and the
-    canonical module.  Routing succeeds for every quasipolarizable input, but
-    success does not imply that a form exists: F e0 = e1, V e0 = c e1 has
-    type [0] and census FV for every c != 0, and a compatible form only for c = -1.
+    walked directly; any other is read off the riffle of its final profile,
+    whose cycles read the primitive words of the census (Gessel-Reutenauer;
+    Mantaci, Restivo, Rosone and Sciortino).  The census forgets each band's
+    monodromy: F e0 = e1, V e0 = c e1 has census FV for every c != 0, and a
+    compatible form only for c = -1.
     """
     require_valid(m)
     census = _word_census(m)
-    if census is not None:
-        return census
-    try:
-        return census_of_type(eo_type_of(m))
-    except (Bt1ValidationError, ValueError) as exc:
-        raise DecompositionError(f"not in word form and not canonicalizable: {exc}") from exc
+    if census is None:  # a node below rank V, the number of rises, reads V
+        rises, flats = riffle(_final_profile(m))
+        census = _cycle_census(rises + flats, "V" * len(rises) + "F" * len(flats))
+    return census
 
 
 def superspecial_rank(m: DieudonneModule) -> int:

@@ -150,13 +150,10 @@ def reference_preimage(op: Matrix, sub: Subspace) -> Subspace:
     return (Matrix.build(op.field, annihilator.basis, op.nrows) @ op).kernel()
 
 
-def reference_eo_type_of(m: DieudonneModule) -> EOType:
-    """EO type from the canonical filtration closed with `map_subspace` and `reference_preimage`."""
+def reference_final_profile(m: DieudonneModule) -> list[int]:
+    """psi(0..n) from the canonical filtration closed with `map_subspace` and `reference_preimage`."""
     require_valid(m)
     n = m.dim
-    if n % 2 != 0:
-        raise FiltrationError("module dimension is odd; no EO type")
-    g = n // 2
     frob, ver = m.frobenius, m.verschiebung
 
     chain = {Subspace.zero(m.field, n), Subspace.full(m.field, n)}
@@ -189,7 +186,16 @@ def reference_eo_type_of(m: DieudonneModule) -> EOType:
         else:
             raise FiltrationError("graded piece has partial V-rank; not a BT1 filtration")
     psi[n] = psi_at[n]
+    return psi
 
+
+def reference_eo_type_of(m: DieudonneModule) -> EOType:
+    """EO type from `reference_final_profile`, checked to be a type's final type."""
+    psi = reference_final_profile(m)
+    n = len(psi) - 1
+    if n % 2 != 0:
+        raise FiltrationError("module dimension is odd; no EO type")
+    g = n // 2
     if psi[n] != g:
         raise FiltrationError("V has rank different from g; module is not self-balanced")
     for i in range(g + 1, n + 1):
@@ -236,6 +242,23 @@ def all_cyclic_words(length: int) -> list[CyclicWord]:
         s = "".join("V" if (bits >> i) & 1 else "F" for i in range(length))
         seen.add(_least_rotation(s))
     return [CyclicWord(s) for s in sorted(seen)]
+
+
+def primitive_root(letters: str) -> tuple[str, int]:
+    """(u, k) with letters = u^k and u primitive, by trying every length that divides."""
+    n = len(letters)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and letters[:d] * (n // d) == letters)
+    return letters[:d], n // d
+
+
+def split_census(letters: list[str]) -> WordCensus:
+    """The census of a sum of word modules, each power u^k counted as k copies of u."""
+    counts: dict[CyclicWord, int] = {}
+    for w in letters:
+        root, k = primitive_root(w)
+        u = CyclicWord.of(root)
+        counts[u] = counts.get(u, 0) + k
+    return census_from_counter(counts)
 
 
 def census_from_counter(counter: Mapping[CyclicWord, int]) -> WordCensus:

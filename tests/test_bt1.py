@@ -105,6 +105,31 @@ def test_unpolarized_rank_examples(gf2):
     assert unpolarized_ss_rank(ord1(gf2)) == 0
 
 
+def _fv_squared(monodromy, field: PrimeField) -> DieudonneModule:
+    """FV + FV on x1, x2, y1, y2 with F x_i = y_i and V x_i = sum_j M_ji y_j."""
+    (a, b), (c, d) = monodromy
+    frob = Matrix.build(field, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+    ver = Matrix.build(field, [[0, 0, 0, 0], [0, 0, 0, 0], [a, b, 0, 0], [c, d, 0, 0]])
+    return DieudonneModule(frob, ver)
+
+
+def test_u_is_the_rational_count_and_can_fall_below_s(gf2):
+    # over a closure every FV band is a supersingular block (Lang), over F_p it need not be
+    m = _fv_squared([[0, 1], [1, 1]], gf2)
+    assert find_polarization(m) is not None
+    assert (unpolarized_ss_rank(m), superspecial_rank(m)) == (0, 2)
+    for p, counts in ((2, (6, 3, 2)), (3, (48, 16, 15))):
+        field, tally = PrimeField(p), [0, 0, 0]  # monodromies, polarizable ones, those with u < s
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            if (a * d - b * c) % p:
+                m = _fv_squared([[a, b], [c, d]], field)
+                polarizable = brute_force_has_polarization(m)
+                assert polarizable == (find_polarization(m) is not None)
+                below = polarizable and unpolarized_ss_rank(m) < superspecial_rank(m) == 2
+                tally = [tally[0] + 1, tally[1] + polarizable, tally[2] + below]
+        assert tuple(tally) == counts, p
+
+
 def test_unpolarized_rank_brute_force_small(gf2):
     # dimension <= 4: compare the closed form against exhaustive embedding search
     for w in all_cyclic_words(4) + all_cyclic_words(3) + all_cyclic_words(2):

@@ -19,7 +19,7 @@ from ssrank.build import feasible, ProfileQuery, i11
 from ssrank.cli import MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, build_parser, main
 from ssrank.ffmat import GF2, Matrix, PrimeField
 
-from helpers import all_cyclic_words, conjugated
+from helpers import all_cyclic_words, conjugated, twisted_word_module
 
 
 def run(capsys, *argv):
@@ -164,6 +164,40 @@ def test_module_check_reports_unfilled_ranks(tmp_path, capsys):
                    '    "ker(V) != im(F)"\n  ]\n}\n')
 
 
+def _metamorphic_modules(field: PrimeField):
+    """(label, module) for every cyclic word of length <= 8, its square and cube up to dim 24,
+    and, for odd p, each word of length <= 6 with its closing edge scaled by 2 and by p - 1."""
+    base = [w.letters for length in range(1, 9) for w in all_cyclic_words(length)]
+    for letters in sorted({words.CyclicWord.of(w * k).letters for w in base for k in (1, 2, 3)}):
+        yield letters, words.word_module(words.CyclicWord(letters), field)
+    for lam in sorted({2, field.p - 1}) if field.p > 2 else ():
+        for letters in base[:37]:  # the words of length <= 6
+            yield f"{letters} twisted by {lam}", twisted_word_module(letters, lam, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_module_answers_do_not_depend_on_the_basis(tmp_path, capsys, p):
+    # invariants, decompose and check answer alike in a seeded random basis; polarize, up to
+    # dim 12, exits alike, and every module it returns passes module check
+    field, rng = PrimeField(p), random.Random(2121 + p)
+    paths = tmp_path / "word.json", tmp_path / "conjugate.json"
+    for label, m in _metamorphic_modules(field):
+        for path, basis in zip(paths, (m, conjugated(m, rng))):
+            path.write_text(bt1.to_json(basis), encoding="ascii")
+        for cmd in ("invariants", "decompose", "check"):
+            word, conjugate = (run(capsys, "module", cmd, "--in", str(path))[:2] for path in paths)
+            assert word == conjugate, (p, label, cmd)
+        if m.dim <= 12:
+            codes = []
+            for path in paths:
+                code, out, _ = run(capsys, "module", "polarize", "--in", str(path))
+                if code == 0:
+                    path.write_text(out, encoding="ascii")
+                    assert run(capsys, "module", "check", "--in", str(path))[0] == 0, (p, label)
+                codes.append(code)
+            assert codes[0] == codes[1], (p, label)
+
+
 def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
     t = eo.EOType.of([0, 1, 1])
     m = eo.canonical_module(t, GF2)
@@ -176,7 +210,7 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
     inv = change.inverse()
     twisted = bt1.DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv,
                                   inv.transpose() @ m.form @ inv)
-    assert words._word_census(twisted) is None  # decompose must go through eo_type_of
+    assert words._word_census(twisted) is None  # decompose must read its final profile
     path = tmp_path / "twisted.json"
     path.write_text(bt1.to_json(twisted), encoding="ascii")
 

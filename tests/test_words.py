@@ -15,11 +15,17 @@ from ssrank.bt1 import (
     validate_bt1,
 )
 from ssrank.build import h_rs, i11, j_rs
-from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
+from ssrank.eo import (
+    EOType,
+    FiltrationError,
+    _final_profile,
+    canonical_module,
+    enumerate_types,
+    eo_type_of,
+)
 from ssrank.ffmat import GF2, Matrix, PrimeField
 from ssrank.words import (
     CyclicWord,
-    DecompositionError,
     WordCensus,
     census_invariants,
     census_of_type,
@@ -32,7 +38,10 @@ from helpers import (
     all_cyclic_words,
     census_from_counter,
     conjugated,
+    primitive_root,
     reference_census_of_type,
+    reference_final_profile,
+    split_census,
     type_of_census,
 )
 
@@ -103,7 +112,8 @@ def test_word_maps_read_back_the_letters():
         field = PrimeField(p)
         for length in range(1, 9):
             for w in all_cyclic_words(length):
-                assert words._word_census(word_module(w, field)).as_dict() == {w.letters: 1}, (p, w)
+                root, k = primitive_root(w.letters)
+                assert words._word_census(word_module(w, field)).as_dict() == {root: k}, (p, w)
 
 
 def test_word_maps_refuse_columns_that_are_not_signed_units():
@@ -130,8 +140,9 @@ def test_decompose_canonical_examples(gf2):
 def test_decompose_round_trip_words(gf2):
     for length in range(1, 13):
         for w in all_cyclic_words(length):
+            root, k = primitive_root(w.letters)
             census = decompose(word_module(w, gf2))
-            assert census.as_dict() == {w.letters: 1}
+            assert census.as_dict() == {root: k}
 
 
 def test_decompose_matches_type_census(gf2, gf3):
@@ -161,11 +172,6 @@ def _census_of_matrices(frob, ver):
 def test_census_of_maps_checks_the_maps_form_a_permutation():
     # F and V send 0 to 1
     assert _census_of_matrices([[0, 0], [1, 0]], [[0, 0], [1, 0]]).as_dict() == {"FV": 1}
-    for frob, ver in (([[0, 0], [0, 0]], [[0, 1], [0, 0]]),  # node 1 has no successor
-                      ([[0, 1], [1, 0]], [[0, 1], [0, 0]]),  # node 0 has an F-image and a V-preimage
-                      ([[0, 0], [1, 0]], [[0, 0], [0, 1]])):  # F e0 = e1 = V e1: node 1 is entered twice
-        with pytest.raises(DecompositionError):
-            _census_of_matrices(frob, ver)
     # F sending both nodes to 0 hits a node twice, so that is not word form at all
     assert _census_of_matrices([[1, 1], [0, 0]], [[0, 0], [0, 0]]) is None
 
@@ -204,7 +210,8 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
         for w in all_cyclic_words(length):
             m = direct_sum(direct_sum(word_module(w, field), word_module(fv, field)),
                            word_module(w, field))
-            counts = {w: 2}
+            root, k = primitive_root(w.letters)
+            counts = {CyclicWord(root): 2 * k}
             counts[fv] = counts.get(fv, 0) + 1
             assert decompose(m) == census_from_counter(counts), w
 
@@ -219,8 +226,10 @@ def test_asymmetric_census_is_not_quasipolarizable(gf2, gf3):
         change = Matrix.build(field, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
         inv = change.inverse()
         conjugate = DieudonneModule(change @ m.frobenius @ inv, change @ m.verschiebung @ inv)
-        with pytest.raises(DecompositionError, match="final profile is not symmetric"):
-            decompose(conjugate)
+        assert words._word_census(conjugate) is None
+        assert decompose(conjugate) == decompose(m)
+        with pytest.raises(FiltrationError, match="final profile is not symmetric"):
+            eo_type_of(conjugate)
         assert find_polarization(m) is None
 
 
@@ -264,14 +273,42 @@ def test_decompose_errors(gf2):
     zero_ops = Matrix.zeros(gf2, 2, 2)
     with pytest.raises(Bt1ValidationError):
         decompose(type(i11(gf2))(zero_ops, zero_ops))
-    # valid BT1, not word form (after conjugation), and odd-dimensional: no route
+    # valid BT1, not word form (after conjugation) and odd-dimensional: read off its final profile
     m = j_rs(1, 2, gf2)
     basis_change = Matrix.build(gf2, [[1, 1, 0], [0, 1, 0], [0, 1, 1]])
     twisted = type(m)(basis_change @ m.frobenius @ basis_change.inverse(),
                       basis_change @ m.verschiebung @ basis_change.inverse())
-    assert validate_bt1(twisted) == []
-    with pytest.raises(DecompositionError):
-        decompose(twisted)
+    assert validate_bt1(twisted) == [] and words._word_census(twisted) is None
+    assert decompose(twisted).as_dict() == {"FVV": 1}
+
+
+def test_final_profile_matches_the_reference_filtration():
+    # quasipolarizable or not, odd dimensions included
+    for p in (2, 3, 97):
+        field, rng = PrimeField(p), random.Random(7300 + p)
+        cyclic = [w.letters for length in range(1, 5) for w in all_cyclic_words(length)]
+        for _ in range(40):
+            letters = rng.choices(cyclic, k=rng.randrange(1, 4))
+            m = conjugated(direct_sum(*(word_module(CyclicWord(w), field) for w in letters)), rng)
+            assert _final_profile(m) == reference_final_profile(m), (p, letters)
+        for t in enumerate_types(4):
+            m = conjugated(canonical_module(t, field), rng)
+            psi = [0, *t.nu]
+            psi += [psi[t.g - k] + k for k in range(1, t.g + 1)]
+            assert _final_profile(m) == reference_final_profile(m) == psi, (p, t)
+
+
+def test_decompose_reads_the_primitive_split_census_in_every_basis():
+    # a power u^k is k copies of u, whichever route reads it
+    for p in (2, 3, 97):
+        field, rng = PrimeField(p), random.Random(2100 + p)
+        cyclic = [w.letters for length in range(1, 9) for w in all_cyclic_words(length)]
+        sums = [rng.choices(cyclic, k=rng.randrange(2, 4)) for _ in range(300)]
+        for letters in [[w] for w in cyclic] + sums:
+            m = direct_sum(*(word_module(CyclicWord(w), field) for w in letters))
+            expected = split_census(letters)
+            assert decompose(m) == expected, (p, letters)
+            assert decompose(conjugated(m, rng)) == expected, (p, letters)
 
 
 def test_superspecial_rank_fixtures(gf2):
