@@ -202,7 +202,9 @@ def _final_profile(m: DieudonneModule) -> list[int]:
 
 
 def eo_type_of(m: DieudonneModule) -> EOType:
-    """Recover the EO type of a valid module: its final profile, checked to be a type's."""
+    """Recover the EO type of a valid module: its final profile, checked to be a type's.
+
+    psi(1..g) needs no type check: _final_profile makes each step 0 or 1 from psi(0) = 0."""
     psi, n, g = _final_profile(m), m.dim, m.dim // 2
     if n % 2 != 0:
         raise FiltrationError("module dimension is odd; no EO type")
@@ -211,4 +213,4 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     for i in range(g + 1, n + 1):
         if psi[i] != psi[n - i] + i - g:
             raise FiltrationError("final profile is not symmetric; module is not quasipolarizable")
-    return EOType(tuple(psi[1:g + 1]))
+    return EOType._trusted(tuple(psi[1:g + 1]))

@@ -43,16 +43,18 @@ _set = object.__setattr__
 class _Value:
     """Slotted immutable base: only the constructors set attributes.
 
-    A subclass lists its compared, hashed and shown attributes in `_fields`,
-    in its constructor's argument order; equality, hashing and repr follow
-    them, and pickling and copying rebuild through the constructor.
+    A subclass lists its shown and pickled attributes in `_fields`, in its
+    constructor's argument order: repr shows them, and pickling and copying
+    rebuild through the constructor.  Its compared and hashed attributes are
+    `_compared`, by default `_fields`; a class whose constructor takes a view
+    of an internal form (Matrix entries, Subspace basis) compares the internal one.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         if "_fields" in vars(cls):
-            cls._key = attrgetter(*cls._fields)
+            cls._key = attrgetter(*vars(cls).get("_compared", cls._fields))
 
     def _assign(self, *values: object) -> None:
         """Set `_fields` in order (constructors off the hot paths)."""
@@ -274,7 +276,8 @@ class Matrix(_Value):
     """Dense matrix over F_p with the column-action convention."""
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
-    _fields = ("field", "nrows", "ncols", "entries")  # shown and pickled; compared on _rows
+    _fields = ("field", "nrows", "ncols", "entries")
+    _compared = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: PrimeField, nrows: int, ncols: int,
                  entries: Iterable[Iterable[int]]) -> None:
@@ -339,15 +342,6 @@ class Matrix(_Value):
                 cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
             _set(self, "_cols", tuple(cols))
         return self._cols
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.field, self.nrows, self.ncols, self._rows) == \
-            (other.field, other.nrows, other.ncols, other._rows)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self._rows))
 
     @classmethod
     def build(cls, field: PrimeField, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "Matrix":
@@ -480,7 +474,8 @@ class Subspace(_Value):
     """A subspace of F_p^n held as a canonical reduced row-echelon basis."""
 
     __slots__ = ("field", "ambient_dim", "_rows")
-    _fields = ("field", "ambient_dim", "basis")  # shown and pickled; compared on _rows
+    _fields = ("field", "ambient_dim", "basis")
+    _compared = ("field", "ambient_dim", "_rows")
 
     def __init__(self, field: PrimeField, ambient_dim: int,
                  basis: Iterable[Iterable[int]]) -> None:
@@ -524,15 +519,6 @@ class Subspace(_Value):
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.field._unpack(r, self.ambient_dim)) for r in self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.field, self.ambient_dim, self._rows) == \
-            (other.field, other.ambient_dim, other._rows)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self._rows))
 
     @property
     def dim(self) -> int:

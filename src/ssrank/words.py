@@ -188,14 +188,17 @@ def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
 def _word_census(m: DieudonneModule) -> WordCensus | None:
     """Census of a valid module in word form, read straight off its packed columns, else None.
 
-    None unless every operator column is zero or a signed unit and neither
-    operator hits a node twice; a packed column (entry i in slot i) is a
-    signed unit at i exactly when shifting out the slots below its lowest set
-    bit leaves 1 or p - 1.  Walking forward along F and backward along V then
-    gives each node one successor, and they form a permutation: ker F and
-    im V are spanned by the nodes F kills and V hits, so ker F = im V gives
-    each node an F-image or a V-preimage, never both, and likewise
-    ker V = im F makes each node hit by F or not killed by V, never both.
+    None unless every operator column is zero or a signed unit; a packed
+    column (entry i in slot i) is a signed unit at i exactly when shifting
+    out the slots below its lowest set bit leaves 1 or p - 1.  Validity then
+    does the rest.  im V is spanned by the nodes V hits, so ker F = im V is
+    spanned by nodes, and F e_a = +-F e_b with a != b would put e_a -+ e_b,
+    hence e_a, in ker F though F e_a != 0: F hits no node twice, and ker F
+    is spanned by the nodes F kills.  Likewise, by ker V = im F, for V.
+    Walking forward along F and backward along V then gives each node one
+    successor, and they form a permutation: ker F = im V gives each node an
+    F-image or a V-preimage, never both, and ker V = im F makes each node
+    hit by F or not killed by V, never both.
     """
     bits, units = m.field._bits, {1, m.field.p - 1}
     maps = []
@@ -207,8 +210,6 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
                 if col >> bits * i not in units:
                     return None
                 targets[j] = i
-        if len(set(targets.values())) != len(targets):
-            return None
         maps.append(targets)
     f_next, v_next = maps
     succ, letters = [f_next.get(j) for j in range(m.dim)], ["F"] * m.dim
@@ -257,10 +258,11 @@ def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, ris
         r = n - 1 - r  # the mirror edge
 
 
-def census_of_type(t: EOType) -> WordCensus:
-    """Word census of the canonical module of a type, read off its riffle without building matrices."""
-    rises, flats = riffle(t)
-    return _cycle_census(rises + flats, "V" * t.g + "F" * t.g)
+def census_of_type(psi: EOType | Sequence[int]) -> WordCensus:
+    """Word census of the canonical module of a type or final profile, read off its riffle
+    without building matrices; a node reads V when it lies below rank V, the number of rises."""
+    rises, flats = riffle(psi)
+    return _cycle_census(rises + flats, "V" * len(rises) + "F" * len(flats))
 
 
 def type_censuses(g: int, f: int | None = None, a: int | None = None,
@@ -331,18 +333,15 @@ def decompose(m: DieudonneModule) -> WordCensus:
     """Cyclic-word census of a valid module, each word primitive.
 
     Word-form inputs (every operator column a signed unit vector or zero) are
-    walked directly; any other is read off the riffle of its final profile,
-    whose cycles read the primitive words of the census (Gessel-Reutenauer;
-    Mantaci, Restivo, Rosone and Sciortino).  The census forgets each band's
-    monodromy: F e0 = e1, V e0 = c e1 has census FV for every c != 0, and a
-    compatible form only for c = -1.
+    walked directly; any other goes through census_of_type on its final
+    profile, whose riffle's cycles read the primitive words of the census
+    (Gessel-Reutenauer; Mantaci, Restivo, Rosone and Sciortino).  The
+    census forgets each band's monodromy: F e0 = e1, V e0 = c e1 has census
+    FV for every c != 0, and a compatible form only for c = -1.
     """
     require_valid(m)
     census = _word_census(m)
-    if census is None:  # a node below rank V, the number of rises, reads V
-        rises, flats = riffle(_final_profile(m))
-        census = _cycle_census(rises + flats, "V" * len(rises) + "F" * len(flats))
-    return census
+    return census_of_type(_final_profile(m)) if census is None else census
 
 
 def superspecial_rank(m: DieudonneModule) -> int:

@@ -365,6 +365,16 @@ def test_twisted_fv_has_a_form_exactly_when_the_twist_is_minus_one(p):
         assert gram is None or check_polarization(m.with_form(gram))
 
 
+def test_fv_to_the_sixth_has_no_form_over_f2(gf2, monkeypatch):
+    # (FV)^6 stops undecided at the default budget; with room for the greedy pass
+    # (one try per basis form at p = 2) and the whole grid, the exhausted sweep
+    # proves there is no form (a walk over all 2^18 compatible forms agrees)
+    m = word_module(CyclicWord.of("FV" * 6), gf2)
+    d, g = len(bt1._compatible_forms(m)), m.g
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", d + sum(1 for _ in _sweep_candidates(d, g, 2)))
+    assert find_polarization(m) is None
+
+
 def test_odd_dimensional_modules_have_no_form(gf2, gf3, monkeypatch):
     # the odd dimension is the proof: a search would stop at the first candidate
     monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 0)

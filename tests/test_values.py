@@ -18,7 +18,7 @@ from ssrank.bt1 import DieudonneModule, InvariantBundle, require_valid
 from ssrank.build import ProfileQuery, i11
 from ssrank.curves import HermitianReport, HyperellipticReport, PoleDivisor, hermitian_analyze, hyp2_analyze
 from ssrank.eo import EOType
-from ssrank.ffmat import GF2, Matrix, PrimeField
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace
 from ssrank.words import FV, CyclicWord, WordCensus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,6 +31,12 @@ I11_REPR = (
 # class: (fresh instance, a different instance, field names in order, golden repr)
 CASES = {
     PrimeField: (lambda: PrimeField(3), lambda: PrimeField(5), ("p",), "PrimeField(p=3)"),
+    Matrix: (lambda: Matrix(PrimeField(3), 1, 2, [[1, 2]]), lambda: Matrix(PrimeField(3), 2, 1, [[1], [2]]),
+             ("field", "nrows", "ncols", "entries"),
+             "Matrix(field=PrimeField(p=3), nrows=1, ncols=2, entries=((1, 2),))"),
+    Subspace: (lambda: Subspace(PrimeField(3), 2, [[1, 2]]), lambda: Subspace(PrimeField(3), 2, [[0, 1]]),
+               ("field", "ambient_dim", "basis"),
+               "Subspace(field=PrimeField(p=3), ambient_dim=2, basis=((1, 2),))"),
     EOType: (lambda: EOType((0, 1)), lambda: EOType((1, 1)), ("nu",), "EOType(nu=(0, 1))"),
     CyclicWord: (lambda: CyclicWord("FVV"), lambda: CyclicWord("FFV"), ("letters",),
                  "CyclicWord(letters='FVV')"),

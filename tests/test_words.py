@@ -124,9 +124,9 @@ def test_word_maps_refuse_columns_that_are_not_signed_units():
                            ([[1, 0], [1, 0]], False), ([[96, 0], [96, 0]], False)):
         census = words._word_census(DieudonneModule(frob, Matrix.build(field, ver)))
         assert (census is not None) == word_form, ver
-    # a target hit twice is not word form either
-    assert words._word_census(DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]),
-                                              Matrix.zeros(field, 2, 2))) is None
+    # a target hit twice breaks ker F = im V, so validity already rules it out
+    hit_twice = DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]), Matrix.zeros(field, 2, 2))
+    assert validate_bt1(hit_twice) != []
 
 
 def test_decompose_canonical_examples(gf2):
@@ -172,8 +172,8 @@ def _census_of_matrices(frob, ver):
 def test_census_of_maps_checks_the_maps_form_a_permutation():
     # F and V send 0 to 1
     assert _census_of_matrices([[0, 0], [1, 0]], [[0, 0], [1, 0]]).as_dict() == {"FV": 1}
-    # F sending both nodes to 0 hits a node twice, so that is not word form at all
-    assert _census_of_matrices([[1, 1], [0, 0]], [[0, 0], [0, 0]]) is None
+    # F sending both nodes to 0 hits a node twice, which ker F = im V rules out
+    assert validate_bt1(DieudonneModule(Matrix.build(GF2, [[1, 1], [0, 0]]), Matrix.zeros(GF2, 2, 2))) != []
 
 
 def test_census_of_type_matches_the_node_map_walk():
