@@ -5,7 +5,7 @@ from __future__ import annotations
 from .bt1 import DieudonneModule, direct_sum, dual, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import Matrix, PrimeField, _set, _Value
-from .words import FV, census_invariants, decompose, superspecial_rank, word_module
+from .words import FV, census_invariants, decompose, word_module
 
 
 class InfeasibleProfileError(ValueError):
@@ -129,15 +129,11 @@ def supersingular_profile(g: int, s: int, field: PrimeField) -> DieudonneModule:
 
     Allowed exactly for 0 <= s <= g - 2 or s = g; the gap at s = g - 1
     reflects that the only local-local polarized block of rank p^2 is the
-    supersingular one.  Measuring the superspecial rank validates the sum once.
+    supersingular one.  The construction is the realization of the profile
+    (g, 0, min(s + 1, g), s): s supersingular blocks plus, for s < g, the
+    canonical module of nu = (0, 1, ..., g - s - 1), which has a-number 1.
     """
     if not (0 <= s <= g - 2 or s == g):
         raise InfeasibleProfileError(
             f"supersingular rank {s} is impossible in dimension {g}")
-    parts = [i11(field) for _ in range(s)]
-    if s < g:
-        parts.append(canonical_module(EOType.of(range(g - s)), field))
-    module = direct_sum(zero_module(field), *parts)
-    if superspecial_rank(module) != s:
-        raise RuntimeError("constructed module has the wrong superspecial rank")
-    return module
+    return realize(ProfileQuery(g, 0, min(s + 1, g), s), field)

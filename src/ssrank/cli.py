@@ -27,7 +27,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import bt1, build, curves, eo, words
 from .ffmat import PrimeField
@@ -178,17 +178,12 @@ def _parse_filter(text: str | None) -> dict[str, int]:
     return out
 
 
-def _type_rows(g: int, wanted: Mapping[str, int]) -> Iterator[tuple]:
-    """(nu, f, a, s, census) for each type of length g that passes the filter, nu-lex."""
-    for nu, f, a, census in words.type_censuses(g, **wanted):
-        yield nu, f, a, census.multiplicity(words.FV), census
-
-
-def _csv_line(nu: tuple[int, ...], f: int, a: int, s: int, census: words.WordCensus) -> str:
+def _csv_line(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
+    s = census.multiplicity(words.FV)
     return f"{len(nu)},{';'.join(map(str, nu))},{f},{a},{s},{census.joined()}"
 
 
-def _json_row(nu: tuple[int, ...], f: int, a: int, s: int, census: words.WordCensus) -> str:
+def _json_row(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
     """One row laid out exactly as json.dumps(rows, indent=2) lays out a list item.
 
     Word keys are letters F and V only, so they need no escaping.
@@ -197,7 +192,7 @@ def _json_row(nu: tuple[int, ...], f: int, a: int, s: int, census: words.WordCen
     counts = ("{\n      " + ",\n      ".join([f'"{w.letters}": {m}' for w, m in census.counts])
               + "\n    }" if census.counts else "{}")
     return (f'  {{\n    "g": {len(nu)},\n    "nu": {nu_text},\n    "f": {f},\n    "a": {a},\n'
-            f'    "s": {s},\n    "words": {counts}\n  }}')
+            f'    "s": {census.multiplicity(words.FV)},\n    "words": {counts}\n  }}')
 
 
 def _write_json_rows(rows: Iterable[tuple]) -> None:
@@ -216,7 +211,7 @@ def emit_atlas(g_max: int, path: str) -> None:
         raise ValueError("g_max must be at least 1")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         for g in range(1, g_max + 1):
-            handle.writelines(_csv_line(*row) + "\n" for row in _type_rows(g, {}))
+            handle.writelines(_csv_line(*row) + "\n" for row in words.type_censuses(g))
 
 
 def _print(text: str) -> None:
@@ -276,7 +271,7 @@ def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
         _check_nonnegative(args, "g")
         _check_cap("g", args.g, ATLAS_G_CAP)
-        rows = _type_rows(args.g, _parse_filter(args.filter))
+        rows = words.type_censuses(args.g, **_parse_filter(args.filter))
         if args.format == "csv":
             for row in rows:
                 _print(_csv_line(*row))

@@ -12,6 +12,7 @@ canonical filtration, and the type of a quasipolarizable one.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import accumulate, product
 
 from .bt1 import DieudonneModule, require_valid
 from .ffmat import Matrix, PrimeField, Subspace, _combine, _set, _Value
@@ -60,16 +61,8 @@ class EOType(_Value):
         return len(self.nu)
 
     def p_rank(self) -> int:
-        """max { i : nu_i = i }, zero when no such i exists.
-
-        Those i are 1..f for some f, so the scan stops at the first miss:
-        nu_1 <= 1 and nu_(i+1) <= nu_i + 1 give nu_i <= i, and once nu_i < i,
-        nu_(i+1) <= nu_i + 1 < i + 1 keeps every later entry below its index.
-        """
-        nu, f = self.nu, 0
-        while f < len(nu) and nu[f] == f + 1:
-            f += 1
-        return f
+        """max { i : nu_i = i }, zero when no such i exists."""
+        return max((i for i, v in enumerate(self.nu, 1) if v == i), default=0)
 
     def a_number(self) -> int:
         return self.g - self.nu[-1] if self.nu else 0
@@ -79,18 +72,15 @@ class EOType(_Value):
 
 
 def enumerate_types(g: int) -> Iterator[EOType]:
-    """All 2^g EO types of length g, in lexicographic order."""
+    """All 2^g EO types of length g, in lexicographic order.
+
+    A type is the running sum of its steps nu_i - nu_(i-1), each 0 or 1 from
+    nu_0 = 0, and running sums keep the lexicographic order of the steps.
+    """
     if g < 0:
         raise ValueError("g must be nonnegative")
-    nu = [0] * g
-    while True:
-        yield EOType._trusted(tuple(nu))
-        i = g - 1
-        while i >= 0 and nu[i] == (nu[i - 1] + 1 if i else 1):
-            i -= 1
-        if i < 0:
-            return
-        nu[i:] = [nu[i] + 1] * (g - i)  # raise the rightmost entry that can; refill after it
+    for steps in product((0, 1), repeat=g):
+        yield EOType._trusted(tuple(accumulate(steps)))
 
 
 def riffle(psi: EOType | Sequence[int]) -> tuple[list[int], list[int]]:
@@ -139,7 +129,7 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     """The final profile psi(0..n) of a valid module of dimension n, from its canonical filtration.
 
     Closes {0, M} under N -> V(N) and N -> F^{-1}(N); the result is a chain
-    whose V-image dimensions pin psi at the chain's dimensions.  Between
+    (proved below) whose V-image dimensions pin psi at the chain's dimensions.  Between
     consecutive chain members the V-rank must jump either not at all or by
     the full dimension gap (asserted), which interpolates psi everywhere.
 
@@ -153,10 +143,13 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     a direct sum because F o sigma is the identity on im F.  Each is kept
     unreduced as ker F's rows followed by sigma's images of K's rows, and
     keyed by K = F(F^{-1}(N)), which determines it.  K = 0 gives ker F =
-    V(M), a lower member; M is F^{-1}(M), keyed by ker V = im F.  Every
-    lower member lies in ker F and every upper one strictly contains it,
-    so the chain check compares lower members among themselves and upper
-    members through their keys, and no pair across.
+    V(M), a lower member; M is F^{-1}(M), keyed by ker V = im F.
+
+    The closure is a chain without checking, by im V = ker F alone: every
+    lower member lies in V(M) = ker F, every upper member contains
+    F^{-1}(0) = ker F, and V and F^{-1} keep inclusions.  So, by induction
+    from 0 and M, any two members are comparable, and distinct members have
+    distinct dimensions, which is all that keying psi by dimension needs.
     """
     require_valid(m)
     n, field = m.dim, m.field
@@ -182,11 +175,6 @@ def _final_profile(m: DieudonneModule) -> list[int]:
             members[key] = len(image)
             todo += ((lower, Subspace._from_rows(field, n, image)),
                      f_inverse(Subspace._from_rows(field, n, meet)))
-
-    for keys in (sorted(lower, key=lambda s: s.dim), sorted(upper, key=lambda s: s.dim)):
-        for small, big in zip(keys, keys[1:]):
-            if small.dim == big.dim or not big.contains(small):
-                raise FiltrationError("canonical closure is not a chain")
 
     psi_at = {sub.dim: rank for sub, rank in lower.items()}
     psi_at.update((ker_f.dim + sub.dim, rank) for sub, rank in upper.items())

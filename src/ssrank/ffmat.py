@@ -529,15 +529,7 @@ class Subspace(_Value):
         return tuple(((r & -r).bit_length() - 1) // bits for r in self._rows)
 
     def contains(self, other: "Subspace") -> bool:
-        """Whether other lies in this subspace: each of its rows must equal the combination
-        of this basis with its entries at the pivots as coefficients, since every other
-        basis row is 0 at a row's pivot."""
+        """Whether other lies in this subspace: adding its rows leaves the rank unchanged."""
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        bits = self.field._bits
-        by_pivot = [0] * self.ambient_dim
-        for r in self._rows:  # a pivot entry is 1, so r & -r is the lowest bit of the pivot slot
-            by_pivot[((r & -r).bit_length() - 1) // bits] = r
-        mask = ((1 << bits) - 1) * sum(r & -r for r in self._rows)
-        projected = _combine(self.field, by_pivot, self.ambient_dim, [v & mask for v in other._rows])
-        return projected == list(other._rows)
+        return len(rref(self.field, self._rows + other._rows, self.ambient_dim)[1]) == self.dim

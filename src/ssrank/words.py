@@ -59,26 +59,8 @@ def _check_letters(letters: str) -> None:
 
 
 def _least_rotation(s: str) -> str:
-    """Least rotation of a word over {F, V}.
-
-    A pure word is its own least rotation.  A mixed one starts with F, and
-    among its rotations that do, one starting at an F-run start (an F after a
-    V) beats any starting inside that run, so only those are compared: each
-    "VF" at j < n in s + s gives the rotation starting at j + 1.
-    """
-    if "F" not in s or "V" not in s:
-        return s
-    n = len(s)
-    doubled = s + s
-    j = doubled.find("VF")
-    best = doubled[j + 1:j + 1 + n]
-    j = doubled.find("VF", j + 1)
-    while -1 < j < n:
-        rotation = doubled[j + 1:j + 1 + n]
-        if rotation < best:
-            best = rotation
-        j = doubled.find("VF", j + 1)
-    return best
+    """Least rotation of a word over {F, V}."""
+    return min(s[i:] + s[:i] for i in range(len(s)))
 
 
 class WordCensus(_Value):

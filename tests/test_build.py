@@ -7,9 +7,12 @@ import pytest
 from ssrank.bt1 import (
     a_number,
     check_polarization,
+    direct_sum,
     p_rank,
+    to_json,
     unpolarized_ss_rank,
     validate_bt1,
+    zero_module,
 )
 from ssrank.build import (
     InfeasibleProfileError,
@@ -22,7 +25,7 @@ from ssrank.build import (
     realize,
     supersingular_profile,
 )
-from ssrank.eo import EOType, enumerate_types, eo_type_of
+from ssrank.eo import EOType, canonical_module, enumerate_types, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import census_invariants, census_of_type, decompose, superspecial_rank
 
@@ -199,6 +202,15 @@ def test_supersingular_profile(gf2):
     for g in range(2, 7):
         for s in range(0, g - 1):
             assert a_number(supersingular_profile(g, s, gf2)) == s + 1
+    # byte for byte: s supersingular blocks, then for s < g the canonical module of
+    # nu = (0, 1, ..., g - s - 1)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        for g in range(13):
+            for s in [*range(g - 1), g]:
+                tail = [canonical_module(EOType.of(range(g - s)), field)] if s < g else []
+                expected = direct_sum(zero_module(field), *[i11(field)] * s, *tail)
+                assert to_json(supersingular_profile(g, s, field)) == to_json(expected), (p, g, s)
 
 
 def test_supersingular_profile_odd_characteristic(gf3):

@@ -11,6 +11,7 @@ from ssrank.build import j_rs, ord1
 from ssrank.eo import (
     EOType,
     FiltrationError,
+    _final_profile,
     canonical_module,
     enumerate_types,
     eo_type_of,
@@ -20,7 +21,7 @@ from ssrank.eo import (
 from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import CyclicWord, decompose, word_module
 
-from helpers import conjugated, reference_eo_type_of
+from helpers import conjugated, reference_eo_type_of, reference_final_profile
 
 
 def test_validate_sequence():
@@ -296,6 +297,7 @@ def test_eo_type_of_matches_the_reference_on_sums_of_words():
         for letters in sums:
             parts = [word_module(CyclicWord.of(w), field) for w in letters]
             m = conjugated(direct_sum(*parts), rng) if parts else DieudonneModule(empty, empty)
+            assert _final_profile(m) == reference_final_profile(m), (p, letters)
             got = _outcome(eo_type_of, m)
             assert got == _outcome(reference_eo_type_of, m), (p, letters)
             outcomes.add(got if isinstance(got, str) else "a type")
