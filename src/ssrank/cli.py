@@ -178,9 +178,16 @@ def _parse_filter(text: str | None) -> dict[str, int]:
     return out
 
 
+# nu of each length up to the catalogue cap as a %-template: semicolon-joined for CSV,
+# and as json.dumps(indent=2) lays out a list nested in a list item
+_NU_CSV = [";".join(["%d"] * g) for g in range(ATLAS_G_CAP + 1)]
+_NU_JSON = ["[\n      " + ",\n      ".join(["%d"] * g) + "\n    ]" if g else "[]"
+            for g in range(ATLAS_G_CAP + 1)]
+
+
 def _csv_line(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
     s = census.multiplicity(words.FV)
-    return f"{len(nu)},{';'.join(map(str, nu))},{f},{a},{s},{census.joined()}"
+    return f"{len(nu)},{_NU_CSV[len(nu)] % nu},{f},{a},{s},{census.joined()}"
 
 
 def _json_row(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
@@ -188,11 +195,10 @@ def _json_row(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> 
 
     Word keys are letters F and V only, so they need no escaping.
     """
-    nu_text = "[\n      " + ",\n      ".join(map(str, nu)) + "\n    ]" if nu else "[]"
     counts = ("{\n      " + ",\n      ".join([f'"{w.letters}": {m}' for w, m in census.counts])
               + "\n    }" if census.counts else "{}")
-    return (f'  {{\n    "g": {len(nu)},\n    "nu": {nu_text},\n    "f": {f},\n    "a": {a},\n'
-            f'    "s": {census.multiplicity(words.FV)},\n    "words": {counts}\n  }}')
+    return (f'  {{\n    "g": {len(nu)},\n    "nu": {_NU_JSON[len(nu)] % nu},\n    "f": {f},\n'
+            f'    "a": {a},\n    "s": {census.multiplicity(words.FV)},\n    "words": {counts}\n  }}')
 
 
 def _write_json_rows(rows: Iterable[tuple]) -> None:
@@ -273,8 +279,7 @@ def _run_eo(args: argparse.Namespace) -> int:
         _check_cap("g", args.g, ATLAS_G_CAP)
         rows = words.type_censuses(args.g, **_parse_filter(args.filter))
         if args.format == "csv":
-            for row in rows:
-                _print(_csv_line(*row))
+            sys.stdout.writelines(_csv_line(*row) + "\n" for row in rows)
         else:
             _write_json_rows(rows)
         return 0

@@ -95,8 +95,9 @@ class WordCensus(_Value):
         return {w.letters: m for w, m in self.counts}
 
     def joined(self) -> str:
-        """Semicolon-joined expansion, one entry per summand."""
-        return ";".join([w.letters for w, m in self.counts for _ in range(m)])
+        """Semicolon-joined expansion, one entry per summand: word u with multiplicity m
+        gives m entries u, and the empty census gives the empty string."""
+        return "".join([(w.letters + ";") * m for w, m in self.counts])[:-1]
 
 
 # the word of the supersingular block; its multiplicity is the superspecial rank
@@ -285,12 +286,34 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
     its head are a rotation of its word.  A closed cycle takes no more edges,
     so its word is shared by every type below that node, and the FV words
     closed so far bound s from below, which prunes a wanted s as well.
+
+    The last step, j = g - 1, is taken in closed form, and both leaves are
+    yielded from the node at depth g - 1, flat first.  Steps 0..g - 2 reached
+    the nodes 0..g - 2 and g + 1..2g - 1, so g - 1 and g have no predecessor
+    yet.  Every node is the source of exactly one of the 2g edges, as succ is
+    a permutation, and step g - 1's sources are p and 2g - 1 - p
+    (p = nu_(g - 1)) whether it rises or not, so these two alone have no
+    successor yet.  The 2g - 2 edges so far,
+    each node with at most one in and one out, form cycles and paths, a path
+    running from a node without predecessor to one without successor: so
+    exactly two fragments are open, w1 with head g - 1 and w2 with head g,
+    their tails p and 2g - 1 - p in some order.  The rise child adds p -> g - 1
+    and 2g - 1 - p -> g, the flat child 2g - 1 - p -> g - 1 and p -> g.  If
+    w1's tail is p, the rise child closes w1 and w2 as two cycles and the flat
+    child closes the one cycle w2 w1; otherwise the two children swap roles.
+    A leaf's f, a and FV count are then known exactly, so the filters there
+    are equalities.
     """
     if g < 0:
         raise ValueError("g must be nonnegative")
+    if g == 0:  # the one empty type, with f = a = s = 0
+        if not (f or a or s):
+            yield (), 0, 0, _tally([])
+        return
+    n = 2 * g
     # (nu prefix, leading rises, fragment ends, closed); before any step each node k is a
     # fragment of its own, reading V iff k < g, at both ends
-    todo = [((), 0, [(k, "V" if k < g else "F") for k in range(2 * g)] * 2, [])]
+    todo = [((), 0, [(k, "V" if k < g else "F") for k in range(n)] * 2, [])]
     while todo:
         nu, lead, ends, closed = todo.pop()
         j = len(nu)
@@ -301,14 +324,25 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
             continue
         if s is not None and closed.count(_FV_ENTRY) > s:
             continue
-        if j < g:
-            for rise in (1, 0):  # the flat child goes on last, so it is walked first
-                child_ends, child_closed = ends[:], closed[:]
-                _step(child_ends, child_closed, g, j, p, rise)
-                todo.append((nu + (p + rise,), lead + rise if lead == j else lead,
-                             child_ends, child_closed))
-        elif s is None or closed.count(_FV_ENTRY) == s:
-            yield nu, lead, g - p, _tally(closed)
+        if j < g - 1:
+            # the rise child copies the lists; the flat child, pushed last so walked first,
+            # takes them over, as this node reads them no more
+            rise_ends, rise_closed = ends[:], closed[:]
+            _step(rise_ends, rise_closed, g, j, p, 1)
+            todo.append((nu + (p + 1,), lead + 1 if lead == j else lead, rise_ends, rise_closed))
+            _step(ends, closed, g, j, p, 0)
+            todo.append((nu + (p,), lead, ends, closed))
+            continue
+        # the last step in closed form: w1 heads at g - 1, w2 at g
+        tail, w1 = ends[n + j]
+        w2 = ends[n + g][1]
+        apart, joined = [_entry(w1), _entry(w2)], [_entry(w2 + w1)]
+        fv = closed.count(_FV_ENTRY)
+        for rise, new in ((0, joined), (1, apart)) if tail == p else ((0, apart), (1, joined)):
+            leaf_lead = lead + rise if lead == j else lead
+            if ((f is None or f == leaf_lead) and (a is None or a == g - p - rise)
+                    and (s is None or s == fv + new.count(_FV_ENTRY))):
+                yield nu + (p + rise,), leaf_lead, g - p - rise, _tally(closed + new)
 
 
 def decompose(m: DieudonneModule) -> WordCensus:

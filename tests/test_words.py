@@ -192,6 +192,22 @@ def test_type_censuses_list_enumeration_order_with_the_node_map_walk():
         next(words.type_censuses(-1))
 
 
+def test_filtered_walks_match_the_unfiltered_list_filtered_afterwards():
+    # the walk filters its last step's two leaves by equality; values from -1 to g + 1 reach
+    # every bound it prunes on, from either side, and each joint filter keeps some rows
+    for g in range(8, 13):
+        rows = list(words.type_censuses(g))
+        invariants = [{"f": f, "a": a, "s": census.multiplicity(words.FV)}
+                      for _, f, a, census in rows]
+        filters = [{key: v} for key in "fas" for v in range(-1, g + 2)]
+        joint = [{"f": 1, "a": g // 2}, {"a": g // 2, "s": g // 4}, {"f": 0, "a": g - 2, "s": g - 3}]
+        for wanted in filters + joint:
+            kept = [row for row, values in zip(rows, invariants)
+                    if all(values[k] == v for k, v in wanted.items())]
+            assert kept or wanted not in joint, (g, wanted)
+            assert list(words.type_censuses(g, **wanted)) == kept, (g, wanted)
+
+
 def test_census_gives_back_its_type_through_the_extended_bwt():
     for g in range(13):
         for t in enumerate_types(g):
@@ -204,6 +220,12 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
     for g in range(7):
         for t in enumerate_types(g):
             assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
+            assert len(words._entries) <= 4
+    # the walk's last step makes three _entry calls per pair of leaves
+    for g in range(8):
+        for t, (nu, _, _, census) in zip(enumerate_types(g), words.type_censuses(g), strict=True):
+            assert nu == t.nu
+            assert [(w.letters, m) for w, m in census.counts] == reference_census_of_type(t)
             assert len(words._entries) <= 4
     field, fv = PrimeField(3), CyclicWord("FV")
     for length in range(1, 7):
@@ -383,4 +405,6 @@ def test_census_serialization_order():
     census = census_from_counter({CyclicWord("FV"): 1, CyclicWord("FFVV"): 2, CyclicWord("F"): 1})
     assert list(census.as_dict()) == ["F", "FV", "FFVV"]
     assert census.joined() == "F;FV;FFVV;FFVV"
+    assert WordCensus(()).joined() == ""
+    assert census_from_counter({CyclicWord("FV"): 3}).joined() == "FV;FV;FV"
     assert census.total_length() == 11
