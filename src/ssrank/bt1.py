@@ -145,13 +145,15 @@ def require_valid(m: DieudonneModule) -> None:
 
 
 def _stable_image_dim(op: Matrix) -> int:
-    """Dimension of the intersection of all iterated images of op."""
-    space = Subspace.full(op.field, op.nrows)
+    """Dimension of the intersection of all iterated images of op.
+
+    op^(k+1)(M) lies in op^k(M), so the images are equal once their dimensions are."""
+    rows = Subspace.full(op.field, op.nrows)._rows
     while True:
-        nxt = op.map_subspace(space)
-        if nxt == space:
-            return space.dim
-        space = nxt
+        nxt = op._image_echelon(rows)
+        if len(nxt) == len(rows):
+            return len(rows)
+        rows = nxt
 
 
 def p_rank(m: DieudonneModule) -> int:
@@ -180,8 +182,7 @@ def unpolarized_ss_rank(m: DieudonneModule) -> int:
     because FV = VF = 0).
     """
     require_valid(m)
-    w = m.frobenius.add(m.verschiebung).kernel()
-    return m.frobenius.map_subspace(w).dim
+    return len(m.frobenius._image_echelon(m.frobenius.add(m.verschiebung)._null_rows()))
 
 
 def dual(m: DieudonneModule) -> DieudonneModule:

@@ -133,51 +133,47 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     consecutive chain members the V-rank must jump either not at all or by
     the full dimension gap (asserted), which interpolates psi everywhere.
 
-    One reduction of (F e_j | e_j) per module gives im F, ker F and a
-    section sigma of F on im F.  Each member N then costs one reduction, of
-    the rows (V b | b) over a basis b of N that need not be echelon, which
-    gives V(N) (kept for psi) and K = N meet ker V.  Lower members are the
-    V-images; they lie in im V = ker F and are keyed by their echelon basis.
-    Upper members are the F^{-1}(N): as Fx lies in K and ker V = im F in a
-    valid module, x - sigma(Fx) lies in ker F, so F^{-1}(N) = ker F + sigma(K),
-    a direct sum because F o sigma is the identity on im F.  Each is kept
-    unreduced as ker F's rows followed by sigma's images of K's rows, and
-    keyed by K = F(F^{-1}(N)), which determines it.  K = 0 gives ker F =
-    V(M), a lower member; M is F^{-1}(M), keyed by ker V = im F.
+    One canonical reduction of (F e_j | e_j) per module gives im F, ker F and a
+    section sigma of F on im F.  Each member N then costs one echelon reduction, of
+    the rows (V b | b) over a basis b of N that need not be echelon, which gives
+    V(N) (its dimension is psi there) and K = N meet ker V.  Lower members are the
+    V-images, with their echelon rows as the basis.  Upper members are the F^{-1}(N):
+    as Fx lies in K and ker V = im F in a valid module, x - sigma(Fx) lies in ker F, so
+    F^{-1}(N) = ker F + sigma(K), a direct sum because F o sigma is the identity on im F,
+    of dimension dim ker F + dim K.  K = 0 gives ker F = F^{-1}(0), itself a member, and
+    M is F^{-1}(M) with K = im F.  The rows (V b | b) over ker F are reduced once, as
+    that member's reduction, and each other upper member resumes from that state with
+    sigma's images of K's rows alone, built only for a dimension not yet seen.
 
     The closure is a chain without checking, by im V = ker F alone: every
     lower member lies in V(M) = ker F, every upper member contains
     F^{-1}(0) = ker F, and V and F^{-1} keep inclusions.  So, by induction
     from 0 and M, any two members are comparable, and distinct members have
-    distinct dimensions, which is all that keying psi by dimension needs.
+    distinct dimensions: members are keyed by dimension.
     """
     require_valid(m)
-    n, field = m.dim, m.field
+    n, field, ver = m.dim, m.field, m.verschiebung
     im_rows, sources, ker_rows = m.frobenius._image_sources_kernel(Subspace.full(field, n)._rows)
-    im_f, ker_f = Subspace._from_rows(field, n, im_rows), Subspace._from_rows(field, n, ker_rows)
-    by_pivot = dict(zip(im_f.pivots(), sources))
+    by_pivot = dict(zip(Subspace._from_rows(field, n, im_rows).pivots(), sources))
     section = [by_pivot.get(i, 0) for i in range(n)]  # sigma e_i: the source of im F's row with pivot i
+    ker_state, ker_dim = ver._pair_echelon(ker_rows), len(ker_rows)  # (V b | b) over ker F
 
-    lower: dict[Subspace, int] = {}  # lower member -> dim of its V-image
-    upper: dict[Subspace, int] = {}  # K -> dim V(ker F + sigma(K))
-
-    def f_inverse(meet: Subspace) -> tuple[dict[Subspace, int], Subspace]:
-        """Where F^{-1}(N) is kept, given K = N meet ker V."""
-        return (upper, meet) if meet.dim else (lower, ker_f)
-
-    todo = [(lower, Subspace.zero(field, n)), f_inverse(im_f)]
+    psi_at: dict[int, int] = {}  # member dimension -> dim of its V-image
+    todo = [(0, (), False), (n, im_rows, True)]  # (dim, rows of N, or of K for F^{-1}(N))
     while todo:
-        members, key = todo.pop()
-        if key not in members:
-            rows = (key._rows if members is lower
-                    else ker_f._rows + tuple(_combine(field, section, n, key._rows)))
-            image, _, meet = m.verschiebung._image_sources_kernel(rows)
-            members[key] = len(image)
-            todo += ((lower, Subspace._from_rows(field, n, image)),
-                     f_inverse(Subspace._from_rows(field, n, meet)))
+        dim, rows, upper = todo.pop()
+        if dim in psi_at:
+            continue
+        if dim == ker_dim:
+            state = ker_state
+        elif upper:
+            state = ver._pair_echelon(_combine(field, section, n, rows), ker_state)
+        else:
+            state = ver._pair_echelon(rows)
+        image, _, meet = ver._halves(state.values())
+        psi_at[dim] = len(image)
+        todo += ((len(image), image, False), (ker_dim + len(meet), meet, True))
 
-    psi_at = {sub.dim: rank for sub, rank in lower.items()}
-    psi_at.update((ker_f.dim + sub.dim, rank) for sub, rank in upper.items())
     psi = [0] * (n + 1)
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):

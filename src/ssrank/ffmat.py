@@ -124,25 +124,6 @@ def _unpack_bits(row: int, n: int) -> bytes:
 GF2 = PrimeField(2)
 
 
-def _rref_gf2(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows (bit j = column j).
-
-    Each row is reduced against the rows kept so far and, if anything is
-    left, clears its lowest bit (its pivot) from them.
-    """
-    kept: list[int] = []
-    for row in rows:
-        for r in kept:
-            if row & r & -r:
-                row ^= r
-        if row:
-            low = row & -row
-            kept = [r ^ row if r & low else r for r in kept]
-            kept.append(row)
-    kept.sort(key=lambda r: r & -r)
-    return kept, [(r & -r).bit_length() - 1 for r in kept]
-
-
 # Odd p sums rows in slots of w = 1, 2, 4 or 8 bytes (memoryview formats below), the
 # narrowest that holds the sum's worst case, so no slot carries into the next.
 _WIDE_FORMATS = {2: "H", 4: "I", 8: "Q"}
@@ -180,42 +161,6 @@ def _reduce(x: int, n: int, w: int, p: int, c: int = 1) -> int:
     return int.from_bytes(bytes([v * c % p for v in slots]), sys.byteorder)
 
 
-def _rref_modp(rows: Iterable[int], ncols: int, p: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of byte-slot rows over odd p, with delayed reduction.
-
-    The pivot row is reduced and scaled to a leading 1; every other row with
-    entry c != 0 mod p in the pivot column becomes row + (p - c) * pivot, one
-    big-int step that clears that entry mod p, and is otherwise left
-    unreduced.  Headroom: input slots hold at most p - 1, a pivot row is
-    reduced when chosen, and each pivot adds at most (p - 1)^2 to a slot of
-    any other row.  So after r pivots every slot is at most
-    (p - 1)(1 + r(p - 1)), with r <= min(rows, ncols), and slots of the
-    narrowest width holding that bound never carry.  Kept rows are reduced
-    once at the end.
-    """
-    work = list(rows)
-    w = _slot_bytes((p - 1) * (1 + min(len(work), ncols) * (p - 1)))
-    bits, mask = 8 * w, (1 << 8 * w) - 1
-    work = [_widen(r, ncols, w) for r in work]
-    pivots: list[int] = []
-    for col in range(ncols):
-        shift, rank = bits * col, len(pivots)
-        for i in range(rank, len(work)):
-            c = (work[i] >> shift & mask) % p
-            if c:
-                break
-        else:
-            continue
-        pivot = _widen(_reduce(work[i], ncols, w, p, pow(c, p - 2, p)), ncols, w)
-        work[i], work[rank] = work[rank], pivot
-        for i, row in enumerate(work):
-            c = (row >> shift & mask) % p
-            if c and i != rank:
-                work[i] = row + (p - c) * pivot
-        pivots.append(col)
-    return [_reduce(r, ncols, w, p) for r in work[:len(pivots)]], pivots
-
-
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
     """XOR of rows[k] over the set bits k of mask."""
     acc = 0
@@ -239,23 +184,130 @@ def _combine(field: PrimeField, rows: Sequence[Row], n: int, vectors: Iterable[R
     return [_reduce(sum(map(mul, v.to_bytes(k, "little"), wide)), n, w, p) for v in vectors]
 
 
+def _echelon(field: PrimeField, rows: Iterable[Row], ncols: int,
+             base: dict[int, Row] | None = None) -> dict[int, Row]:
+    """An echelon basis of the span of rows in internal form, as an echelon state.
+
+    The state maps each pivot bit, the lowest bit of a pivot row's leading slot, to that
+    row, reduced; over odd p its leading entry is 1.  The rows of a `Subspace`, in
+    canonical RREF, are such a state's rows.
+
+    With `base`, the state of earlier rows (left unchanged), the result is a state of
+    base's rows followed by these: only the new rows are reduced.  Every row reduction in
+    this module goes through here.  Callers that read a rank, a dimension or some basis
+    of the span take the state as it is; `rref` back-substitutes it to the canonical basis.
+    """
+    pivots = dict(base) if base else {}
+    if field.p == 2:
+        _echelon_gf2(rows, pivots)
+    else:
+        _echelon_modp(rows, ncols, field.p, pivots)
+    return pivots
+
+
+def _echelon_gf2(rows: Iterable[int], pivots: dict[int, Row]) -> None:
+    """Add bit-packed rows to the state `pivots`, in place.
+
+    A row is reduced only at the pivot bits it holds, lowest first: the pivot row of
+    bit b has no bit below b, so clearing b leaves the lower bits alone and the next
+    pivot bit it holds is higher.  Whatever is left is a new pivot row.
+    """
+    held = sum(pivots)  # the OR of the pivot bits, which are distinct powers of two
+    for row in rows:
+        hit = row & held
+        while hit:
+            row ^= pivots[hit & -hit]
+            hit = row & held
+        if row:
+            low = row & -row
+            pivots[low] = row
+            held |= low
+
+
+def _echelon_modp(rows: Iterable[int], ncols: int, p: int, pivots: dict[int, Row]) -> None:
+    """Add byte-slot rows over odd p to the state `pivots`, in place, with delayed reduction.
+
+    Column by column, the pivot row is the state's, or the first remaining row with an
+    entry c != 0 mod p there, reduced and scaled to a leading 1 and taken out; every
+    remaining row with entry c != 0 mod p becomes row + (p - c) * pivot, one big-int
+    step that clears that entry mod p, and is otherwise left unreduced.  Nothing is
+    eliminated above a pivot.  Headroom: input slots hold at most p - 1, a pivot row is
+    reduced, and each pivot adds at most (p - 1)^2 to a slot of a remaining row.  So
+    after r pivots every slot is at most (p - 1)(1 + r(p - 1)), with r at most the
+    state's pivots plus the new rows, and at most ncols; slots of the narrowest width
+    holding that bound never carry.  Rows left over are dependent and dropped.
+    """
+    work = list(rows)
+    if not work:
+        return
+    w = _slot_bytes((p - 1) * (1 + min(len(pivots) + len(work), ncols) * (p - 1)))
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    work = [_widen(r, ncols, w) for r in work]
+    for col in range(ncols):
+        if not work:
+            break
+        shift, key, start = bits * col, 1 << 8 * col, 0
+        pivot = pivots.get(key)
+        if pivot is None:
+            for start, row in enumerate(work):
+                c = (row >> shift & mask) % p
+                if c:
+                    break
+            else:
+                continue
+            pivot = pivots[key] = _reduce(work.pop(start), ncols, w, p, pow(c, p - 2, p))
+        pivot = _widen(pivot, ncols, w)
+        for i in range(start, len(work)):
+            c = (work[i] >> shift & mask) % p
+            if c:
+                work[i] += (p - c) * pivot
+
+
+def _back_substitute(field: PrimeField, pivots: dict[int, Row], ncols: int) -> list[Row]:
+    """The canonical RREF rows of an echelon state, by pivot.
+
+    From the last pivot up, each pivot row gets the final rows of the later pivots it
+    holds an entry at.  Those hold no pivot but their own, so every such entry can be
+    read off the echelon row before any is cleared.  Over odd p the entries c give one
+    delayed-reduction sum, row + sum (p - c) * later row, of reduced rows: with r
+    pivots a slot holds at most (p - 1)(1 + (r - 1)(p - 1)), below the bound that sizes
+    the slots of `_echelon_modp`, and the sum is reduced once.
+    """
+    keys = sorted(pivots)
+    if field.p == 2:
+        held, final = sum(keys), {}
+        for key in reversed(keys):
+            row = pivots[key]
+            hit = row & held ^ key
+            while hit:
+                low = hit & -hit
+                row ^= final[low]
+                hit ^= low
+            final[key] = row
+        return [final[key] for key in keys]
+    p, r = field.p, len(keys)
+    w = _slot_bytes((p - 1) * (1 + r * (p - 1)))
+    cols = [(key.bit_length() - 1) // 8 for key in keys]
+    out, wide = [pivots[key] for key in keys], [0] * r
+    for k in reversed(range(r)):
+        entries = out[k].to_bytes(ncols, "little")
+        later = [(p - entries[cols[i]]) * wide[i] for i in range(k + 1, r) if entries[cols[i]]]
+        if later:
+            out[k] = _reduce(sum(later, _widen(out[k], ncols, w)), ncols, w, p)
+        wide[k] = _widen(out[k], ncols, w)
+    return out
+
+
 def rref(field: PrimeField, rows: Iterable[Row], ncols: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """Canonical RREF of rows in internal form; returns (rows, pivot columns).
 
-    Every row reduction in this module goes through here.
+    One `_echelon` pass, then `_back_substitute`.  Subspace construction and equality,
+    kernels, inverses and the section of `_image_sources_kernel` read the canonical rows.
     """
-    reduced, pivots = _rref_gf2(rows) if field.p == 2 else _rref_modp(rows, ncols, field.p)
-    return tuple(reduced), tuple(pivots)
-
-
-def _null_vectors(field: PrimeField, reduced: Sequence[Row], pivots: Sequence[int],
-                  ncols: int) -> list[Row]:
-    """One solution of reduced @ v = 0 per free column, for rows already in RREF."""
-    bits, mask, neg = field._bits, (1 << field._bits) - 1, _scale_table(field.p, field.p - 1)
-    pivot_set = set(pivots)
-    return [(1 << bits * f) + sum(neg[e] << bits * pc for r, pc in zip(reduced, pivots)
-                                  if (e := r >> bits * f & mask))
-            for f in range(ncols) if f not in pivot_set]
+    pivots = _echelon(field, rows, ncols)
+    bits = field._bits
+    return (tuple(_back_substitute(field, pivots, ncols)),
+            tuple((key.bit_length() - 1) // bits for key in sorted(pivots)))
 
 
 def _to_rows(field: PrimeField, entries: Iterable[Sequence[int]]) -> tuple[Row, ...]:
@@ -403,36 +455,71 @@ class Matrix(_Value):
         return not any(self._rows)
 
     def rank(self) -> int:
-        _, pivots = rref(self.field, self._rows, self.ncols)
-        return len(pivots)
+        return len(_echelon(self.field, self._rows, self.ncols))
 
     def kernel(self) -> "Subspace":
         """Null space {v : M v = 0} as a subspace of F_p^ncols."""
-        reduced, pivots = rref(self.field, self._rows, self.ncols)
-        return _span(self.field, self.ncols, _null_vectors(self.field, reduced, pivots, self.ncols))
+        return _span(self.field, self.ncols, self._null_rows())
+
+    def _null_rows(self) -> list[Row]:
+        """A basis of the null space, not echelon: one solution of M v = 0 per free column
+        of M's RREF, 1 there and minus that column's entries at the pivots."""
+        field, ncols = self.field, self.ncols
+        reduced, pivots = rref(field, self._rows, ncols)
+        bits, mask, neg = field._bits, (1 << field._bits) - 1, _scale_table(field.p, field.p - 1)
+        pivot_set = set(pivots)
+        return [(1 << bits * f) + sum(neg[e] << bits * pc for r, pc in zip(reduced, pivots)
+                                      if (e := r >> bits * f & mask))
+                for f in range(ncols) if f not in pivot_set]
+
+    def _images(self, basis: Iterable[Row]) -> list[Row]:
+        """M b for each row b."""
+        return _combine(self.field, self._columns(), self.nrows, basis)
 
     def map_subspace(self, s: "Subspace") -> "Subspace":
         """Image of a subspace under this matrix."""
         if s.ambient_dim != self.ncols:
             raise ValueError("ambient dimension does not match ncols")
-        return _span(self.field, self.nrows, _combine(self.field, self._columns(), self.nrows, s._rows))
+        return _span(self.field, self.nrows, self._images(s._rows))
+
+    def _image_echelon(self, basis: Iterable[Row]) -> tuple[Row, ...]:
+        """An echelon basis of M(S), for rows b that span S and need not be echelon."""
+        return tuple(_echelon(self.field, self._images(basis), self.nrows).values())
+
+    def _pairs(self, basis: Sequence[Row]) -> list[Row]:
+        """The rows (M b | b) over rows b, with M b in the low nrows slots."""
+        split = self.field._bits * self.nrows
+        return [im | b << split for im, b in zip(self._images(basis), basis)]
+
+    def _pair_echelon(self, basis: Sequence[Row], base: dict[int, Row] | None = None) -> dict[int, Row]:
+        """The echelon state of `_pairs(basis)`, resumed from `base`, a state of such rows."""
+        return _echelon(self.field, self._pairs(basis), self.nrows + self.ncols, base)
+
+    def _halves(self, reduced: Iterable[Row]) -> tuple[tuple[Row, ...], ...]:
+        """M(S), sources in S for it, and S meet ker M, from echelon rows of (M b | b).
+
+        Every row of their span is (M x | x) with x in S.  Rows with a nonzero left half
+        give echelon rows of M(S) and, as right halves, the source of each in the same
+        order; the other rows have their pivot in the right half, and those right halves
+        are echelon rows of S meet ker M, which they span.
+        """
+        split = self.field._bits * self.nrows
+        low = (1 << split) - 1
+        images, sources, kernel = [], [], []
+        for r in reduced:
+            if r & low:
+                images.append(r & low)
+                sources.append(r >> split)
+            else:
+                kernel.append(r >> split)
+        return tuple(images), tuple(sources), tuple(kernel)
 
     def _image_sources_kernel(self, basis: Sequence[Row]) -> tuple[tuple[Row, ...], ...]:
-        """M(S), sources in S for it, and S meet ker M, from one reduction of the rows (M b | b)
-        over rows b that span S and need not be echelon.
-
-        Rows with a nonzero left half give the echelon rows of M(S) and, as right halves, the
-        source of each in the same order; the other rows' right halves are the echelon rows of
-        S meet ker M.  The RREF of (M b | b) is canonical for its row span, so the halves are
-        canonical whatever rows b span S.
+        """`_halves` of the canonical RREF of (M b | b), over rows b that span S and need not be
+        echelon: the halves are then canonical whatever rows b span S, and as the image rows
+        are in RREF, x in M(S) has the source sum_k x[pivot_k] source_k.
         """
-        field, m = self.field, self.nrows
-        split = field._bits * m
-        images = _combine(field, self._columns(), m, basis)
-        reduced, pivots = rref(field, [im | b << split for im, b in zip(images, basis)], m + self.ncols)
-        rank = sum(pc < m for pc in pivots)
-        right = tuple(r >> split for r in reduced)
-        return tuple(r & ((1 << split) - 1) for r in reduced[:rank]), right[:rank], right[rank:]
+        return self._halves(rref(self.field, self._pairs(basis), self.nrows + self.ncols)[0])
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -532,4 +619,5 @@ class Subspace(_Value):
         """Whether other lies in this subspace: adding its rows leaves the rank unchanged."""
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        return len(rref(self.field, self._rows + other._rows, self.ambient_dim)[1]) == self.dim
+        state = {r & -r: r for r in self._rows}
+        return len(_echelon(self.field, other._rows, self.ambient_dim, state)) == self.dim

@@ -254,15 +254,16 @@ def _member_dims(t: EOType) -> set[int]:
 
 
 def test_eo_type_of_makes_one_reduction_per_filtration_member(monkeypatch):
-    # one reduction of F for the module, then one of (V b | b) per member
-    calls, rref = [], ffmat.rref
+    # one elimination of F for the module, then one of (V b | b) per member: ker F's is
+    # made once and every other upper member resumes from it
+    calls, echelon = [], ffmat._echelon
 
     def counting(*args):
         calls.append(args)
-        return rref(*args)
+        return echelon(*args)
 
-    monkeypatch.setattr(ffmat, "rref", counting)
-    for p in (2, 3):
+    monkeypatch.setattr(ffmat, "_echelon", counting)
+    for p in (2, 3, 97):
         field, rng = PrimeField(p), random.Random(5150 + p)
         for g in range(1, 7):
             for t in enumerate_types(g):
@@ -271,6 +272,10 @@ def test_eo_type_of_makes_one_reduction_per_filtration_member(monkeypatch):
                 calls.clear()
                 assert eo_type_of(m) == t
                 assert len(calls) == len(_member_dims(t)) + 1, (p, t)
+                # rows fed: F's 2g, then each member N <= ker F its own, and each member
+                # above ker F (dim g) only sigma's images of K, dim N - g of them
+                fed = 2 * g + sum(d if d <= g else d - g for d in _member_dims(t))
+                assert sum(len(args[1]) for args in calls) == fed, (p, t)
 
 
 _EDGE_WORDS = ("F", "V", "FV", "FFV", "FVV", "FFVV", "FFVFVV")

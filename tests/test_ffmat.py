@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _slot_bytes, rref, vstack
+from ssrank.ffmat import (GF2, Matrix, PrimeField, Subspace, _back_substitute, _echelon, _slot_bytes, rref,
+                          vstack)
 
 from helpers import reference_preimage, reference_rref_modp
 
@@ -144,9 +145,58 @@ def slot_edge_system(p, m):
     return [[int(j == k) for j in range(r)] + [p - 1] for k in range(r)] + [[1] * r + [p - 1]]
 
 
-# (p, m, slot bytes) for m x m systems, whose slots the bound sizes for m pivots: on
-# each side of each width step, 1 -> 2 bytes at p = 3, 5 and 97 and 2 -> 4 bytes at
-# p = 97, and one size further, where the largest slot first needs the wider width.
+def assert_echelon_matches_the_reference(p, rows, ncols):
+    """The echelon state of the rows, in one pass and resumed from the state of a prefix,
+    against the reference sweep: every state row is reduced and keyed by its pivot bit,
+    where it has a leading 1; the pivots are the reference's; the rows span the reference's
+    RREF; the base state is left as it was; and back-substitution gives the canonical rows."""
+    field = PrimeField(p)
+    bits, packed = field._bits, Matrix.build(field, rows, ncols)._rows
+    reduced, pivots = reference_rref_modp(rows, ncols, p)
+    assert Matrix._from_rows(field, len(packed), ncols, packed).rank() == len(pivots)
+    for cut in sorted({0, len(packed) // 2, max(len(packed) - 1, 0), len(packed)}):
+        base = _echelon(field, packed[:cut], ncols)
+        saved = dict(base)
+        state = _echelon(field, packed[cut:], ncols, base)
+        assert base == saved
+        for key, row in state.items():
+            assert row & -row == key and (key.bit_length() - 1) % bits == 0
+            assert row >> key.bit_length() - 1 & (1 << bits) - 1 == 1
+            assert all(e < p for e in field._unpack(row, ncols))
+        assert sorted((key.bit_length() - 1) // bits for key in state) == pivots
+        assert reference_rref_modp(entry_lists(field, ncols, list(state.values())), ncols, p)[0] == reduced
+        assert entry_lists(field, ncols, _back_substitute(field, state, ncols)) == reduced
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_echelon_matches_the_reference_and_resumes(p):
+    """Seeded systems of every rank, with zero and repeated rows."""
+    rng = random.Random(500 + p)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(14), rng.randrange(1, 14)
+        rank = rng.randrange(min(nrows, ncols) + 1)
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if rank
+                else [0] * ncols for row in left]
+        if rows and rng.random() < 0.5:
+            rows += [list(rows[0]), [0] * ncols]
+        rng.shuffle(rows)
+        assert_echelon_matches_the_reference(p, rows, ncols)
+
+
+def back_substitution_edge_system(p, m):
+    """m rows of m + 1 columns, already echelon: a row of ones ending in p - 1, then
+    e_k + (p - 1) e_m for 0 < k < m.  Back-substitution adds (p - 1) times each later row
+    to the first, (p - 1)^2 to its last slot at each of the m - 1 later pivots, so the
+    slot reaches the same (p - 1)(1 + (m - 1)(p - 1)) as in `slot_edge_system`."""
+    return [[1] * m + [p - 1]] + [[int(j == k) for j in range(m)] + [p - 1] for k in range(1, m)]
+
+
+# (p, m, slot bytes) for systems of m rows (m x m, and m x (m + 1) for back-substitution),
+# whose slots the bound sizes for m pivots: on each side of each width step, 1 -> 2 bytes
+# at p = 3, 5 and 97 and 2 -> 4 bytes at p = 97, and one size further, where the largest
+# slot first needs the wider width.
 SLOT_EDGES = [(3, 63, 1), (3, 64, 2), (3, 65, 2), (5, 15, 1), (5, 16, 2), (5, 17, 2),
               (97, 1, 2), (97, 7, 2), (97, 8, 4), (97, 9, 4)]
 
@@ -155,6 +205,9 @@ SLOT_EDGES = [(3, 63, 1), (3, 64, 2), (3, 65, 2), (5, 15, 1), (5, 16, 2), (5, 17
 def test_row_reduction_at_the_slot_width_edges(p, m, width):
     assert _slot_bytes((p - 1) * (1 + m * (p - 1))) == width
     rows = slot_edge_system(p, m)
+    assert_echelon_matches_the_reference(p, rows, m)  # resumed, the last row alone meets the bound
+    assert_echelon_matches_the_reference(p, rows[::-1], m)
+    assert_echelon_matches_the_reference(p, back_substitution_edge_system(p, m), m + 1)
     assert_kernels_match_the_reference(p, rows, m, [[1] * m, [1] + [0] * (m - 1)])
     assert_kernels_match_the_reference(p, rows[::-1], m, [[int(j == k) for j in range(m)]
                                                           for k in range(m)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -313,7 +314,11 @@ def test_final_profile_matches_the_reference_filtration():
             letters = rng.choices(cyclic, k=rng.randrange(1, 4))
             m = conjugated(direct_sum(*(word_module(CyclicWord(w), field) for w in letters)), rng)
             assert _final_profile(m) == reference_final_profile(m), (p, letters)
-        for t in enumerate_types(4):
+        # every type of g = 4, then sampled types of g = 6..9, whose longer filtrations
+        # resume ker F's reduction more often
+        sampled = [EOType.of(accumulate(rng.randrange(2) for _ in range(g)))
+                   for g in range(6, 10) for _ in range(3)]
+        for t in [*enumerate_types(4), *sampled]:
             m = conjugated(canonical_module(t, field), rng)
             psi = [0, *t.nu]
             psi += [psi[t.g - k] + k for k in range(1, t.g + 1)]
