@@ -17,7 +17,7 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .ffmat import Matrix, PrimeField, Row, Subspace, _combine, _scale_table, _set, _Value, block_diag, vstack
+from .ffmat import Matrix, PrimeField, Row, _combine, _scale_table, _set, _Value, block_diag, vstack
 
 
 class Bt1ValidationError(ValueError):
@@ -148,7 +148,7 @@ def _stable_image_dim(op: Matrix) -> int:
     """Dimension of the intersection of all iterated images of op.
 
     op^(k+1)(M) lies in op^k(M), so the images are equal once their dimensions are."""
-    rows = Subspace.full(op.field, op.nrows)._rows
+    rows = Matrix.identity(op.field, op.nrows)._rows
     while True:
         nxt = op._image_echelon(rows)
         if len(nxt) == len(rows):

@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate, product
 
 from .bt1 import DieudonneModule, require_valid
-from .ffmat import Matrix, PrimeField, Subspace, _combine, _set, _Value
+from .ffmat import Matrix, PrimeField, _combine, _set, _Value
 
 
 class FiltrationError(ValueError):
@@ -153,8 +153,8 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     """
     require_valid(m)
     n, field, ver = m.dim, m.field, m.verschiebung
-    im_rows, sources, ker_rows = m.frobenius._image_sources_kernel(Subspace.full(field, n)._rows)
-    by_pivot = dict(zip(Subspace._from_rows(field, n, im_rows).pivots(), sources))
+    im_rows, sources, ker_rows = m.frobenius._image_sources_kernel(Matrix.identity(field, n)._rows)
+    by_pivot = {((r & -r).bit_length() - 1) // field._bits: s for r, s in zip(im_rows, sources)}
     section = [by_pivot.get(i, 0) for i in range(n)]  # sigma e_i: the source of im F's row with pivot i
     ker_state, ker_dim = ver._pair_echelon(ker_rows), len(ker_rows)  # (V b | b) over ker F
 
@@ -189,9 +189,11 @@ def eo_type_of(m: DieudonneModule) -> EOType:
     """Recover the EO type of a valid module: its final profile, checked to be a type's.
 
     psi(1..g) needs no type check: _final_profile makes each step 0 or 1 from psi(0) = 0."""
-    psi, n, g = _final_profile(m), m.dim, m.dim // 2
+    require_valid(m)
+    n, g = m.dim, m.dim // 2
     if n % 2 != 0:
         raise FiltrationError("module dimension is odd; no EO type")
+    psi = _final_profile(m)
     if psi[n] != g:
         raise FiltrationError("V has rank different from g; module is not self-balanced")
     for i in range(g + 1, n + 1):

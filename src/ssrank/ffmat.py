@@ -1,8 +1,9 @@
 """Exact dense linear algebra over prime fields F_p for small p.
 
 Matrices act on column vectors: column j of a matrix is the image of the
-j-th standard basis vector.  Subspaces are stored in reduced row-echelon
-form, so two equal subspaces compare and hash identically.
+j-th standard basis vector.  Inside the library a subspace is its echelon
+rows; `Subspace`, what `Matrix.kernel` and `Subspace.span` return, holds
+canonical RREF rows, so equal subspaces compare and hash identically.
 
 Every row, column and vector is one Python int with entry j in slot j, bit j
 over F_2 and byte j over odd p (`PrimeField._bits`), always reduced, so equal
@@ -13,10 +14,10 @@ wide enough for their worst case, and each result is reduced once.  Entries are
 unpacked, and not kept, on every read of `Matrix.entries` and `Subspace.basis`.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
-`Subspace(...)` constructors, `Matrix.build` and `Subspace.span`.  Results
-computed here go through the trusted private constructors `Matrix._from_rows`
-and `Subspace._from_rows`, which neither re-reduce nor re-validate; the
-library's explicit constructions write their (row, column, value) triples
+`Subspace(...)` constructors (one shared entry check), `Matrix.build` and
+`Subspace.span`.  Results computed here go through the trusted constructors
+`Matrix._from_rows` and `Subspace._from_rows`, which neither re-reduce nor
+re-validate; the library's constructions write (row, column, value) triples
 through `Matrix._sparse`.
 Everything here is a value: operations never mutate their inputs and
 results are safe to share between threads.
@@ -320,6 +321,15 @@ def _check_dims(*dims: int) -> None:
         raise ValueError("negative dimensions")
 
 
+def _checked_rows(field: PrimeField, entries: tuple[tuple[int, ...], ...], ncols: int) -> tuple[Row, ...]:
+    """Internal form of entry rows from outside, checked to hold ncols entries reduced mod p each."""
+    if any(len(row) != ncols for row in entries):
+        raise ValueError("column count does not match entries")
+    if any(not 0 <= e < field.p for row in entries for e in row):
+        raise ValueError("entries must be reduced mod p")
+    return _to_rows(field, entries)
+
+
 def _span(field: PrimeField, ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
     return Subspace._from_rows(field, ambient_dim, rref(field, rows, ambient_dim)[0])
 
@@ -342,14 +352,7 @@ class Matrix(_Value):
         _check_dims(self.nrows, self.ncols)
         if len(entries) != self.nrows:
             raise ValueError("row count does not match entries")
-        p = self.field.p
-        for row in entries:
-            if len(row) != self.ncols:
-                raise ValueError("column count does not match entries")
-            for e in row:
-                if not 0 <= e < p:
-                    raise ValueError("entries must be reduced mod p")
-        _set(self, "_rows", _to_rows(self.field, entries))
+        _set(self, "_rows", _checked_rows(self.field, entries, self.ncols))
         _set(self, "_cols", None)
 
     @classmethod
@@ -402,10 +405,7 @@ class Matrix(_Value):
         if ncols is None:
             ncols = len(tup[0]) if tup else 0
         _check_dims(ncols)
-        for row in tup:
-            if len(row) != ncols:
-                raise ValueError("column count does not match entries")
-        return cls._from_rows(field, len(tup), ncols, _to_rows(field, tup))
+        return cls._from_rows(field, len(tup), ncols, _checked_rows(field, tup, ncols))
 
     @classmethod
     def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "Matrix":
@@ -475,12 +475,6 @@ class Matrix(_Value):
     def _images(self, basis: Iterable[Row]) -> list[Row]:
         """M b for each row b."""
         return _combine(self.field, self._columns(), self.nrows, basis)
-
-    def map_subspace(self, s: "Subspace") -> "Subspace":
-        """Image of a subspace under this matrix."""
-        if s.ambient_dim != self.ncols:
-            raise ValueError("ambient dimension does not match ncols")
-        return _span(self.field, self.nrows, self._images(s._rows))
 
     def _image_echelon(self, basis: Iterable[Row]) -> tuple[Row, ...]:
         """An echelon basis of M(S), for rows b that span S and need not be echelon."""
@@ -558,7 +552,7 @@ def vstack(*blocks: Matrix) -> Matrix:
 
 
 class Subspace(_Value):
-    """A subspace of F_p^n held as a canonical reduced row-echelon basis."""
+    """A subspace of F_p^n held as a canonical reduced row-echelon basis: what `kernel` and `span` return."""
 
     __slots__ = ("field", "ambient_dim", "_rows")
     _fields = ("field", "ambient_dim", "basis")
@@ -571,14 +565,12 @@ class Subspace(_Value):
         self.__post_init__(tuple(map(tuple, basis)))
 
     def __post_init__(self, basis: tuple[tuple[int, ...], ...]) -> None:
-        n, p = self.ambient_dim, self.field.p
+        n = self.ambient_dim
         _check_dims(n)
-        if all(len(v) == n and all(0 <= e < p for e in v) for v in basis):
-            rows = _to_rows(self.field, basis)
-            if rref(self.field, rows, n)[0] == rows:
-                _set(self, "_rows", rows)
-                return
-        raise ValueError("basis is not in canonical reduced row-echelon form")
+        rows = _checked_rows(self.field, basis, n)
+        if rref(self.field, rows, n)[0] != rows:
+            raise ValueError("basis is not in canonical reduced row-echelon form")
+        _set(self, "_rows", rows)
 
     @classmethod
     def _from_rows(cls, field: PrimeField, ambient_dim: int, rows: tuple[Row, ...]) -> "Subspace":
@@ -593,16 +585,6 @@ class Subspace(_Value):
     def span(cls, field: PrimeField, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
         return _span(field, ambient_dim, Matrix.build(field, vectors, ambient_dim)._rows)
 
-    @classmethod
-    def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        _check_dims(ambient_dim)
-        return cls._from_rows(field, ambient_dim, ())
-
-    @classmethod
-    def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        _check_dims(ambient_dim)
-        return cls._from_rows(field, ambient_dim, tuple(1 << field._bits * i for i in range(ambient_dim)))
-
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.field._unpack(r, self.ambient_dim)) for r in self._rows)
@@ -610,14 +592,3 @@ class Subspace(_Value):
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    def pivots(self) -> tuple[int, ...]:
-        bits = self.field._bits
-        return tuple(((r & -r).bit_length() - 1) // bits for r in self._rows)
-
-    def contains(self, other: "Subspace") -> bool:
-        """Whether other lies in this subspace: adding its rows leaves the rank unchanged."""
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-        state = {r & -r: r for r in self._rows}
-        return len(_echelon(self.field, other._rows, self.ambient_dim, state)) == self.dim

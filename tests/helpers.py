@@ -12,7 +12,7 @@ from collections.abc import Mapping
 
 from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
 from ssrank.eo import EOType, FiltrationError
-from ssrank.ffmat import Matrix, PrimeField, Subspace
+from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import CyclicWord, WordCensus, _least_rotation, word_module
 
 
@@ -126,53 +126,96 @@ def reference_rref_modp(rows, ncols, p):
     return work[:rank], pivots
 
 
+# Dense subspace oracles: a subspace of F_p^n is the tuple of its canonical RREF rows, as
+# entry tuples, from `reference_rref_modp`; images are dense products, containment is
+# "the RREF of both bases is the bigger one", and nothing reads the library's packed rows.
+
+def reference_span(vectors, n, p):
+    """The canonical RREF rows of the span of the vectors in F_p^n."""
+    return tuple(map(tuple, reference_rref_modp([list(v) for v in vectors], n, p)[0]))
+
+
+def reference_kernel(rows, ncols, p):
+    """The canonical RREF rows of {v : rows v = 0} in F_p^ncols."""
+    reduced, pivots = reference_rref_modp([list(r) for r in rows], ncols, p)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free] % p
+        basis.append(v)
+    return reference_span(basis, ncols, p)
+
+
+def reference_product(a, b, p):
+    """The dense product of entry rows a (k columns) and b (k rows)."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def reference_image(op: Matrix, basis):
+    """The canonical RREF rows of op(S), for vectors that span S."""
+    rows, p = op.entries, op.field.p
+    return reference_span([[sum(a * b for a, b in zip(row, v)) % p for row in rows] for v in basis],
+                          op.nrows, p)
+
+
+def reference_contains(big, small, n, p):
+    """Whether span(small) lies in span(big), for big in canonical RREF rows of F_p^n."""
+    return reference_span(list(big) + list(small), n, p) == tuple(big)
+
+
+def reference_preimage(op: Matrix, basis):
+    """The canonical RREF rows of {v : op v in S}, for vectors that span S: the kernel of the
+    rows of S's annihilator times op."""
+    p = op.field.p
+    annihilator = reference_kernel(basis, op.nrows, p)
+    return reference_kernel(reference_product(annihilator, op.entries, p), op.ncols, p)
+
+
 def reference_validate_bt1(m: DieudonneModule) -> list[str]:
-    """BT1 violations found by comparing kernels with images as subspaces."""
-    f, v = m.frobenius, m.verschiebung
+    """BT1 violations found by comparing dense kernels with dense images."""
+    f, v, p, n = m.frobenius.entries, m.verschiebung.entries, m.field.p, m.dim
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
     violations = []
-    if not (f @ v).is_zero():
+    if any(map(any, reference_product(f, v, p))):
         violations.append("F*V != 0")
-    if not (v @ f).is_zero():
+    if any(map(any, reference_product(v, f, p))):
         violations.append("V*F != 0")
-    full = Subspace.full(m.field, m.dim)
-    if f.kernel() != v.map_subspace(full):
+    if reference_kernel(f, n, p) != reference_image(m.verschiebung, identity):
         violations.append("ker(F) != im(V)")
-    if v.kernel() != f.map_subspace(full):
+    if reference_kernel(v, n, p) != reference_image(m.frobenius, identity):
         violations.append("ker(V) != im(F)")
     if m.form is not None:
         violations.extend(_form_violations(m))
     return violations
 
 
-def reference_preimage(op: Matrix, sub: Subspace) -> Subspace:
-    """{v : op v in sub}: the kernel of (the rows of sub's annihilator) @ op."""
-    annihilator = Matrix.build(op.field, sub.basis, op.nrows).kernel()
-    return (Matrix.build(op.field, annihilator.basis, op.nrows) @ op).kernel()
-
-
 def reference_final_profile(m: DieudonneModule) -> list[int]:
-    """psi(0..n) from the canonical filtration closed with `map_subspace` and `reference_preimage`."""
+    """psi(0..n) from the canonical filtration, closed as a set of dense canonical RREF
+    tuples under `reference_image` of V and `reference_preimage` of F."""
     require_valid(m)
-    n = m.dim
+    n, p = m.dim, m.field.p
     frob, ver = m.frobenius, m.verschiebung
 
-    chain = {Subspace.zero(m.field, n), Subspace.full(m.field, n)}
+    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    chain = {(), full}
     frontier = list(chain)
     while frontier:
         fresh = []
         for sub in frontier:
-            for candidate in (ver.map_subspace(sub), reference_preimage(frob, sub)):
+            for candidate in (reference_image(ver, sub), reference_preimage(frob, sub)):
                 if candidate not in chain:
                     chain.add(candidate)
                     fresh.append(candidate)
         frontier = fresh
 
-    ordered = sorted(chain, key=lambda s: s.dim)
+    ordered = sorted(chain, key=len)
     for small, big in zip(ordered, ordered[1:]):
-        if small.dim == big.dim or not big.contains(small):
+        if len(small) == len(big) or not reference_contains(big, small, n, p):
             raise FiltrationError("canonical closure is not a chain")
 
-    psi_at = {sub.dim: ver.map_subspace(sub).dim for sub in ordered}
+    psi_at = {len(sub): len(reference_image(ver, sub)) for sub in ordered}
     psi = [0] * (n + 1)
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):

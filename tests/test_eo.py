@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ssrank import ffmat
-from ssrank.bt1 import DieudonneModule, a_number, check_polarization, direct_sum, p_rank, \
-    require_valid, validate_bt1, dual
+from ssrank import eo, ffmat
+from ssrank.bt1 import Bt1ValidationError, DieudonneModule, a_number, check_polarization, direct_sum, \
+    p_rank, require_valid, validate_bt1, dual
 from ssrank.build import j_rs, ord1
 from ssrank.eo import (
     EOType,
@@ -219,6 +219,22 @@ def test_twisted_fv_keeps_type_zero():
             m = DieudonneModule(Matrix.build(field, [[0, 0], [1, 0]]),
                                 Matrix.build(field, [[0, 0], [lam, 0]]))
             assert eo_type_of(m) == reference_eo_type_of(m) == EOType.of([0])
+
+
+def test_eo_type_of_checks_parity_before_the_filtration(monkeypatch):
+    def built(m):
+        raise AssertionError("the filtration was built")
+
+    monkeypatch.setattr(eo, "_final_profile", built)
+    for p in (2, 3):
+        field = PrimeField(p)
+        etale = DieudonneModule(Matrix.build(field, [[1]]), Matrix.build(field, [[0]]))
+        with pytest.raises(FiltrationError) as caught:
+            eo_type_of(etale)
+        assert str(caught.value) == "module dimension is odd; no EO type"
+        # validation comes first: an odd module that is not BT1 is rejected as such
+        with pytest.raises(Bt1ValidationError):
+            eo_type_of(DieudonneModule(Matrix.build(field, [[1]]), Matrix.build(field, [[1]])))
 
 
 def test_filtration_errors_match_the_reference():

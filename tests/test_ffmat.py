@@ -9,7 +9,8 @@ import pytest
 from ssrank.ffmat import (GF2, Matrix, PrimeField, Subspace, _back_substitute, _echelon, _slot_bytes, rref,
                           vstack)
 
-from helpers import reference_preimage, reference_rref_modp
+from helpers import (reference_contains, reference_image, reference_kernel, reference_preimage,
+                     reference_rref_modp, reference_span)
 
 # F and V of the 2-dimensional supersingular block over F_2: x -> y, y -> 0.
 I11_OP = Matrix.build(GF2, [[0, 0], [1, 0]])
@@ -27,6 +28,11 @@ def packed_rref(p, rows, ncols):
     return [list(r) for r in Matrix._from_rows(field, len(reduced), ncols, reduced).entries], list(pivots)
 
 
+def resumed_rank(s, rows):
+    """The rank of `_echelon` resumed from a subspace's canonical rows, an echelon state, with more rows."""
+    return len(_echelon(s.field, rows, s.ambient_dim, {r & -r: r for r in s._rows}))
+
+
 def test_prime_field_rejects_composites_and_large_primes():
     for bad in (0, 1, 4, 6, 91, 98, 101):
         with pytest.raises(ValueError):
@@ -40,11 +46,16 @@ def test_rank_examples(gf3):
     assert I11_OP.rank() == 1
 
 
+def identity_rows(field, n):
+    return Matrix.identity(field, n)._rows
+
+
 def test_kernel_image_examples():
-    assert Matrix.identity(GF2, 3).kernel() == Subspace.zero(GF2, 3)
-    assert Matrix.zeros(GF2, 4, 4).map_subspace(Subspace.full(GF2, 4)) == Subspace.zero(GF2, 4)
+    assert Matrix.identity(GF2, 3).kernel() == Subspace(GF2, 3, ())
+    assert Matrix.zeros(GF2, 4, 4)._image_sources_kernel(identity_rows(GF2, 4))[0] == ()
     # the exchange axiom instance on the supersingular block: ker F = im V
-    assert I11_OP.kernel() == I11_OP.map_subspace(Subspace.full(GF2, 2))
+    image = I11_OP._image_sources_kernel(identity_rows(GF2, 2))[0]
+    assert I11_OP.kernel()._rows == image
     assert I11_OP.kernel() == Subspace.span(GF2, 2, [[0, 1]])
 
 
@@ -55,13 +66,18 @@ def test_rank_nullity_and_preimage_randomized(p):
     for _ in range(40):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = random_matrix(rng, field, nrows, ncols)
-        assert m.kernel().dim + m.rank() == ncols
-        full = Subspace.full(field, ncols)
-        assert reference_preimage(m, m.map_subspace(full)) == full
-        s = Subspace.span(field, nrows, [[rng.randrange(p) for _ in range(nrows)]])
+        kernel = m.kernel()
+        assert kernel.dim + m.rank() == ncols
+        full = Matrix.identity(field, ncols).entries
+        assert reference_preimage(m, reference_image(m, full)) == full
+        s = reference_span([[rng.randrange(p) for _ in range(nrows)]], nrows, p)
         pre = reference_preimage(m, s)
-        assert pre.contains(m.kernel())
-        assert s.contains(m.map_subspace(pre))
+        assert reference_contains(pre, kernel.basis, ncols, p)
+        assert reference_contains(s, reference_image(m, pre), nrows, p)
+        # the packed halves of M^-1(S): M maps it onto S meet im M, and it meets ker M in ker M
+        image, _, meet = m._image_sources_kernel(Matrix.build(field, pre, ncols)._rows)
+        assert meet == kernel._rows
+        assert entry_lists(field, nrows, image) == [list(r) for r in reference_image(m, pre)]
 
 
 @pytest.mark.parametrize("p", [3, 97])
@@ -80,19 +96,6 @@ def test_sliced_sweep_matches_the_whole_row_sweep(p):
         assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
 
 
-def reference_kernel(rows, ncols, p):
-    """Echelon basis of {v : rows v = 0}, from the reference sweep."""
-    reduced, pivots = reference_rref_modp(rows, ncols, p)
-    basis = []
-    for free in (j for j in range(ncols) if j not in pivots):
-        v = [0] * ncols
-        v[free] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[free] % p
-        basis.append(v)
-    return reference_rref_modp(basis, ncols, p)[0]
-
-
 def entry_lists(field, ncols, rows):
     """Packed rows of ncols columns, read back as entry lists."""
     return [list(r) for r in Matrix._from_rows(field, len(rows), ncols, rows).entries]
@@ -104,7 +107,7 @@ def assert_kernels_match_the_reference(p, rows, ncols, span):
     field = PrimeField(p)
     assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
     m = Matrix.build(field, rows, ncols)
-    assert [list(v) for v in m.kernel().basis] == reference_kernel(rows, ncols, p)
+    assert m.kernel().basis == reference_kernel(rows, ncols, p)
     s_basis = reference_rref_modp(span, ncols, p)[0]
     image, sources, kernel = m._image_sources_kernel(Matrix.build(field, span, ncols)._rows)
     images = [[sum(a * b for a, b in zip(row, v)) % p for row in rows] for v in s_basis]
@@ -223,8 +226,8 @@ def test_products_at_the_slot_width_edges(p, k, width):
     expected = k * (p - 1) ** 2 % p
     assert (a @ b).entries == ((expected,) * 5,) * 3
     assert (a @ Matrix.build(field, [[p - 1]] * k)).entries == ((expected,),) * 3
-    s = Subspace.span(field, k, [[p - 1] * k])
-    assert a.map_subspace(s) == Subspace.span(field, 3, [[expected] * 3])
+    images = a._images(Matrix.build(field, [[p - 1] * k])._rows)
+    assert images == list(Matrix.build(field, [[expected] * 3])._rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
@@ -257,25 +260,26 @@ def test_image_sources_kernel_matches_the_lattice(p):
         s = Subspace.span(field, ncols, [[rng.randrange(p) for _ in range(ncols)]
                                          for _ in range(rng.randrange(ncols + 1))])
         image_rows, source_rows, kernel_rows = m._image_sources_kernel(s._rows)
-        image = Subspace._from_rows(field, nrows, image_rows)
-        kernel = Subspace._from_rows(field, ncols, kernel_rows)
-        assert image == m.map_subspace(s)
-        assert s.contains(kernel) and m.map_subspace(kernel).dim == 0
-        assert kernel.dim == s.dim - image.dim
+        image = tuple(map(tuple, entry_lists(field, nrows, image_rows)))
+        kernel = tuple(map(tuple, entry_lists(field, ncols, kernel_rows)))
+        assert image == reference_image(m, s.basis)
+        assert reference_contains(s.basis, kernel, ncols, p) and reference_image(m, kernel) == ()
+        assert len(kernel) == s.dim - len(image)
         # sigma, with the source of each image row as its column at that row's pivot
-        by_pivot = dict(zip(image.pivots(), source_rows))
+        by_pivot = {next(j for j, e in enumerate(w) if e): source for w, source in zip(image, source_rows)}
         section = Matrix._from_rows(field, nrows, ncols,
                                     [by_pivot.get(i, 0) for i in range(nrows)]).transpose()
-        assert s.contains(section.map_subspace(image))
-        for w in image.basis:
+        assert reference_contains(s.basis, reference_image(section, image), ncols, p)
+        for w in image:
             column = Matrix.build(field, [[e] for e in w], 1)
             assert m @ (section @ column) == column
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_contains_matches_the_span_test(p):
-    """S contains T exactly when S + T, the span of both bases, is S; members are built as
-    combinations of S's basis."""
+    """`_echelon` resumed from a subspace's canonical rows, as `_final_profile` resumes ker F,
+    keeps the rank exactly when the new rows lie in the subspace, by the dense reference
+    (the RREF of both bases is the subspace's); members are built as combinations of its basis."""
     rng = random.Random(23 + p)
     field = PrimeField(p)
     for _ in range(150):
@@ -283,13 +287,12 @@ def test_contains_matches_the_span_test(p):
         big = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
                                        for _ in range(rng.randrange(n + 1))])
         combos = [[rng.randrange(p) for _ in big.basis] for _ in range(rng.randrange(3))]
-        inside = Subspace.span(field, n, [[sum(c * b[j] for c, b in zip(cs, big.basis)) % p
-                                           for j in range(n)] for cs in combos])
-        other = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)]
-                                         for _ in range(rng.randrange(3))])
-        assert big.contains(inside)
-        for small in (inside, other, big, Subspace.zero(field, n), Subspace.full(field, n)):
-            assert big.contains(small) == (Subspace.span(field, n, big.basis + small.basis) == big)
+        inside = [[sum(c * b[j] for c, b in zip(cs, big.basis)) % p for j in range(n)] for cs in combos]
+        other = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(3))]
+        assert reference_contains(big.basis, inside, n, p)
+        for small in (inside, other, big.basis, [], Matrix.identity(field, n).entries):
+            rank = resumed_rank(big, Matrix.build(field, small, n)._rows)
+            assert (rank == big.dim) == reference_contains(big.basis, small, n, p)
 
 
 def test_vstack():
@@ -305,14 +308,14 @@ def test_echelon_form_is_canonical():
     a = Subspace.span(GF2, 3, [[1, 1, 0], [0, 1, 1]])
     b = Subspace.span(GF2, 3, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert a == b and hash(a) == hash(b)
-    with pytest.raises(ValueError):
-        Subspace(GF2, 3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))  # not RREF
+    with pytest.raises(ValueError, match="not in canonical reduced row-echelon form"):
+        Subspace(GF2, 3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
 
 
 def test_kernel_of_constraint_rows():
-    assert Matrix.build(GF2, [], 4).kernel() == Subspace.full(GF2, 4)
+    assert Matrix.build(GF2, [], 4).kernel() == Subspace(GF2, 4, Matrix.identity(GF2, 4).entries)
     rows = [[1, 0], [0, 1]]
-    assert Matrix.build(GF2, rows, 2).kernel() == Subspace.zero(GF2, 2)
+    assert Matrix.build(GF2, rows, 2).kernel() == Subspace(GF2, 2, ())
 
 
 def test_kernel_of_constraint_rows_polarization_family():
@@ -367,34 +370,17 @@ def test_matrix_validation():
 def test_zero_dimensional_edges():
     empty = Matrix.zeros(GF2, 0, 0)
     assert empty.rank() == 0
-    assert empty.kernel() == Subspace.zero(GF2, 0)
-    assert empty.map_subspace(Subspace.full(GF2, 0)) == Subspace.zero(GF2, 0)
-    assert Subspace.full(GF2, 0) == Subspace.zero(GF2, 0)
+    assert empty.kernel() == Subspace(GF2, 0, ())
+    assert empty._image_sources_kernel(identity_rows(GF2, 0)) == ((), (), ())
+    assert Subspace.span(GF2, 0, [[]]) == Subspace(GF2, 0, ())
 
 
-# Dense reference over F_2: every lattice operation written on entry tuples
-# and the reference sweep `helpers.reference_rref_modp`, independent of the packed-int rows.
-
-def _dense_span(vectors, n):
-    reduced, _ = reference_rref_modp([list(v) for v in vectors], n, 2)
-    return tuple(tuple(r) for r in reduced)
-
+# Dense reference over F_2: every lattice operation written on entry tuples with the
+# `helpers` oracles on the reference sweep, independent of the packed-int rows.
 
 def _dense_mul(a, b, inner, ncols):
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) % 2 for j in range(ncols)]
             for i in range(len(a))]
-
-
-def _dense_kernel(rows, n):
-    reduced, pivots = reference_rref_modp([list(r) for r in rows], n, 2)
-    basis = []
-    for free in (j for j in range(n) if j not in pivots):
-        v = [0] * n
-        v[free] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = row[free]
-        basis.append(v)
-    return _dense_span(basis, n)
 
 
 def _random_rows(rng, nrows, ncols):
@@ -406,6 +392,11 @@ def _random_rows(rng, nrows, ncols):
         return _dense_mul(left, right, k, ncols)
     density = rng.random()
     return [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _image_of(m, rows):
+    """The image half of `_image_sources_kernel`, as the canonical subspace it is."""
+    return Subspace._from_rows(m.field, m.nrows, m._image_sources_kernel(rows)[0])
 
 
 def _assert_same_subspace(packed, dense_basis, n):
@@ -422,27 +413,32 @@ def test_packed_gf2_matches_dense_reference():
         m = Matrix.build(GF2, rows, ncols)
         dense_rows, pivots = reference_rref_modp([list(r) for r in rows], ncols, 2)
         assert m.rank() == len(pivots)
-        _assert_same_subspace(m.kernel(), _dense_kernel(rows, ncols), ncols)
+        _assert_same_subspace(m.kernel(), reference_kernel(rows, ncols, 2), ncols)
         columns = [[row[j] for row in rows] for j in range(ncols)]
-        _assert_same_subspace(m.map_subspace(Subspace.full(GF2, ncols)),
-                              _dense_span(columns, nrows), nrows)
+        _assert_same_subspace(_image_of(m, identity_rows(GF2, ncols)),
+                              reference_span(columns, nrows, 2), nrows)
 
-        src = _dense_span(_random_rows(rng, rng.randrange(ncols + 1), ncols), ncols)
+        src = reference_span(_random_rows(rng, rng.randrange(ncols + 1), ncols), ncols, 2)
         s = Subspace.span(GF2, ncols, src)
         _assert_same_subspace(s, src, ncols)
         images = [[sum(row[k] * v[k] for k in range(ncols)) % 2 for row in rows] for v in src]
-        _assert_same_subspace(m.map_subspace(s), _dense_span(images, nrows), nrows)
+        _assert_same_subspace(_image_of(m, s._rows), reference_span(images, nrows, 2), nrows)
 
-        a_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
-        b_basis = _dense_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows)
+        a_basis = reference_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows, 2)
+        b_basis = reference_span(_random_rows(rng, rng.randrange(nrows + 1), nrows), nrows, 2)
         a, b = Subspace.span(GF2, nrows, a_basis), Subspace.span(GF2, nrows, b_basis)
-        constraint = _dense_mul(_dense_kernel(a_basis, nrows), rows, nrows, ncols)
-        _assert_same_subspace(reference_preimage(m, a), _dense_kernel(constraint, ncols), ncols)
-        total = _dense_span(list(a_basis) + list(b_basis), nrows)
+        # M^-1(A) holds ker M and maps onto A meet im M, of dim A + rank M - dim(A + im M)
+        pre = reference_preimage(m, a_basis)
+        image, _, meet = m._image_sources_kernel(Subspace.span(GF2, ncols, pre)._rows)
+        assert meet == m.kernel()._rows
+        assert reference_contains(a_basis, entry_lists(GF2, nrows, image), nrows, 2)
+        a_plus_im = reference_span(a_basis + tuple(columns), nrows, 2)
+        assert len(image) == len(a_basis) + len(pivots) - len(a_plus_im)
+        total = reference_span(a_basis + b_basis, nrows, 2)
         both = Subspace.span(GF2, nrows, a_basis + b_basis)
         _assert_same_subspace(both, total, nrows)
-        assert a.contains(b) == (total == a_basis)
-        assert both.contains(a) and both.contains(b)
+        assert (resumed_rank(a, b._rows) == a.dim) == (total == a_basis)
+        assert resumed_rank(both, a._rows + b._rows) == both.dim
 
         inner = rng.randrange(25)
         other = _random_rows(rng, ncols, inner)
@@ -458,11 +454,21 @@ def test_public_constructors_check_input():
         Matrix.build(GF2, [[1, 0], [1]])  # ragged rows
     with pytest.raises(ValueError):
         Subspace.span(GF2, 3, [[1, 0]])
-    with pytest.raises(ValueError):
-        Subspace(PrimeField(3), 2, ((1, 3),))  # not reduced mod p
+    # both public constructors share one entry check; only a basis that is not RREF gets that message
+    for make, message in ((lambda: Matrix(GF2, 1, 3, ((1, 0),)), "column count does not match entries"),
+                          (lambda: Subspace(GF2, 3, ((1, 0),)), "column count does not match entries"),
+                          (lambda: Matrix(PrimeField(3), 1, 2, ((1, 3),)), "entries must be reduced mod p"),
+                          (lambda: Subspace(PrimeField(3), 2, ((1, 3),)), "entries must be reduced mod p"),
+                          (lambda: Subspace(PrimeField(3), 2, ((2, 0),)),
+                           "basis is not in canonical reduced row-echelon form"),
+                          (lambda: Subspace(GF2, 2, ((0, 0),)),
+                           "basis is not in canonical reduced row-echelon form")):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
     assert Matrix.build(PrimeField(3), [[4, -1]]).entries == ((1, 2),)
     for make in (lambda: Matrix.zeros(GF2, -1, 2), lambda: Matrix.identity(GF2, -1),
-                 lambda: Subspace.zero(GF2, -1), lambda: Subspace.full(GF2, -1)):
+                 lambda: Subspace(GF2, -1, ()), lambda: Subspace.span(GF2, -1, [])):
         with pytest.raises(ValueError):
             make()
     m = Matrix.identity(GF2, 2)
