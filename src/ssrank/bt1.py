@@ -17,7 +17,8 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .ffmat import Matrix, PrimeField, Row, _combine, _scale_table, _set, _Value, block_diag, vstack
+from .ffmat import (_ENTRIES_TO_DIGITS, Matrix, PrimeField, Row, _combine, _echelon, _scale_table, _set,
+                    _Value, block_diag, vstack)
 
 
 class Bt1ValidationError(ValueError):
@@ -100,10 +101,11 @@ def zero_module(field: PrimeField) -> DieudonneModule:
 def validate_bt1(m: DieudonneModule) -> list[str]:
     """All violated axioms, as strings; empty means the module is valid BT1."""
     f, v = m.frobenius, m.verschiebung
-    fv_zero, vf_zero = (f @ v).is_zero(), (v @ f).is_zero()
-    # FV = 0 puts im V inside ker F, so the two are equal iff rank V = n - rank F;
+    im_f, im_v = (_echelon(m.field, op._columns(), m.dim).values() for op in (f, v))
+    fv_zero, vf_zero = not any(f._images(im_v)), not any(v._images(im_f))
+    # FV = 0 iff F kills a basis of im V, and then ker F = im V iff rank V = n - rank F;
     # if FV != 0 they differ anyway.  Likewise VF = 0 for ker V and im F.
-    ranks_fill = f.rank() + v.rank() == m.dim
+    ranks_fill = len(im_f) + len(im_v) == m.dim
     violations = []
     if not fv_zero:
         violations.append("F*V != 0")
@@ -145,10 +147,10 @@ def require_valid(m: DieudonneModule) -> None:
 
 
 def _stable_image_dim(op: Matrix) -> int:
-    """Dimension of the intersection of all iterated images of op.
+    """Dimension of the intersection of all iterated images of op, taken from op(M), op's column span.
 
     op^(k+1)(M) lies in op^k(M), so the images are equal once their dimensions are."""
-    rows = Matrix.identity(op.field, op.nrows)._rows
+    rows = tuple(_echelon(op.field, op._columns(), op.nrows).values())
     while True:
         nxt = op._image_echelon(rows)
         if len(nxt) == len(rows):
@@ -334,18 +336,35 @@ def to_json(m: DieudonneModule) -> str:
             f'"V":{_json_rows(m.verschiebung)},"form":{form}}}')
 
 
-def _packed_rows(field: PrimeField, raw, dim: int) -> list[int]:
-    """The rows of a JSON dim x dim array of integers, each checked, then reduced mod p and packed once."""
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ValueError("matrix must be a dim x dim array")
-    p, pack, rows = field.p, field._pack, []
-    for row in raw:
-        if not isinstance(row, list) or len(row) != dim:
+def _read_matrix(field: PrimeField, raw, dim: int) -> Matrix:
+    """A JSON dim x dim array of integers as a matrix, entries reduced mod p, checked and read whole:
+    its rows are slices and its columns strides of one entry string (over F_2, of its binary digits,
+    reversed once so that entry j is bit j).  On a fault the rows are gone through in order, and the
+    first bad one decides the message, its shape before its entries."""
+    shaped = (isinstance(raw, list) and len(raw) == dim and set(map(type, raw)) <= {list}
+              and set(map(len, raw)) <= {dim})
+    flat = list(itertools.chain.from_iterable(raw)) if shaped else []
+    if not shaped or not set(map(type, flat)) <= {int}:
+        if not isinstance(raw, list) or len(raw) != dim:
             raise ValueError("matrix must be a dim x dim array")
-        if not set(map(type, row)) <= {int}:
-            raise ValueError("matrix entries must be integers")
-        rows.append(pack(bytes(map(p.__rmod__, row))))
-    return rows
+        for row in raw:
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValueError("matrix must be a dim x dim array")
+            if not set(map(type, row)) <= {int}:
+                raise ValueError("matrix entries must be integers")
+    p = field.p
+    try:  # entries that are bytes are reduced by one table lookup each
+        entries = bytes(flat).translate(_scale_table(p, 1))
+    except ValueError:
+        entries = bytes(map(p.__rmod__, flat))
+    if p == 2:
+        digits = entries.translate(_ENTRIES_TO_DIGITS)[::-1]
+        rows = [int(digits[(dim - 1 - i) * dim:(dim - i) * dim], 2) for i in range(dim)]
+        cols = [int(digits[dim - 1 - j::dim], 2) for j in range(dim)]
+    else:
+        rows = [int.from_bytes(entries[i * dim:(i + 1) * dim], "little") for i in range(dim)]
+        cols = [int.from_bytes(entries[j::dim], "little") for j in range(dim)]
+    return Matrix._from_rows(field, dim, dim, rows, tuple(cols))
 
 
 def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
@@ -363,9 +382,5 @@ def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
     if max_dim is not None and dim > max_dim:
         raise ValueError(f"module dim is capped at {max_dim}")
     raw_form = obj.get("form")
-
-    def matrix_of(raw) -> Matrix:
-        return Matrix._from_rows(field, dim, dim, _packed_rows(field, raw, dim))
-
-    form = matrix_of(raw_form) if raw_form is not None else None
-    return DieudonneModule(matrix_of(raw_f), matrix_of(raw_v), form)
+    form = _read_matrix(field, raw_form, dim) if raw_form is not None else None
+    return DieudonneModule(_read_matrix(field, raw_f, dim), _read_matrix(field, raw_v, dim), form)

@@ -356,14 +356,15 @@ class Matrix(_Value):
         _set(self, "_cols", None)
 
     @classmethod
-    def _from_rows(cls, field: PrimeField, nrows: int, ncols: int, rows: Iterable[Row]) -> "Matrix":
-        """Trusted constructor for rows already in internal form."""
+    def _from_rows(cls, field: PrimeField, nrows: int, ncols: int, rows: Iterable[Row],
+                   cols: tuple[Row, ...] | None = None) -> "Matrix":
+        """Trusted constructor for rows, and optionally the columns, already in internal form."""
         m = object.__new__(cls)
         _set(m, "field", field)
         _set(m, "nrows", nrows)
         _set(m, "ncols", ncols)
         _set(m, "_rows", tuple(rows))
-        _set(m, "_cols", None)
+        _set(m, "_cols", cols)
         return m
 
     @classmethod
@@ -418,9 +419,7 @@ class Matrix(_Value):
         return cls._from_rows(field, n, n, (1 << field._bits * i for i in range(n)))
 
     def transpose(self) -> "Matrix":
-        t = Matrix._from_rows(self.field, self.ncols, self.nrows, self._columns())
-        _set(t, "_cols", self._rows)
-        return t
+        return Matrix._from_rows(self.field, self.ncols, self.nrows, self._columns(), self._rows)
 
     def neg(self) -> "Matrix":
         p, n = self.field.p, self.ncols

@@ -463,6 +463,10 @@ def test_json_rejects_malformed():
         ({"form": [[0, False], [2, 0]], "F": [[0]], "V": [[0]]}, integers),
         ({"F": [[0, 0], [1, 0.5]], "V": [[0, 0]]}, integers),
         ({"F": [[0, 0]], "V": [[0, 0], [2.5, 0]]}, shape),
+        # within a matrix the first bad row decides, and within a row its shape comes first
+        ({"F": [[True, 0], [1]]}, integers), ({"F": [[0], [1.0, 0]]}, shape),
+        ({"F": [[0, 0], [1.0]]}, shape), ({"V": [[-5, "0"], [2 ** 70, 0]]}, integers),
+        ({"V": [[0, 0], [300, "0"]]}, integers), ({"form": [[0, 1], [2 ** 64, None]]}, integers),
     ]
     cases = [({**good, **change}, message) for change, message in changes]
     cases += [({k: v for k, v in good.items() if k != key}, f"module JSON is missing key '{key}'")
@@ -474,6 +478,22 @@ def test_json_rejects_malformed():
     assert from_json(json.dumps({**good, "form": None})).form is None
     with pytest.raises(ValueError, match="module JSON must be an object"):
         from_json("[1,2,3]")
+
+
+def test_json_reads_rows_and_columns_of_the_entries_reduced_mod_p():
+    rng = random.Random(2771)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        draws = (lambda: rng.randrange(p), lambda: p - 1, lambda: rng.randrange(-2 * p, p),
+                 lambda: rng.choice((rng.randrange(p, 256), 2 ** 64 + rng.randrange(p), rng.randrange(p))))
+        for dim in (0, 1, 2, 3, 8, 13, 24, 128):
+            for draw in draws:
+                raw = [[draw() for _ in range(dim)] for _ in range(dim)]
+                m = from_json(json.dumps({"p": p, "dim": dim, "F": raw, "V": raw, "form": raw}))
+                expected = Matrix.build(field, [[e % p for e in row] for row in raw], dim)._rows
+                for op in (m.frobenius, m.verschiebung, m.form):
+                    assert op._rows == expected
+                    assert op._cols == Matrix._from_rows(field, dim, dim, expected)._columns()
 
 
 def test_zero_module_invariants(gf2):
@@ -505,12 +525,35 @@ def _random_operators(rng, field, n):
     return m.frobenius, m.verschiebung
 
 
+def _edge_modules(rng, field, n):
+    """Two modules of dim n >= 2 in a random basis, at the edges of the rank test: one with
+    exactly one of FV and VF nonzero, one with FV = VF = 0 but rank F + rank V < n."""
+    p = field.p
+
+    def rand(nrows, ncols):
+        return Matrix.build(field, [[rng.randrange(p) for _ in range(ncols)]
+                                    for _ in range(nrows)], ncols)
+
+    while True:  # V maps into ker F, so FV = 0; keep a VF that is not
+        f = rand(n, n - 1) @ rand(n - 1, n)
+        kernel = f.kernel()
+        v = Matrix.build(field, kernel.basis, n).transpose() @ rand(kernel.dim, n)
+        if not (v @ f).is_zero():
+            break
+    one_sided = DieudonneModule(f, v) if rng.random() < 0.5 else DieudonneModule(v, f)
+    g = rng.randrange((n + 1) // 2)
+    zero = Matrix.zeros(field, n - 2 * g, n - 2 * g)
+    short = direct_sum(canonical_module(EOType.of([rng.randrange(2)] * g), field),
+                       DieudonneModule(zero, zero))
+    return conjugated(one_sided, rng), conjugated(short, rng)
+
+
 def test_rank_form_validation_matches_the_kernel_image_reference():
     rng = random.Random(6061)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 97):
         field = PrimeField(p)
-        for _ in range(150):
-            n = rng.randrange(1, 6)
+        for trial in range(150):
+            n = rng.randrange(1, 6) if trial < 130 else rng.randrange(6, 25)
             f, v = _random_operators(rng, field, n)
             forms = [None, Matrix.build(field, [[rng.randrange(p) for _ in range(n)]
                                                 for _ in range(n)], n)]
@@ -522,6 +565,13 @@ def test_rank_form_validation_matches_the_kernel_image_reference():
                 if form is not None:
                     nonzero_diagonal = any(form.entries[i][i] for i in range(n))
                     assert ("form has a nonzero diagonal entry" in validate_bt1(m)) == nonzero_diagonal
+        for _ in range(15):
+            one_sided, short = _edge_modules(rng, field, rng.randrange(2, 25))
+            violations = validate_bt1(one_sided)
+            assert violations == reference_validate_bt1(one_sided)
+            assert ("F*V != 0" in violations) != ("V*F != 0" in violations)
+            assert validate_bt1(short) == reference_validate_bt1(short) == [
+                "ker(F) != im(V)", "ker(V) != im(F)"]
 
 
 def test_stacked_a_number_matches_the_kernel_intersection():

@@ -638,7 +638,7 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
                         (build, "feasible")):
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(Matrix, "build", refuse)
-    monkeypatch.setattr(bt1, "_packed_rows", refuse)  # a module file's first matrix
+    monkeypatch.setattr(bt1, "_read_matrix", refuse)  # a module file's first matrix
 
     for at_cap, above in (
             (("eo", "list", "--g", "12"), ("eo", "list", "--g", "13")),
