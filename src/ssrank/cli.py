@@ -185,20 +185,30 @@ _NU_JSON = ["[\n      " + ",\n      ".join(["%d"] * g) + "\n    ]" if g else "[]
             for g in range(ATLAS_G_CAP + 1)]
 
 
-def _csv_line(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
-    s = census.multiplicity(words.FV)
-    return f"{len(nu)},{_NU_CSV[len(nu)] % nu},{f},{a},{s},{census.joined()}"
+def _csv_line(nu: tuple[int, ...], f: int, a: int, s: int, entries: list) -> str:
+    """One atlas row from a type's sorted census entries, where a word of multiplicity m
+    comes m times, in census order, just as WordCensus.joined expands it."""
+    return f"{len(nu)},{_NU_CSV[len(nu)] % nu},{f},{a},{s},{';'.join([e[1] for e in entries])}"
 
 
-def _json_row(nu: tuple[int, ...], f: int, a: int, census: words.WordCensus) -> str:
+def _json_row(nu: tuple[int, ...], f: int, a: int, s: int, entries: list) -> str:
     """One row laid out exactly as json.dumps(rows, indent=2) lays out a list item.
 
+    The word counts are the runs of equal letters in the sorted census entries.
     Word keys are letters F and V only, so they need no escaping.
     """
-    counts = ("{\n      " + ",\n      ".join([f'"{w.letters}": {m}' for w, m in census.counts])
-              + "\n    }" if census.counts else "{}")
+    counts, last, m = [], None, 0
+    for _, letters, _ in entries:
+        if letters != last:
+            if m:
+                counts.append(f'"{last}": {m}')
+            last, m = letters, 0
+        m += 1
+    if m:
+        counts.append(f'"{last}": {m}')
+    words_json = "{\n      " + ",\n      ".join(counts) + "\n    }" if counts else "{}"
     return (f'  {{\n    "g": {len(nu)},\n    "nu": {_NU_JSON[len(nu)] % nu},\n    "f": {f},\n'
-            f'    "a": {a},\n    "s": {census.multiplicity(words.FV)},\n    "words": {counts}\n  }}')
+            f'    "a": {a},\n    "s": {s},\n    "words": {words_json}\n  }}')
 
 
 def _write_json_rows(rows: Iterable[tuple]) -> None:
@@ -217,7 +227,7 @@ def emit_atlas(g_max: int, path: str) -> None:
         raise ValueError("g_max must be at least 1")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         for g in range(1, g_max + 1):
-            handle.writelines(_csv_line(*row) + "\n" for row in words.type_censuses(g))
+            handle.writelines(_csv_line(*row) + "\n" for row in words._type_entries(g))
 
 
 def _print(text: str) -> None:
@@ -277,7 +287,7 @@ def _run_eo(args: argparse.Namespace) -> int:
     if args.cmd == "list":
         _check_nonnegative(args, "g")
         _check_cap("g", args.g, ATLAS_G_CAP)
-        rows = words.type_censuses(args.g, **_parse_filter(args.filter))
+        rows = words._type_entries(args.g, **_parse_filter(args.filter))
         if args.format == "csv":
             sys.stdout.writelines(_csv_line(*row) + "\n" for row in rows)
         else:
@@ -359,17 +369,19 @@ def _run_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+# a table feasibility row, laid out as json.dumps(report, indent=2) lays out an item of its rows
+_FEASIBILITY_ROW = '    {\n      "f": %d,\n      "a": %d,\n      "s": %d,\n      "feasible": %s\n    }'
+
+
 def _run_table(args: argparse.Namespace) -> int:  # the one subcommand, feasibility
     _check_nonnegative(args, "g")
     g = args.g
     _check_cap("g", g, MODULE_G_CAP)
-    rows = []
-    for f in range(g + 1):
-        for a in range(g - f + 1):
-            for s in range(a + 1):
-                rows.append({"f": f, "a": a, "s": s,
-                             "feasible": build.feasible(build.ProfileQuery(g, f, a, s))})
-    _emit_report({"g": g, "rows": rows})
+    rows = [_FEASIBILITY_ROW % (f, a, s, "true" if build.feasible(build.ProfileQuery(g, f, a, s))
+                                else "false")
+            for f in range(g + 1) for a in range(g - f + 1) for s in range(a + 1)]
+    # g >= 0 always gives a row, so the list is never json.dumps's bare "[]"
+    _print(f'{{\n  "g": {g},\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}")
     return 0
 
 

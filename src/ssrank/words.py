@@ -128,7 +128,8 @@ def word_module(w: CyclicWord, field: PrimeField) -> DieudonneModule:
 
 
 # Every rotation of a cycle word maps to one shared entry (length, least rotation, word),
-# so a census sorts and counts entries without building a word twice.  The g <= 12
+# so a census sorts and counts entries without building a word twice, and a catalogue
+# row reads its words and counts straight off its type's sorted entries.  The g <= 12
 # catalogue needs 2,228 keys (1,114 words and the other rotations its walk closes on);
 # module files bring arbitrary raw words, so the cache is emptied when it fills.
 _ENTRY_CAP = 4096
@@ -151,11 +152,11 @@ _FV_ENTRY = _entry("FV")
 
 
 def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
-    """The census of cycles given by their entries: sorted by (length, letters), then counted.
+    """The census of cycles given by their entries, sorted by (length, letters): a run is a word.
 
-    Equal entries compare equal also when the cache was emptied between them.
+    Equal entries compare equal, and so sort together, also when the cache was
+    emptied between them.
     """
-    entries.sort()
     counts, last, m = [], None, 0
     for entry in entries:
         if entry != last:
@@ -217,11 +218,12 @@ def _cycle_census(succ: list[int | None], letters: Sequence[str]) -> WordCensus:
             succ[node], node = None, succ[node]
         period = (word + word).find(word, 1)
         cycles += [_entry(word[:period])] * (len(word) // period)
+    cycles.sort()
     return _tally(cycles)
 
 
 def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, rise: int) -> None:
-    """Add the two riffle edges that step j of nu fixes, from psi(j) = p; see type_censuses.
+    """Add the two riffle edges that step j of nu fixes, from psi(j) = p; see _type_entries.
 
     ends[t] is (head, letters) for the fragment whose tail is t, and ends[2g + h]
     is (tail, letters) for the one whose head is h; entries of nodes that stopped
@@ -251,6 +253,21 @@ def census_of_type(psi: EOType | Sequence[int]) -> WordCensus:
 def type_censuses(g: int, f: int | None = None, a: int | None = None,
                   s: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int, WordCensus]]:
     """(nu, f, a, census) for every type of length g with the given f, a and s, nu-lex.
+
+    Each census is tallied from the sorted entries that the walk, _type_entries, yields.
+    """
+    for nu, f_nu, a_nu, _, entries in _type_entries(g, f, a, s):
+        yield nu, f_nu, a_nu, _tally(entries)
+
+
+def _type_entries(g: int, f: int | None = None, a: int | None = None,
+                  s: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int, int, list]]:
+    """(nu, f, a, s, entries) for every type of length g with the given f, a and s, nu-lex.
+
+    entries is the census as a list of the shared entries (length, letters,
+    word) of _entry, one per summand, sorted by (length, letters): word u of
+    multiplicity m comes m times, and s is the number of FV entries.  The
+    list is the caller's own.
 
     One depth-first walk over nu's g step bits b_j = nu_(j+1) - nu_j (nu_0 = 0),
     1 a rise and 0 a flat.  Two types first differ at their first differing
@@ -308,7 +325,7 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
         raise ValueError("g must be nonnegative")
     if g == 0:  # the one empty type, with f = a = s = 0
         if not (f or a or s):
-            yield (), 0, 0, _tally([])
+            yield (), 0, 0, 0, []
         return
     n = 2 * g
     # (nu prefix, leading rises, fragment ends, closed); before any step each node k is a
@@ -340,9 +357,12 @@ def type_censuses(g: int, f: int | None = None, a: int | None = None,
         fv = closed.count(_FV_ENTRY)
         for rise, new in ((0, joined), (1, apart)) if tail == p else ((0, apart), (1, joined)):
             leaf_lead = lead + rise if lead == j else lead
+            leaf_s = fv + new.count(_FV_ENTRY)
             if ((f is None or f == leaf_lead) and (a is None or a == g - p - rise)
-                    and (s is None or s == fv + new.count(_FV_ENTRY))):
-                yield nu + (p + rise,), leaf_lead, g - p - rise, _tally(closed + new)
+                    and (s is None or s == leaf_s)):
+                entries = closed + new
+                entries.sort()
+                yield nu + (p + rise,), leaf_lead, g - p - rise, leaf_s, entries
 
 
 def decompose(m: DieudonneModule) -> WordCensus:

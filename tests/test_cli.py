@@ -356,12 +356,12 @@ def test_curve_subcommands(capsys):
 
 
 def test_table_feasibility(capsys):
-    code, out, _ = run(capsys, "table", "feasibility", "--g", "3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["g"] == 3
-    for row in payload["rows"]:
-        assert row["feasible"] == feasible(ProfileQuery(3, row["f"], row["a"], row["s"]))
+    # byte for byte the indented JSON of the report, up to the g = 64 cap
+    for g in (*range(13), MODULE_G_CAP):
+        rows = [{"f": f, "a": a, "s": s, "feasible": feasible(ProfileQuery(g, f, a, s))}
+                for f in range(g + 1) for a in range(g - f + 1) for s in range(a + 1)]
+        text = json.dumps({"g": g, "rows": rows}, indent=2) + "\n"
+        assert run(capsys, "table", "feasibility", "--g", str(g)) == (0, text, ""), g
 
 
 def test_atlas_idempotent(tmp_path, capsys):
@@ -630,7 +630,7 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
     module_caps.append((("module", "polarize", "--in", module_file(24)),
                         ("module", "polarize", "--in", module_file(25))))
 
-    for owner, name in ((eo, "enumerate_types"), (words, "type_censuses"),
+    for owner, name in ((eo, "enumerate_types"), (words, "_type_entries"),
                         (curves, "doubling_orbits"),
                         (build, "realize"), (build, "supersingular_profile"), (build, "j_rs"),
                         (words, "word_module"), (eo, "canonical_module"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import accumulate
 
@@ -16,6 +17,7 @@ from ssrank.bt1 import (
     validate_bt1,
 )
 from ssrank.build import h_rs, i11, j_rs
+from ssrank.cli import main
 from ssrank.eo import (
     EOType,
     FiltrationError,
@@ -215,9 +217,10 @@ def test_census_gives_back_its_type_through_the_extended_bwt():
             assert type_of_census(census_of_type(t)) == t
 
 
-def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypatch):
+def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypatch, capsys):
     monkeypatch.setattr(words, "_entries", {})
     monkeypatch.setattr(words, "_ENTRY_CAP", 4)
+    field, fv = PrimeField(3), CyclicWord("FV")
     for g in range(7):
         for t in enumerate_types(g):
             assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
@@ -228,7 +231,24 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
             assert nu == t.nu
             assert [(w.letters, m) for w, m in census.counts] == reference_census_of_type(t)
             assert len(words._entries) <= 4
-    field, fv = PrimeField(3), CyclicWord("FV")
+    # catalogue rows are read off the walk's sorted entries, where the emptied cache leaves
+    # equal entries that are distinct objects: they must still sort together and count as one word
+    distinct_equals = 0
+    for g in range(9):
+        for *_, entries in words._type_entries(g):
+            distinct_equals += sum(x == y and x is not y for x, y in zip(entries, entries[1:]))
+        rows, csv = [], ""
+        for t in enumerate_types(g):
+            census = census_of_type(t)
+            f, a, s = t.p_rank(), t.a_number(), census.multiplicity(fv)
+            rows.append({"g": g, "nu": list(t.nu), "f": f, "a": a, "s": s, "words": census.as_dict()})
+            csv += f"{g},{';'.join(map(str, t.nu))},{f},{a},{s},{census.joined()}\n"
+        assert main(["eo", "list", "--g", str(g)]) == 0
+        assert capsys.readouterr() == (json.dumps(rows, indent=2) + "\n", "")
+        assert main(["eo", "list", "--g", str(g), "--format", "csv"]) == 0
+        assert capsys.readouterr() == (csv, "")
+        assert len(words._entries) <= 4
+    assert distinct_equals
     for length in range(1, 7):
         for w in all_cyclic_words(length):
             m = direct_sum(direct_sum(word_module(w, field), word_module(fv, field)),
