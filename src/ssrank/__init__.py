@@ -26,7 +26,6 @@ from .words import (
     census_of_type,
     decompose,
     superspecial_rank,
-    type_censuses,
     word_module,
 )
 from .build import (
@@ -63,7 +62,7 @@ __all__ = [
     "EOType", "canonical_module", "enumerate_types", "eo_type_of",
     # words
     "CyclicWord", "WordCensus", "census_invariants", "census_of_type", "decompose",
-    "superspecial_rank", "type_censuses", "word_module",
+    "superspecial_rank", "word_module",
     # build
     "InfeasibleProfileError", "ProfileQuery", "feasible", "h_rs", "i11", "j_rs", "ord1",
     "realize", "supersingular_profile",

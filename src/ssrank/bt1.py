@@ -18,7 +18,7 @@ import json
 from collections.abc import Iterator
 
 from .ffmat import (_ENTRIES_TO_DIGITS, Matrix, PrimeField, Row, _combine, _echelon, _scale_table, _set,
-                    _Value, block_diag, vstack)
+                    _Value, block_diag)
 
 
 class Bt1ValidationError(ValueError):
@@ -170,9 +170,10 @@ def p_rank(m: DieudonneModule) -> int:
 
 
 def a_number(m: DieudonneModule) -> int:
-    """dim(ker F intersect ker V), the nullity of the stacked 2n x n matrix [F; V]."""
+    """dim(ker F intersect ker V), the nullity of the stacked 2n x n matrix [F; V]: n minus the
+    size of the echelon state of its n columns (F e_j | V e_j)."""
     require_valid(m)
-    return m.dim - vstack(m.frobenius, m.verschiebung).rank()
+    return m.dim - len(m.frobenius._stacked_echelon(m.verschiebung))
 
 
 def unpolarized_ss_rank(m: DieudonneModule) -> int:
@@ -182,9 +183,15 @@ def unpolarized_ss_rank(m: DieudonneModule) -> int:
     in W with independent F-images, and conversely preimages of a basis of
     F(W) inside W define an injective module map (F^2 and V^2 vanish on W
     because FV = VF = 0).
+
+    Read off the echelon state of the columns ((F + V) e_j | F e_j): its rows with their
+    pivot in the high half span the vectors of the span with a zero low half, which are
+    {(0 | Fx) : (F + V)x = 0}, so they number dim F(W).
     """
     require_valid(m)
-    return len(m.frobenius._image_echelon(m.frobenius.add(m.verschiebung)._null_rows()))
+    state = m.frobenius.add(m.verschiebung)._stacked_echelon(m.frobenius)
+    high = 1 << m.field._bits * m.dim  # the pivot bit of the first high slot
+    return sum(key >= high for key in state)
 
 
 def dual(m: DieudonneModule) -> DieudonneModule:

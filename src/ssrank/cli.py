@@ -186,8 +186,9 @@ _NU_JSON = ["[\n      " + ",\n      ".join(["%d"] * g) + "\n    ]" if g else "[]
 
 
 def _csv_line(nu: tuple[int, ...], f: int, a: int, s: int, entries: list) -> str:
-    """One atlas row from a type's sorted census entries, where a word of multiplicity m
-    comes m times, in census order, just as WordCensus.joined expands it."""
+    """One atlas row from a type's sorted census entries; the words field is their letters
+    joined by ";", so a word of multiplicity m comes m times, in census order, and the empty
+    census gives the empty string."""
     return f"{len(nu)},{_NU_CSV[len(nu)] % nu},{f},{a},{s},{';'.join([e[1] for e in entries])}"
 
 
@@ -343,6 +344,7 @@ def _run_build(args: argparse.Namespace) -> int:
         _check_nonnegative(args, "g", "s")
         _check_cap("g", args.g, MODULE_G_CAP)
         module = build.supersingular_profile(args.g, args.s, field)
+    bt1.require_valid(module)
     _print(bt1.to_json(module))
     return 0
 

@@ -479,6 +479,21 @@ class Matrix(_Value):
         """An echelon basis of M(S), for rows b that span S and need not be echelon."""
         return tuple(_echelon(self.field, self._images(basis), self.nrows).values())
 
+    def _stacked_echelon(self, below: "Matrix") -> dict[int, Row]:
+        """The echelon state of the columns of [M; below], the rows (M e_j | below e_j), with
+        M's column in the low nrows slots; below has M's field and width.
+
+        Its size is the rank of [M; below].  The state's rows with their pivot in the high
+        slots span exactly the vectors of the span whose low half is zero.  Such a row is zero
+        below its pivot, so its low half is zero.  Conversely, a vector of the span is a
+        combination of the state's rows; of the rows taken with a nonzero coefficient c, the
+        one with the lowest pivot puts c at its pivot slot, where the others are zero.  So when
+        the vector's low half is zero, that pivot, and with it every pivot taken, is high.
+        """
+        split = self.field._bits * self.nrows
+        pairs = [a | b << split for a, b in zip(self._columns(), below._columns())]
+        return _echelon(self.field, pairs, self.nrows + below.nrows)
+
     def _pairs(self, basis: Sequence[Row]) -> list[Row]:
         """The rows (M b | b) over rows b, with M b in the low nrows slots."""
         split = self.field._bits * self.nrows
@@ -537,17 +552,6 @@ def block_diag(*blocks: Matrix) -> Matrix:
         rows += [r << field._bits * left for r in b._rows]
         left += b.ncols
     return Matrix._from_rows(field, sum(b.nrows for b in blocks), left, rows)
-
-
-def vstack(*blocks: Matrix) -> Matrix:
-    """Matrices over one field and of one width, stacked top to bottom in the order given."""
-    if not blocks:
-        raise ValueError("vstack needs at least one block")
-    field, ncols = blocks[0].field, blocks[0].ncols
-    if any(b.field != field or b.ncols != ncols for b in blocks):
-        raise ValueError("field or width mismatch")
-    return Matrix._from_rows(field, sum(b.nrows for b in blocks), ncols,
-                             [r for b in blocks for r in b._rows])
 
 
 class Subspace(_Value):

@@ -94,11 +94,6 @@ class WordCensus(_Value):
     def as_dict(self) -> dict[str, int]:
         return {w.letters: m for w, m in self.counts}
 
-    def joined(self) -> str:
-        """Semicolon-joined expansion, one entry per summand: word u with multiplicity m
-        gives m entries u, and the empty census gives the empty string."""
-        return "".join([(w.letters + ";") * m for w, m in self.counts])[:-1]
-
 
 # the word of the supersingular block; its multiplicity is the superspecial rank
 FV = CyclicWord("FV")
@@ -248,16 +243,6 @@ def census_of_type(psi: EOType | Sequence[int]) -> WordCensus:
     without building matrices; a node reads V when it lies below rank V, the number of rises."""
     rises, flats = riffle(psi)
     return _cycle_census(rises + flats, "V" * len(rises) + "F" * len(flats))
-
-
-def type_censuses(g: int, f: int | None = None, a: int | None = None,
-                  s: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int, WordCensus]]:
-    """(nu, f, a, census) for every type of length g with the given f, a and s, nu-lex.
-
-    Each census is tallied from the sorted entries that the walk, _type_entries, yields.
-    """
-    for nu, f_nu, a_nu, _, entries in _type_entries(g, f, a, s):
-        yield nu, f_nu, a_nu, _tally(entries)
 
 
 def _type_entries(g: int, f: int | None = None, a: int | None = None,

@@ -26,7 +26,7 @@ from ssrank.bt1 import (
 )
 from ssrank.build import h_rs, i11, j_rs, ord1
 from ssrank.eo import EOType, canonical_module, enumerate_types, eo_type_of
-from ssrank.ffmat import Matrix, PrimeField, Subspace, block_diag, vstack
+from ssrank.ffmat import Matrix, PrimeField, Subspace, block_diag
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
 from helpers import (
@@ -34,6 +34,9 @@ from helpers import (
     brute_force_has_polarization,
     compatible_form_basis,
     conjugated,
+    reference_image,
+    reference_kernel,
+    reference_rref_modp,
     reference_to_json,
     reference_validate_bt1,
     twisted_word_module,
@@ -161,7 +164,8 @@ def brute_force_u(m) -> int:
         for idx in range(start, len(vectors)):
             cand = vectors[idx]
             vectors_so_far = Matrix.build(field, chosen + [cand], m.dim)
-            stacked = vstack(vectors_so_far, vectors_so_far @ m.frobenius.transpose())
+            images = vectors_so_far @ m.frobenius.transpose()
+            stacked = Matrix.build(field, vectors_so_far.entries + images.entries, m.dim)
             if stacked.rank() == 2 * (len(chosen) + 1):
                 extend(chosen + [cand], idx + 1)
 
@@ -231,7 +235,7 @@ def test_direct_sum_examples(gf2):
 
 
 def test_a_sum_of_nothing_is_an_error():
-    for empty_sum, what in ((direct_sum, "module"), (block_diag, "block"), (vstack, "block")):
+    for empty_sum, what in ((direct_sum, "module"), (block_diag, "block")):
         with pytest.raises(ValueError, match=f"needs at least one {what}"):
             empty_sum()
 
@@ -572,6 +576,39 @@ def test_rank_form_validation_matches_the_kernel_image_reference():
             assert ("F*V != 0" in violations) != ("V*F != 0" in violations)
             assert validate_bt1(short) == reference_validate_bt1(short) == [
                 "ker(F) != im(V)", "ker(V) != im(F)"]
+
+
+def _dense_a_and_u(m: DieudonneModule) -> tuple[int, int]:
+    """n - rank of the dense stacked [F; V], and dim F(ker(F + V)), from the dense oracles."""
+    n, p, f, v = m.dim, m.field.p, m.frobenius.entries, m.verschiebung.entries
+    stacked_rank = len(reference_rref_modp(f + v, n, p)[0])
+    f_plus_v = [[(x + y) % p for x, y in zip(rf, rv)] for rf, rv in zip(f, v)]
+    return n - stacked_rank, len(reference_image(m.frobenius, reference_kernel(f_plus_v, n, p)))
+
+
+def test_a_and_u_match_the_dense_stack_and_image_oracles():
+    rng = random.Random(2929)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        modules = [zero_module(field)]
+        for g in range(7):
+            types = list(enumerate_types(g))
+            modules += [conjugated(canonical_module(t, field), rng)
+                        for t in rng.sample(types, min(4, len(types)))]
+        # valid modules that are not quasipolarizable: j_rs off the diagonal, and the etale line
+        modules += [j_rs(r, s, field) for r in range(1, 4) for s in range(1, 4) if r != s]
+        etale = DieudonneModule(Matrix.identity(field, 1), Matrix.zeros(field, 1, 1))
+        modules.append(etale)
+        assert (a_number(etale), unpolarized_ss_rank(etale)) == (0, 0)
+        assert (a_number(zero_module(field)), unpolarized_ss_rank(zero_module(field))) == (0, 0)
+        for m in modules:
+            assert (a_number(m), unpolarized_ss_rank(m)) == _dense_a_and_u(m), (p, to_json(m))
+        # the twisted FV: F e0 = e1 and V e0 = c e1, a supersingular block exactly when c = -1
+        for c in range(1, p):
+            twisted = DieudonneModule(Matrix.build(field, [[0, 0], [1, 0]]),
+                                      Matrix.build(field, [[0, 0], [c, 0]]))
+            assert (a_number(twisted), unpolarized_ss_rank(twisted)) == (1, int(c == p - 1)), (p, c)
+            assert _dense_a_and_u(twisted) == (1, int(c == p - 1)), (p, c)
 
 
 def test_stacked_a_number_matches_the_kernel_intersection():

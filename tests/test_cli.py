@@ -240,17 +240,18 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, "module", cmd, "--in", str(path))
         assert (code, json.loads(out)) == (0, payload)
         assert list(calls.values()) == [1, 1], cmd
-    # a built module is validated once, where the command finishes it; its parts are not
-    for argv, once in ((("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"), 1),
-                       (("build", "ss", "--g", "4", "--s", "2"), 1),
-                       (("eo", "module", "--nu", "0,1,1", "--p", "3"), 1),
-                       (("curve", "hyp2", "--poles", "1,3,9", "--oracle"), 1),
-                       (("build", "jrs", "--r", "2", "--s", "3"), 0),
-                       (("build", "word", "--w", "FFVFV"), 0)):
+    # a built module is validated once, where the command finishes it; its parts are not, and
+    # the formless j_rs and word modules have no form to check
+    for argv, counts in ((("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"), [1, 1]),
+                         (("build", "ss", "--g", "4", "--s", "2"), [1, 1]),
+                         (("eo", "module", "--nu", "0,1,1", "--p", "3"), [1, 1]),
+                         (("curve", "hyp2", "--poles", "1,3,9", "--oracle"), [1, 1]),
+                         (("build", "jrs", "--r", "2", "--s", "3"), [1, 0]),
+                         (("build", "word", "--w", "FFVFV"), [1, 0])):
         calls.update(dict.fromkeys(calls, 0))
         measures.update(dict.fromkeys(measures, 0))
         assert run(capsys, *argv)[0] == 0, argv
-        assert list(calls.values()) == [once, once], argv
+        assert list(calls.values()) == counts, argv
         if argv[1] in ("profile", "ss"):  # one word census measures the built module
             assert measures == {"decompose": 1, "p_rank": 0, "a_number": 0}, argv
 
@@ -331,6 +332,20 @@ def test_build_subcommands(capsys):
 
     code, _, err = run(capsys, "build", "word", "--w", "FXV")
     assert code == 1
+
+
+def test_every_built_module_is_validated_before_it_is_printed(monkeypatch, capsys):
+    def invalid(*args):
+        zeros = Matrix.zeros(args[-1], 2, 2)
+        return bt1.DieudonneModule(zeros, zeros)
+
+    monkeypatch.setattr(build, "j_rs", invalid)
+    monkeypatch.setattr(words, "word_module", invalid)
+    for argv in (("build", "jrs", "--r", "2", "--s", "3"), ("build", "word", "--w", "FFVV", "--p", "3")):
+        assert run(capsys, *argv) == (2, "", "error: ker(F) != im(V); ker(V) != im(F)\n"), argv
+    # profile and ss return modules that their realization has validated already
+    assert build.realize(ProfileQuery(4, 1, 2, 1), GF2)._validated
+    assert build.supersingular_profile(4, 2, GF2)._validated
 
 
 def test_curve_subcommands(capsys):
@@ -581,7 +596,8 @@ def test_filtered_rows_match_a_filtered_list(capsys):
             census = words.census_of_type(t)
             rows.append(({"g": g, "nu": list(t.nu), "f": t.p_rank(), "a": t.a_number(),
                           "s": census.multiplicity(words.CyclicWord("FV")),
-                          "words": census.as_dict()}, census.joined()))
+                          "words": census.as_dict()},
+                         ";".join([w.letters for w, m in census.counts for _ in range(m)])))
         empty_seen = False
         for keys in itertools.chain.from_iterable(
                 itertools.combinations("fas", k) for k in range(4)):
@@ -788,7 +804,7 @@ PUBLIC_NAMES = {
     "to_json", "unpolarized_ss_rank", "validate_bt1", "zero_module",
     "EOType", "canonical_module", "enumerate_types", "eo_type_of",
     "CyclicWord", "WordCensus", "census_invariants", "census_of_type", "decompose",
-    "superspecial_rank", "type_censuses", "word_module",
+    "superspecial_rank", "word_module",
     "InfeasibleProfileError", "ProfileQuery", "feasible", "h_rs", "i11", "j_rs", "ord1",
     "realize", "supersingular_profile",
     "HermitianReport", "HyperellipticReport", "PoleDivisor", "doubling_orbits", "ekedahl_bound",

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from ssrank.ffmat import (GF2, Matrix, PrimeField, Subspace, _back_substitute, _echelon, _slot_bytes, rref,
-                          vstack)
+from ssrank.ffmat import GF2, Matrix, PrimeField, Subspace, _back_substitute, _echelon, _slot_bytes, rref
 
 from helpers import (reference_contains, reference_image, reference_kernel, reference_preimage,
                      reference_rref_modp, reference_span)
@@ -295,13 +294,23 @@ def test_contains_matches_the_span_test(p):
             assert (rank == big.dim) == reference_contains(big.basis, small, n, p)
 
 
-def test_vstack():
-    a, b = Matrix.build(GF2, [[1, 0]]), Matrix.identity(GF2, 2)
-    assert vstack(a, b) == Matrix.build(GF2, [[1, 0], [1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        vstack(a, Matrix.identity(GF2, 3))
-    with pytest.raises(ValueError):
-        vstack(a, Matrix.build(PrimeField(3), [[1, 0]]))
+def test_stacked_echelon_reads_the_rank_and_the_zero_low_half_of_the_stack():
+    # over [M; B]: the state's size is the dense rank of the stacked entry rows, and its
+    # pivots in the high slots number dim B(ker M), the high halves of (M x | B x) with M x = 0
+    rng = random.Random(23)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        for _ in range(40):
+            n, top, bottom = rng.randrange(7), rng.randrange(6), rng.randrange(6)
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(top)]
+            if rng.randrange(2):  # repeat one row, so that ker M is large
+                rows = rows[:1] * top
+            m = Matrix.build(field, rows, n)
+            b = Matrix.build(field, [[rng.randrange(p) for _ in range(n)] for _ in range(bottom)], n)
+            state = m._stacked_echelon(b)
+            assert len(state) == len(reference_rref_modp(m.entries + b.entries, n, p)[0])
+            high = sum(key >> field._bits * top > 0 for key in state)
+            assert high == len(reference_image(b, reference_kernel(m.entries, n, p)))
 
 
 def test_echelon_form_is_canonical():

@@ -185,30 +185,34 @@ def test_census_of_type_matches_the_node_map_walk():
             assert [(w.letters, m) for w, m in census_of_type(t).counts] == reference_census_of_type(t)
 
 
-def test_type_censuses_list_enumeration_order_with_the_node_map_walk():
+def test_type_entries_list_enumeration_order_with_the_node_map_walk():
+    # each leaf's entries list word u of multiplicity m m times, in census order, and s counts FV
     for g in range(13):
-        got = [(nu, f, a, [(w.letters, m) for w, m in census.counts])
-               for nu, f, a, census in words.type_censuses(g)]
-        assert got == [(t.nu, t.p_rank(), t.a_number(), reference_census_of_type(t))
-                       for t in enumerate_types(g)], g
+        got = [(nu, f, a, s, [letters for _, letters, _ in entries])
+               for nu, f, a, s, entries in words._type_entries(g)]
+        want = []
+        for t in enumerate_types(g):
+            census = reference_census_of_type(t)
+            want.append((t.nu, t.p_rank(), t.a_number(), dict(census).get("FV", 0),
+                         [w for w, m in census for _ in range(m)]))
+        assert got == want, g
     with pytest.raises(ValueError):
-        next(words.type_censuses(-1))
+        next(words._type_entries(-1))
 
 
 def test_filtered_walks_match_the_unfiltered_list_filtered_afterwards():
     # the walk filters its last step's two leaves by equality; values from -1 to g + 1 reach
     # every bound it prunes on, from either side, and each joint filter keeps some rows
     for g in range(8, 13):
-        rows = list(words.type_censuses(g))
-        invariants = [{"f": f, "a": a, "s": census.multiplicity(words.FV)}
-                      for _, f, a, census in rows]
+        rows = list(words._type_entries(g))
+        invariants = [{"f": f, "a": a, "s": s} for _, f, a, s, _ in rows]
         filters = [{key: v} for key in "fas" for v in range(-1, g + 2)]
         joint = [{"f": 1, "a": g // 2}, {"a": g // 2, "s": g // 4}, {"f": 0, "a": g - 2, "s": g - 3}]
         for wanted in filters + joint:
             kept = [row for row, values in zip(rows, invariants)
                     if all(values[k] == v for k, v in wanted.items())]
             assert kept or wanted not in joint, (g, wanted)
-            assert list(words.type_censuses(g, **wanted)) == kept, (g, wanted)
+            assert list(words._type_entries(g, **wanted)) == kept, (g, wanted)
 
 
 def test_census_gives_back_its_type_through_the_extended_bwt():
@@ -227,9 +231,9 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
             assert len(words._entries) <= 4
     # the walk's last step makes three _entry calls per pair of leaves
     for g in range(8):
-        for t, (nu, _, _, census) in zip(enumerate_types(g), words.type_censuses(g), strict=True):
+        for t, (nu, *_, entries) in zip(enumerate_types(g), words._type_entries(g), strict=True):
             assert nu == t.nu
-            assert [(w.letters, m) for w, m in census.counts] == reference_census_of_type(t)
+            assert [(w.letters, m) for w, m in words._tally(entries).counts] == reference_census_of_type(t)
             assert len(words._entries) <= 4
     # catalogue rows are read off the walk's sorted entries, where the emptied cache leaves
     # equal entries that are distinct objects: they must still sort together and count as one word
@@ -242,7 +246,8 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
             census = census_of_type(t)
             f, a, s = t.p_rank(), t.a_number(), census.multiplicity(fv)
             rows.append({"g": g, "nu": list(t.nu), "f": f, "a": a, "s": s, "words": census.as_dict()})
-            csv += f"{g},{';'.join(map(str, t.nu))},{f},{a},{s},{census.joined()}\n"
+            joined = ";".join([w.letters for w, m in census.counts for _ in range(m)])
+            csv += f"{g},{';'.join(map(str, t.nu))},{f},{a},{s},{joined}\n"
         assert main(["eo", "list", "--g", str(g)]) == 0
         assert capsys.readouterr() == (json.dumps(rows, indent=2) + "\n", "")
         assert main(["eo", "list", "--g", str(g), "--format", "csv"]) == 0
@@ -429,7 +434,4 @@ def test_full_a_number_forces_supersingular_census(gf2):
 def test_census_serialization_order():
     census = census_from_counter({CyclicWord("FV"): 1, CyclicWord("FFVV"): 2, CyclicWord("F"): 1})
     assert list(census.as_dict()) == ["F", "FV", "FFVV"]
-    assert census.joined() == "F;FV;FFVV;FFVV"
-    assert WordCensus(()).joined() == ""
-    assert census_from_counter({CyclicWord("FV"): 3}).joined() == "FV;FV;FV"
     assert census.total_length() == 11
