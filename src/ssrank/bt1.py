@@ -8,6 +8,9 @@ alternating form compatible with the operators: <Fx, y> = <x, Vy>.
 Structure constants live in F_p.  The p-rank and a-number agree with their
 values over an algebraic closure; u = dim F(ker(F + V)) is the F_p-rational
 count of supersingular blocks, and it can fall below the superspecial rank s.
+All three are read off ranks, with F + V the one derived operator: the p-rank
+from one walk of the images of (F + V)^2, a = n - rank [F; V] and
+u = rank [F; V] - rank (F + V).
 """
 
 from __future__ import annotations
@@ -146,23 +149,26 @@ def require_valid(m: DieudonneModule) -> None:
     _set(m, "_validated", True)
 
 
-def _stable_image_dim(op: Matrix) -> int:
-    """Dimension of the intersection of all iterated images of op, taken from op(M), op's column span.
-
-    op^(k+1)(M) lies in op^k(M), so the images are equal once their dimensions are."""
-    rows = tuple(_echelon(op.field, op._columns(), op.nrows).values())
-    while True:
-        nxt = op._image_echelon(rows)
-        if len(nxt) == len(rows):
-            return len(rows)
-        rows = nxt
-
-
 def p_rank(m: DieudonneModule) -> int:
-    """Dimension of the stable V-image; asserted equal to the stable F-image."""
+    """Dimension of the stable V-image; asserted equal to the stable F-image.
+
+    Both are read off one walk.  FV = VF = 0 gives (F + V)^k = F^k + V^k, so for large k
+    the stable image S of F + V lies in F^k(M) + V^k(M) = E + T, E the stable image of F and
+    T that of V.  The sum is direct: E lies in im F = ker V and T in im V = ker F, and V is
+    injective on T.  F + V acts as F on E and as V on T, onto each, so E + T lies in every
+    image of F + V: S = E + T, and F(S) = E.  The walk takes the images of (F + V)^2, whose
+    stable image is S too, in half the steps, from its column span; each lies in the last,
+    so they are S once their dimensions are equal.  The etale part is then dim F(S) and the
+    multiplicative part dim S minus that.
+    """
     require_valid(m)
-    mult_part = _stable_image_dim(m.verschiebung)
-    etale_part = _stable_image_dim(m.frobenius)
+    f_plus_v = m.frobenius.add(m.verschiebung)
+    op = f_plus_v @ f_plus_v
+    rows = tuple(_echelon(m.field, op._columns(), m.dim).values())
+    while len(nxt := op._image_echelon(rows)) < len(rows):
+        rows = nxt
+    etale_part = len(m.frobenius._image_echelon(rows))
+    mult_part = len(rows) - etale_part
     if mult_part != etale_part:
         raise Bt1ValidationError(
             [f"multiplicative rank {mult_part} != etale rank {etale_part}"])
@@ -170,10 +176,9 @@ def p_rank(m: DieudonneModule) -> int:
 
 
 def a_number(m: DieudonneModule) -> int:
-    """dim(ker F intersect ker V), the nullity of the stacked 2n x n matrix [F; V]: n minus the
-    size of the echelon state of its n columns (F e_j | V e_j)."""
+    """dim(ker F intersect ker V), the nullity of the stacked 2n x n matrix [F; V]."""
     require_valid(m)
-    return m.dim - len(m.frobenius._stacked_echelon(m.verschiebung))
+    return m.dim - m.frobenius._stacked_rank(m.verschiebung)
 
 
 def unpolarized_ss_rank(m: DieudonneModule) -> int:
@@ -184,14 +189,11 @@ def unpolarized_ss_rank(m: DieudonneModule) -> int:
     F(W) inside W define an injective module map (F^2 and V^2 vanish on W
     because FV = VF = 0).
 
-    Read off the echelon state of the columns ((F + V) e_j | F e_j): its rows with their
-    pivot in the high half span the vectors of the span with a zero low half, which are
-    {(0 | Fx) : (F + V)x = 0}, so they number dim F(W).
+    F takes W onto F(W) with kernel W meet ker F, which is ker F meet ker V: Fx = 0 and
+    (F + V)x = 0 give Vx = 0.  So u = dim W - a = rank [F; V] - rank (F + V).
     """
     require_valid(m)
-    state = m.frobenius.add(m.verschiebung)._stacked_echelon(m.frobenius)
-    high = 1 << m.field._bits * m.dim  # the pivot bit of the first high slot
-    return sum(key >= high for key in state)
+    return m.frobenius._stacked_rank(m.verschiebung) - m.frobenius.add(m.verschiebung).rank()
 
 
 def dual(m: DieudonneModule) -> DieudonneModule:

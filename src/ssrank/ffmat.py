@@ -479,20 +479,12 @@ class Matrix(_Value):
         """An echelon basis of M(S), for rows b that span S and need not be echelon."""
         return tuple(_echelon(self.field, self._images(basis), self.nrows).values())
 
-    def _stacked_echelon(self, below: "Matrix") -> dict[int, Row]:
-        """The echelon state of the columns of [M; below], the rows (M e_j | below e_j), with
-        M's column in the low nrows slots; below has M's field and width.
-
-        Its size is the rank of [M; below].  The state's rows with their pivot in the high
-        slots span exactly the vectors of the span whose low half is zero.  Such a row is zero
-        below its pivot, so its low half is zero.  Conversely, a vector of the span is a
-        combination of the state's rows; of the rows taken with a nonzero coefficient c, the
-        one with the lowest pivot puts c at its pivot slot, where the others are zero.  So when
-        the vector's low half is zero, that pivot, and with it every pivot taken, is high.
-        """
+    def _stacked_rank(self, below: "Matrix") -> int:
+        """The rank of [M; below], below of M's field and width: that of its columns, the rows
+        (M e_j | below e_j), with M's column in the low nrows slots."""
         split = self.field._bits * self.nrows
         pairs = [a | b << split for a, b in zip(self._columns(), below._columns())]
-        return _echelon(self.field, pairs, self.nrows + below.nrows)
+        return len(_echelon(self.field, pairs, self.nrows + below.nrows))
 
     def _pairs(self, basis: Sequence[Row]) -> list[Row]:
         """The rows (M b | b) over rows b, with M b in the low nrows slots."""

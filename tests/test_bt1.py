@@ -36,6 +36,7 @@ from helpers import (
     conjugated,
     reference_image,
     reference_kernel,
+    reference_product,
     reference_rref_modp,
     reference_to_json,
     reference_validate_bt1,
@@ -89,11 +90,46 @@ def test_p_rank_examples(gf2):
 
 
 def test_p_rank_rejects_unbalanced(gf2):
-    # a single etale line is valid BT1 but the two stable-image routes disagree
+    # a single etale line is valid BT1, but its stable F-image is the line and its stable
+    # V-image is zero
     etale = DieudonneModule(Matrix.identity(gf2, 1), Matrix.zeros(gf2, 1, 1))
     assert validate_bt1(etale) == []
-    with pytest.raises(Bt1ValidationError):
+    with pytest.raises(Bt1ValidationError) as err:
         p_rank(etale)
+    assert err.value.violations == ["multiplicative rank 0 != etale rank 1"]
+
+
+def _dense_stable_rank(op: Matrix) -> int:
+    """The rank of op^n, n = op's size, by dense products: the dimension of op's stable image."""
+    n, p = op.nrows, op.field.p
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    square, k = [list(r) for r in op.entries], n
+    while k:
+        if k & 1:
+            power = reference_product(power, square, p)
+        square, k = reference_product(square, square, p), k >> 1
+    return len(reference_rref_modp(power, n, p)[0])
+
+
+def test_p_rank_matches_the_ranks_of_dense_powers():
+    rng = random.Random(3030)
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        etale = DieudonneModule(Matrix.identity(field, 1), Matrix.zeros(field, 1, 1))
+        modules = [zero_module(field), etale, direct_sum(etale, word_module(CyclicWord.of("FFV"), field))]
+        modules += [conjugated(canonical_module(t, field), rng) for g in range(7) for t in enumerate_types(g)]
+        # pure words and powers included; every pure word is unbalanced
+        modules += [word_module(w, field) for length in range(1, 7) for w in all_cyclic_words(length)]
+        modules += [j_rs(r, s, field) for r in range(1, 5) for s in range(1, 5) if r != s]
+        for m in modules:
+            mult_part, etale_part = _dense_stable_rank(m.verschiebung), _dense_stable_rank(m.frobenius)
+            if mult_part == etale_part:
+                assert p_rank(m) == mult_part, (p, to_json(m))
+            else:
+                with pytest.raises(Bt1ValidationError) as err:
+                    p_rank(m)
+                assert err.value.violations == [
+                    f"multiplicative rank {mult_part} != etale rank {etale_part}"], (p, to_json(m))
 
 
 def test_a_number_examples(gf2):
@@ -609,6 +645,19 @@ def test_a_and_u_match_the_dense_stack_and_image_oracles():
                                       Matrix.build(field, [[0, 0], [c, 0]]))
             assert (a_number(twisted), unpolarized_ss_rank(twisted)) == (1, int(c == p - 1)), (p, c)
             assert _dense_a_and_u(twisted) == (1, int(c == p - 1)), (p, c)
+    # bands with a monodromy lam, also in a random basis: for FV and FVFV, u is 0 or 1 by lam
+    # while s stays 1 and 2, the case u < s; FFVV and FVV are controls, u fixed
+    for p, lams in ((3, (1, 2)), (97, (1, 2, 96))):
+        field = PrimeField(p)
+        for letters, s, us in (("FV", 1, {0, 1}), ("FVFV", 2, {0, 1}), ("FFVV", 0, {1}), ("FVV", 0, {0})):
+            seen = set()
+            for lam in lams:
+                band = twisted_word_module(letters, lam, field)
+                for m in (band, conjugated(band, rng)):
+                    assert (a_number(m), unpolarized_ss_rank(m)) == _dense_a_and_u(m), (p, letters, lam)
+                    assert superspecial_rank(m) == s
+                    seen.add(unpolarized_ss_rank(m))
+            assert seen == us, (p, letters)
 
 
 def test_stacked_a_number_matches_the_kernel_intersection():
