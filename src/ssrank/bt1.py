@@ -276,10 +276,19 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
     exhausted sweep proves that no compatible nondegenerate form exists over
     F_p, and for p > g (then Q = P) over no extension of F_p either.
 
-    Returns None only with a proof: that one, an odd dimension (alternating
-    forms have even rank), no nonzero solution, or a row on which every
-    solution vanishes.  Reaching _SWEEP_BUDGET candidates, greedy ones
-    included, proves nothing and raises PolarizationSearchError.
+    Before the sweep, a module that `eo.eo_type_of` refuses is formless too.
+    A compatible nondegenerate form makes x -> <x, .> an isomorphism of M onto
+    its Cartier dual (F goes to V^T and V to F^T).  The dual's canonical
+    filtration is the annihilators of M's, so its final profile is
+    psi*(n - d) = psi(d) + rank F - d, and psi* = psi forces rank V = rank F = g
+    and psi(i) = psi(n - i) + i - g: an odd dimension, rank V != g and an
+    asymmetric profile, the three FiltrationErrors, each rule a form out over
+    F_p and every extension.
+
+    Returns None only with a proof: those, no nonzero solution, a row on which
+    every solution vanishes, or the exhausted sweep.  Reaching _SWEEP_BUDGET
+    candidates, greedy ones included, proves nothing and raises
+    PolarizationSearchError.
     """
     require_valid(m)
     n, p = m.dim, m.field.p
@@ -313,6 +322,12 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
             if r > rank:
                 chosen, rank = chosen + [(k, t)], r
                 break
+    # imported here, as eo imports bt1; perfbench traces this function under ssrank.bt1
+    from .eo import FiltrationError, eo_type_of
+    try:
+        eo_type_of(m)
+    except FiltrationError:
+        return None
     for support, values in _sweep_candidates(d, g, p):
         gram, r = gram_and_rank(list(zip(support, values)))
         if r == n:
@@ -321,8 +336,12 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
 
 
 def invariants(m: DieudonneModule) -> InvariantBundle:
+    """f, a and u, the last two off one rank of [F; V]: a = n - rank [F; V] (`a_number`) and
+    u = rank [F; V] - rank (F + V) (`unpolarized_ss_rank`)."""
     g = m.g if m.dim % 2 == 0 else None
-    return InvariantBundle(g=g, f=p_rank(m), a=a_number(m), u=unpolarized_ss_rank(m))
+    f, stacked = p_rank(m), m.frobenius._stacked_rank(m.verschiebung)
+    u = stacked - m.frobenius.add(m.verschiebung).rank()
+    return InvariantBundle(g=g, f=f, a=m.dim - stacked, u=u)
 
 
 def _json_rows(m: Matrix) -> str:

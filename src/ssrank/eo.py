@@ -19,7 +19,7 @@ from .ffmat import Matrix, PrimeField, _combine, _set, _Value
 
 
 class FiltrationError(ValueError):
-    """Canonical filtration failed to interpolate; input is not classifiable."""
+    """A valid module has no EO type: an odd dimension, rank V != g or an asymmetric final profile."""
 
 
 def validate_sequence(nu: Sequence[int]) -> bool:
@@ -130,8 +130,8 @@ def _final_profile(m: DieudonneModule) -> list[int]:
 
     Closes {0, M} under N -> V(N) and N -> F^{-1}(N); the result is a chain
     (proved below) whose V-image dimensions pin psi at the chain's dimensions.  Between
-    consecutive chain members the V-rank must jump either not at all or by
-    the full dimension gap (asserted), which interpolates psi everywhere.
+    consecutive chain members psi rises by the full dimension gap or not at all (proved
+    last), which interpolates psi everywhere.
 
     One canonical reduction of (F e_j | e_j) per module gives im F, ker F and a
     section sigma of F on im F.  Each member N then costs one echelon reduction, of
@@ -150,6 +150,21 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     F^{-1}(0) = ker F, and V and F^{-1} keep inclusions.  So, by induction
     from 0 and M, any two members are comparable, and distinct members have
     distinct dimensions: members are keyed by dimension.
+
+    The rise is all or nothing on every valid module.  Member dimensions and those of
+    their V-images survive isomorphism and extension of scalars to an algebraic closure
+    (F and V extended semilinearly), and there a valid module is a sum of word modules
+    (Kraft's classification, with Lang's theorem making every monodromy standard).  In
+    a sum of words, V and F^{-1} take subspaces spanned by nodes to such subspaces, so
+    every member is spanned by nodes.  Whether a node lies in V(N) or in F^{-1}(N)
+    depends only on the letter leaving it and on whether its successor lies in N, so
+    nodes that read one infinite word forward lie in the same members.  If the words of
+    two nodes first differ k letters on, V(M) tells apart the nodes k steps on, and each
+    step back over a shared letter keeps them apart: V of that member at a V, F^{-1} of
+    it at an F.  So each graded piece is the set of nodes that read one infinite word
+    (Oort).  Those nodes share its primitive period, whose last letter is the one
+    entering them, so V kills every node of the piece or none; and V sends distinct
+    nodes to distinct nodes, so its rank on the piece is 0 or the piece's dimension.
     """
     require_valid(m)
     n, field, ver = m.dim, m.field, m.verschiebung
@@ -177,11 +192,9 @@ def _final_profile(m: DieudonneModule) -> list[int]:
     psi = [0] * (n + 1)
     dims = sorted(psi_at)
     for lo, hi in zip(dims, dims[1:]):
-        jump = psi_at[hi] - psi_at[lo]
-        if jump not in (0, hi - lo):
-            raise FiltrationError("graded piece has partial V-rank; not a BT1 filtration")
+        rises = psi_at[hi] > psi_at[lo]
         for i in range(lo, hi + 1):
-            psi[i] = psi_at[lo] + (i - lo if jump else 0)
+            psi[i] = psi_at[lo] + (i - lo if rises else 0)
     return psi
 
 

@@ -25,7 +25,7 @@ from ssrank.bt1 import (
     zero_module,
 )
 from ssrank.build import h_rs, i11, j_rs, ord1
-from ssrank.eo import EOType, canonical_module, enumerate_types, eo_type_of
+from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField, Subspace, block_diag
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
 
@@ -344,6 +344,33 @@ def test_find_polarization_matches_a_search_over_all_of_fp(p):
     assert len(set(verdicts)) == 2
 
 
+def test_modules_without_a_type_have_no_form():
+    # find_polarization returns None when eo_type_of refuses a module; a walk over all of
+    # F_p^d agrees on every sum of up to 3 words of even length <= 6, the first one's
+    # closing edge scaled by 1 and by p - 1
+    messages, checked = set(), 0
+    base = [w.letters for length in range(1, 7) for w in all_cyclic_words(length)]
+    sums = [letters for k in (1, 2, 3) for letters in itertools.combinations_with_replacement(base, k)
+            if sum(map(len, letters)) in (2, 4, 6)]
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for letters, lam in itertools.product(sums, sorted({1, p - 1})):
+            m = direct_sum(twisted_word_module(letters[0], lam, field),
+                           *[word_module(CyclicWord.of(w), field) for w in letters[1:]])
+            try:
+                eo_type_of(m)
+                continue
+            except FiltrationError as refused:
+                messages.add(str(refused))
+            assert p ** len(compatible_form_basis(m)) <= 4096
+            assert not brute_force_has_polarization(m), (p, letters, lam)
+            assert find_polarization(m) is None
+            checked += 1
+    assert checked == 620
+    assert messages == {"V has rank different from g; module is not self-balanced",
+                        "final profile is not symmetric; module is not quasipolarizable"}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
 def test_packed_compatible_forms_match_the_matrix_product_reference(p):
     field, rng = PrimeField(p), random.Random(p)
@@ -410,6 +437,10 @@ def test_fv_to_the_sixth_has_no_form_over_f2(gf2, monkeypatch):
     # (one try per basis form at p = 2) and the whole grid, the exhausted sweep
     # proves there is no form (a walk over all 2^18 compatible forms agrees)
     m = word_module(CyclicWord.of("FV" * 6), gf2)
+    # its final profile is symmetric, so the type check proves nothing either
+    assert eo_type_of(m) == EOType.of([0] * 6)
+    with pytest.raises(bt1.PolarizationSearchError, match="stopped after 20000 candidates"):
+        find_polarization(m)
     d, g = len(bt1._compatible_forms(m)), m.g
     monkeypatch.setattr(bt1, "_SWEEP_BUDGET", d + sum(1 for _ in _sweep_candidates(d, g, 2)))
     assert find_polarization(m) is None

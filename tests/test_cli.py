@@ -91,23 +91,43 @@ def test_module_subcommands(tmp_path, capsys):
 
 
 def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys, monkeypatch):
-    # FFVFVV has a 3-dimensional space of compatible forms, all degenerate; at g = 3
-    # the grid {c : sum(c) <= 3} proves that for every p
-    paths = {}
+    # FFVFVV has a 3-dimensional space of compatible forms, all degenerate, and an
+    # asymmetric final profile, which proves that for every p
     for p in (2, 97):
         code, out, _ = run(capsys, "build", "word", "--w", "FFVFVV", "--p", str(p))
         assert code == 0
-        paths[p] = tmp_path / f"ffvfvv{p}.json"
-        paths[p].write_text(out, encoding="ascii")
-        code, _, err = run(capsys, "module", "polarize", "--in", str(paths[p]))
+        path = tmp_path / f"ffvfvv{p}.json"
+        path.write_text(out, encoding="ascii")
+        code, _, err = run(capsys, "module", "polarize", "--in", str(path))
         assert code == 2 and "no compatible nondegenerate form exists" in err
-    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 24)  # 5 greedy tries and the 19 grid points: still a proof
-    code, _, err = run(capsys, "module", "polarize", "--in", str(paths[97]))
+    # FVFV with its closing edge scaled by 2 has a type at p = 3 but no form: the 3
+    # greedy tries and the 5 grid points prove that, and one candidate fewer does not
+    path = tmp_path / "fvfv-twisted.json"
+    path.write_text(bt1.to_json(twisted_word_module("FVFV", 2, PrimeField(3))), encoding="ascii")
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 8)
+    code, _, err = run(capsys, "module", "polarize", "--in", str(path))
     assert code == 2 and "no compatible nondegenerate form exists" in err
-    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 23)
-    code, _, err = run(capsys, "module", "polarize", "--in", str(paths[97]))
-    assert code == 2 and "the search stopped after 23 candidates" in err
+    monkeypatch.setattr(bt1, "_SWEEP_BUDGET", 7)
+    code, _, err = run(capsys, "module", "polarize", "--in", str(path))
+    assert code == 2 and "the search stopped after 7 candidates" in err
     assert "exists" not in err
+
+
+@pytest.mark.parametrize("p", [3, 97])
+def test_polarize_proves_a_module_without_a_type_formless_before_the_sweep(tmp_path, capsys,
+                                                                          monkeypatch, p):
+    # (FFVFVV)^2 has an asymmetric final profile in every basis; the sweep, which used to
+    # run its whole budget out on it undecided, is never entered
+    def sweep(*args):
+        raise AssertionError("the sweep was entered")
+
+    monkeypatch.setattr(bt1, "_sweep_candidates", sweep)
+    m = words.word_module(words.CyclicWord.of("FFVFVV" * 2), PrimeField(p))
+    path = tmp_path / "square.json"
+    for basis in (m, conjugated(m, random.Random(3131 + p))):
+        path.write_text(bt1.to_json(basis), encoding="ascii")
+        assert run(capsys, "module", "polarize", "--in", str(path)) == (
+            2, "", "error: no compatible nondegenerate form exists\n")
 
 
 def test_polarize_at_its_cap_on_a_conjugated_superspecial_module(tmp_path, capsys):
@@ -254,6 +274,27 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
         assert list(calls.values()) == counts, argv
         if argv[1] in ("profile", "ss"):  # one word census measures the built module
             assert measures == {"decompose": 1, "p_rank": 0, "a_number": 0}, argv
+
+
+def test_module_invariants_reduces_the_stacked_operators_once(tmp_path, capsys, monkeypatch):
+    # a and u both read rank [F; V]; the request takes it once and gives the values of
+    # a_number and unpolarized_ss_rank, which take it each
+    calls, stacked_rank = [], Matrix._stacked_rank
+
+    def counting(self, below):
+        calls.append(below)
+        return stacked_rank(self, below)
+
+    monkeypatch.setattr(Matrix, "_stacked_rank", counting)
+    path = tmp_path / "c.json"
+    for p in (2, 97):
+        m = conjugated(eo.canonical_module(eo.EOType.of([0, 1, 1, 2]), PrimeField(p)), random.Random(p))
+        path.write_text(bt1.to_json(m), encoding="ascii")
+        a, u = bt1.a_number(m), bt1.unpolarized_ss_rank(m)
+        calls.clear()
+        code, out, _ = run(capsys, "module", "invariants", "--in", str(path))
+        assert (code, json.loads(out)) == (0, {"p": p, "dim": 8, "g": 4, "f": 0, "a": a, "u": u})
+        assert (a, len(calls)) == (2, 1), p
 
 
 def _wrong_part(name):

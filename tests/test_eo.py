@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from ssrank.eo import (
 from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import CyclicWord, decompose, word_module
 
-from helpers import conjugated, reference_eo_type_of, reference_final_profile
+from helpers import all_cyclic_words, conjugated, primitive_root, reference_eo_type_of, reference_final_profile
 
 
 def test_validate_sequence():
@@ -325,3 +326,46 @@ def test_eo_type_of_matches_the_reference_on_sums_of_words():
     assert outcomes == {"a type", "module dimension is odd; no EO type",
                         "V has rank different from g; module is not self-balanced",
                         "final profile is not symmetric; module is not quasipolarizable"}
+
+
+def _omega_pieces(letters: tuple[str, ...]) -> list[set[int]]:
+    """The graded pieces of the canonical filtration of a sum of words, on nodes alone.
+
+    Node z reads its letter reads[z], then its successor's, and so on: V(N) is the nodes
+    that read V with successor in N, and F^{-1}(N) those that read V or have successor in N."""
+    reads, succ = [], []
+    for w in letters:
+        start = len(reads)
+        reads += w
+        succ += [start + (i + 1) % len(w) for i in range(len(w))]
+    nodes = range(len(reads))
+    members, todo = set(), [frozenset(), frozenset(nodes)]
+    while todo:
+        member = todo.pop()
+        if member not in members:
+            members.add(member)
+            todo.append(frozenset(z for z in nodes if reads[z] == "V" and succ[z] in member))
+            todo.append(frozenset(z for z in nodes if reads[z] == "V" or succ[z] in member))
+    chain = sorted(members, key=len)
+    assert all(lo < hi for lo, hi in zip(chain, chain[1:])), letters
+    return [set(hi - lo) for lo, hi in zip(chain, chain[1:])]
+
+
+def test_graded_pieces_of_word_sums_are_omega_classes():
+    # the premise of _final_profile's interpolation: each graded piece is the set of
+    # nodes that read one infinite word (its primitive period, from the node on), and
+    # they share the letter that enters them, so V kills all of the piece or none of it
+    base = [w.letters for length in range(1, 10) for w in all_cyclic_words(length)]
+    sums = [letters for k in (1, 2, 3) for letters in itertools.combinations_with_replacement(base, k)
+            if sum(map(len, letters)) <= 9]
+    assert len(sums) == 1478
+    for letters in sums:
+        omega, entering = [], []
+        for w in letters:
+            omega += (primitive_root(w[i:] + w[:i])[0] for i in range(len(w)))
+            entering += w[-1] + w[:-1]
+        pieces = _omega_pieces(letters)
+        classes = [{omega[z] for z in piece} for piece in pieces]
+        assert all(len(c) == 1 for c in classes), letters
+        assert len(set.union(*classes)) == len(pieces), letters  # no class spans two pieces
+        assert all(len({entering[z] for z in piece}) == 1 for piece in pieces), letters
