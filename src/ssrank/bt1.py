@@ -347,9 +347,16 @@ def invariants(m: DieudonneModule) -> InvariantBundle:
 def _json_rows(m: Matrix) -> str:
     """A square matrix's entries as nested JSON lists without spaces, read off its packed rows."""
     n = m.ncols
-    if m.field.p == 2:  # bit j is entry j, so a row's entries are its binary digits reversed
-        spec = f"0{n}b"
-        return "[" + ",".join(["[" + ",".join(format(r, spec)[::-1]) + "]" for r in m._rows]) + "]"
+    if m.field.p == 2:
+        if not n:
+            return "[]"
+        # row i shifted by n*i, so that entry (i, j) is bit n*i + j: the binary digits reversed
+        # are the entries row after row, and each row is a 2n - 1 slice of them comma-joined
+        stacked = 0
+        for r in reversed(m._rows):
+            stacked = stacked << n | r
+        entries = ",".join(format(stacked, f"0{n * n}b")[::-1])
+        return "[[" + "],[".join([entries[i:i + 2 * n - 1] for i in range(0, 2 * n * n, 2 * n)]) + "]]"
     return repr([list(r.to_bytes(n, "little")) for r in m._rows]).replace(" ", "")
 
 

@@ -50,91 +50,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # (group, cmd) -> the leaf that parses that command's options; ("atlas",) -> atlas's
-    leaves: dict[tuple[str, ...], _Parser]
-
     def error(self, message: str) -> None:  # argparse would exit(2); we map usage to 1
         raise UsageError(message)
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The parser, built on the first call and shared by every later request.
-
-    parse_args leaves it unchanged, so nothing carries from one request to
-    the next.  --help shows the module docstring up to its size caps.  Each
-    leaf carries the group, cmd and run defaults, so it parses its command's
-    options alone (`parser.leaves`) to the same Namespace as the whole tree.
-    """
-    description = (__doc__ or "").partition("\n\nSize caps")[0] or None
-    parser = _Parser(prog="ssrank", description=description)
-    top = parser.add_subparsers(dest="group", required=True)
-
-    eo_cmd = top.add_parser("eo", help="Ekedahl-Oort type catalogue")
-    eo_sub = eo_cmd.add_subparsers(dest="cmd", required=True)
-    eo_list = eo_sub.add_parser("list", help="enumerate all 2^g types with invariants")
-    eo_list.add_argument("--g", type=_int_option, required=True)
-    eo_list.add_argument("--filter", default=None, metavar="f=..,a=..,s=..")
-    eo_list.add_argument("--format", choices=("json", "csv"), default="json")
-    eo_module = eo_sub.add_parser("module", help="canonical module of one type")
-    eo_module.add_argument("--nu", required=True, metavar="a,b,c")
-    eo_module.add_argument("--p", type=_int_option, default=2)
-
-    mod_cmd = top.add_parser("module", help="operate on a serialized module")
-    mod_sub = mod_cmd.add_subparsers(dest="cmd", required=True)
-    for name, help_text in (("invariants", "p-rank, a-number, unpolarized rank u over F_p (can be < s)"),
-                            ("decompose", "cyclic-word census and census invariants"),
-                            ("check", "validate the BT1 axioms and any attached form"),
-                            ("polarize", "attach a compatible nondegenerate form")):
-        sub = mod_sub.add_parser(name, help=help_text)
-        sub.add_argument("--in", dest="path", required=True, metavar="FILE.json")
-
-    build_cmd = top.add_parser("build", help="construct modules")
-    build_sub = build_cmd.add_subparsers(dest="cmd", required=True)
-    b_word = build_sub.add_parser("word", help="module of a cyclic word")
-    b_word.add_argument("--w", required=True, metavar="FVV...")
-    b_word.add_argument("--p", type=_int_option, default=2)
-    b_jrs = build_sub.add_parser("jrs", help="module on x with F^r x = -V^s x")
-    b_jrs.add_argument("--r", type=_int_option, required=True)
-    b_jrs.add_argument("--s", type=_int_option, required=True)
-    b_jrs.add_argument("--p", type=_int_option, default=2)
-    b_profile = build_sub.add_parser("profile", help="realize a feasible (g,f,a,s)")
-    for flag in ("--g", "--f", "--a", "--s"):
-        b_profile.add_argument(flag, type=_int_option, required=True)
-    b_profile.add_argument("--p", type=_int_option, default=2)
-    b_ss = build_sub.add_parser("ss", help="supersingular profile with given rank s")
-    b_ss.add_argument("--g", type=_int_option, required=True)
-    b_ss.add_argument("--s", type=_int_option, required=True)
-    b_ss.add_argument("--p", type=_int_option, default=2)
-
-    curve_cmd = top.add_parser("curve", help="curve applications")
-    curve_sub = curve_cmd.add_subparsers(dest="cmd", required=True)
-    c_hyp = curve_sub.add_parser("hyp2", help="hyperelliptic curve in characteristic 2")
-    c_hyp.add_argument("--poles", required=True, metavar="3,9")
-    c_hyp.add_argument("--oracle", action="store_true",
-                       help="also assemble the module and cross-check s")
-    c_herm = curve_sub.add_parser("hermitian", help="Hermitian curve invariants")
-    c_herm.add_argument("--p", type=_int_option, required=True)
-    c_herm.add_argument("--n", type=_int_option, required=True)
-
-    table_cmd = top.add_parser("table", help="tabulations")
-    table_sub = table_cmd.add_subparsers(dest="cmd", required=True)
-    t_feas = table_sub.add_parser("feasibility", help="feasibility of (f,a,s) at fixed g")
-    t_feas.add_argument("--g", type=_int_option, required=True)
-
-    atlas_cmd = top.add_parser("atlas", help="write the EO atlas CSV")
-    atlas_cmd.add_argument("--g-max", type=_int_option, required=True)
-    atlas_cmd.add_argument("--out", required=True, metavar="PATH")
-    atlas_cmd.set_defaults(group="atlas", run=_run_atlas)
-
-    parser.leaves = {("atlas",): atlas_cmd}
-    for group, sub, run in (("eo", eo_sub, _run_eo), ("module", mod_sub, _run_module),
-                            ("build", build_sub, _run_build), ("curve", curve_sub, _run_curve),
-                            ("table", table_sub, _run_table)):
-        for cmd, leaf in sub.choices.items():
-            leaf.set_defaults(group=group, cmd=cmd, run=run)
-            parser.leaves[group, cmd] = leaf
-    return parser
 
 
 def _check_cap(what: str, value: int, cap: int) -> None:
@@ -294,7 +211,7 @@ def _run_eo(args: argparse.Namespace) -> int:
         else:
             _write_json_rows(rows)
         return 0
-    # module; argparse admits no other subcommand
+    # module; the command table holds no other eo command
     nu = _parse_int_list(args.nu, "--nu")
     _check_cap("nu length", len(nu), MODULE_G_CAP)
     module = eo.canonical_module(_parse_value(eo.EOType.of, nu), PrimeField(args.p))
@@ -392,19 +309,147 @@ def _run_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse argv with the leaf its first words name, else with the whole tree.
+def _option(flag: str, kind=str, *, required: bool = False, default=None, metavar: str | None = None,
+            help: str | None = None, dest: str | None = None) -> tuple[str, tuple]:
+    """One flag -> (dest, kind, required, default, metavar, help) item of a command's options.
 
-    The whole tree handles --help, a bare group, an unknown command and an
-    option before the command; the leaf is the object that the whole tree
-    would hand the rest of argv to, so both give the same result and errors.
+    The kind is int, str, bool (a store_true flag) or the tuple of the choices the value takes.
     """
-    parser = build_parser()
-    for depth in (2, 1):  # (group, cmd), then ("atlas",)
-        leaf = parser.leaves.get(tuple(argv[:depth]))
-        if leaf is not None:
-            return leaf.parse_args(argv[depth:])
-    return parser.parse_args(argv)
+    return flag, (dest or flag[2:].replace("-", "_"), kind, required, default, metavar, help)
+
+
+_P = _option("--p", int, default=2)
+_IN = _option("--in", dest="path", required=True, metavar="FILE.json")
+
+# group -> help, for the groups whose commands sit in the command table under (group, cmd)
+_GROUPS = {"eo": "Ekedahl-Oort type catalogue", "module": "operate on a serialized module",
+           "build": "construct modules", "curve": "curve applications", "table": "tabulations"}
+
+# (group, cmd), or (group,) for a group that is itself a command -> (help, run, options), in the
+# order --help lists them; options maps each flag to its _option spec, in the order of the usage line
+_COMMANDS = {
+    ("eo", "list"): ("enumerate all 2^g types with invariants", _run_eo, dict([
+        _option("--g", int, required=True), _option("--filter", metavar="f=..,a=..,s=.."),
+        _option("--format", ("json", "csv"), default="json")])),
+    ("eo", "module"): ("canonical module of one type", _run_eo, dict([
+        _option("--nu", required=True, metavar="a,b,c"), _P])),
+    ("module", "invariants"): ("p-rank, a-number, unpolarized rank u over F_p (can be < s)",
+                               _run_module, dict([_IN])),
+    ("module", "decompose"): ("cyclic-word census and census invariants", _run_module, dict([_IN])),
+    ("module", "check"): ("validate the BT1 axioms and any attached form", _run_module, dict([_IN])),
+    ("module", "polarize"): ("attach a compatible nondegenerate form", _run_module, dict([_IN])),
+    ("build", "word"): ("module of a cyclic word", _run_build, dict([
+        _option("--w", required=True, metavar="FVV..."), _P])),
+    ("build", "jrs"): ("module on x with F^r x = -V^s x", _run_build, dict([
+        _option("--r", int, required=True), _option("--s", int, required=True), _P])),
+    ("build", "profile"): ("realize a feasible (g,f,a,s)", _run_build, dict([
+        *(_option(flag, int, required=True) for flag in ("--g", "--f", "--a", "--s")), _P])),
+    ("build", "ss"): ("supersingular profile with given rank s", _run_build, dict([
+        _option("--g", int, required=True), _option("--s", int, required=True), _P])),
+    ("curve", "hyp2"): ("hyperelliptic curve in characteristic 2", _run_curve, dict([
+        _option("--poles", required=True, metavar="3,9"),
+        _option("--oracle", bool, default=False, help="also assemble the module and cross-check s")])),
+    ("curve", "hermitian"): ("Hermitian curve invariants", _run_curve, dict([
+        _option("--p", int, required=True), _option("--n", int, required=True)])),
+    ("table", "feasibility"): ("feasibility of (f,a,s) at fixed g", _run_table, dict([
+        _option("--g", int, required=True)])),
+    ("atlas",): ("write the EO atlas CSV", _run_atlas, dict([
+        _option("--g-max", int, required=True), _option("--out", required=True, metavar="PATH")])),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The argparse tree of the command table, built on the first call and shared by every later one.
+
+    parse_args leaves it unchanged, so nothing carries from one request to the next.  Only a
+    request that `_read_argv` declines needs it: --help, a malformed command line, an error to
+    report.  --help shows the module docstring up to its size caps.
+    """
+    description = (__doc__ or "").partition("\n\nSize caps")[0] or None
+    parser = _Parser(prog="ssrank", description=description)
+    top = parser.add_subparsers(dest="group", required=True)
+    groups = {}
+    for key, (help_text, run, options) in _COMMANDS.items():
+        if len(key) == 1:
+            leaf = top.add_parser(key[0], help=help_text)
+        else:
+            group, cmd = key
+            if group not in groups:
+                groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                    dest="cmd", required=True)
+            leaf = groups[group].add_parser(cmd, help=help_text)
+        for flag, (dest, kind, required, default, metavar, option_help) in options.items():
+            if kind is bool:
+                leaf.add_argument(flag, action="store_true", help=option_help)
+            else:
+                leaf.add_argument(flag, dest=dest, type=_int_option if kind is int else None,
+                                  choices=kind if isinstance(kind, tuple) else None,
+                                  required=required, default=default, metavar=metavar,
+                                  help=option_help)
+        leaf.set_defaults(run=run)
+    return parser
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser().parse_args(argv) returns, read straight off a well-formed argv.
+
+    Well formed is a command of the table, then options of that command, each by its exact flag
+    and at most once, each but a store_true flag followed by one value that does not start with
+    "-"; every required option given, every integer one that _parse_int takes and every choice
+    one of the option's choices.  Anything else gives None: --help, an abbreviation,
+    --opt=value, a value such as -1, "--", a bad integer or choice, an unknown command.
+    """
+    key = tuple(argv[:2])
+    command = _COMMANDS.get(key)
+    if command is None:
+        key = key[:1]
+        command = _COMMANDS.get(key)
+        if command is None:
+            return None
+    _, run, options = command
+    values = {}
+    i, n = len(key), len(argv)
+    while i < n:
+        spec = options.get(argv[i])
+        if spec is None or spec[0] in values:
+            return None
+        dest, kind = spec[0], spec[1]
+        if kind is bool:
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if kind is int:
+            try:
+                value = _parse_int(value, "")
+            except UsageError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+        i += 2
+    for dest, _, required, default, _, _ in options.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    if len(key) == 2:
+        values["cmd"] = key[1]
+    return argparse.Namespace(group=key[0], run=run, **values)
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Read a well-formed argv off the command table, else parse it with the argparse tree.
+
+    Both give the same Namespace for a well-formed argv.  Everything else (--help, a bare
+    group, an unknown command, any malformed option) goes to the tree, built on the first
+    such request, which answers it as argparse does.
+    """
+    args = _read_argv(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -14,9 +14,10 @@ import sys
 import pytest
 
 import ssrank
-from ssrank import bt1, build, curves, eo, words
+from ssrank import bt1, build, cli, curves, eo, words
 from ssrank.build import feasible, ProfileQuery, i11
-from ssrank.cli import MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, build_parser, main
+from ssrank.cli import (MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, _read_argv,
+                        build_parser, main)
 from ssrank.ffmat import GF2, Matrix, PrimeField
 
 from helpers import all_cyclic_words, conjugated, twisted_word_module
@@ -911,18 +912,34 @@ _EVERY_COMMAND = (
 )
 
 
-def test_leaf_and_full_tree_parses_agree():
+def _reorderings(argv):
+    """argv with its options in every order, each option a flag and the value after it."""
+    options, rest = [], list(argv[2:] if argv[:2] in cli._COMMANDS else argv[1:])
+    while rest:
+        take = 1 if rest[0] == "--oracle" else 2
+        options.append(tuple(rest[:take]))
+        del rest[:take]
+    command = argv[:len(argv) - sum(map(len, options))]
+    return {command + sum(order, ()) for order in itertools.permutations(options)}
+
+
+def test_reader_and_tree_parses_agree():
     parser = build_parser()
     commands = set()
     for group, group_parser in _subcommands(parser).items():
         commands |= {(group, cmd) for cmd in _subcommands(group_parser)} or {(group,)}
-    assert set(parser.leaves) == commands
+    assert set(cli._COMMANDS) == commands
     assert {argv[:2] if argv[:2] in commands else argv[:1] for argv in _EVERY_COMMAND} == commands
-    for argv in _EVERY_COMMAND:
+    padded = [("build", "jrs", "--r", " 1", "--s", "2 ", "--p", " 97 "), ("table", "feasibility", "--g", " 3"),
+              ("eo", "list", "--g", "2", "--filter", ""), ("eo", "module", "--nu", ""),
+              ("eo", "list", "--g", "00", "--filter", "f=1", "--format", "csv")]
+    argvs = set(padded).union(*map(_reorderings, _EVERY_COMMAND))
+    assert len(argvs) > 150
+    for argv in argvs:
+        by_reader = _read_argv(argv)
+        assert by_reader is not None and by_reader == parser.parse_args(argv), argv
         depth = 2 if argv[:2] in commands else 1
-        by_leaf = parser.leaves[argv[:depth]].parse_args(argv[depth:])
-        assert by_leaf == parser.parse_args(argv), argv
-        assert (by_leaf.group, getattr(by_leaf, "cmd", None)) == (argv[0], argv[1] if depth == 2 else None)
+        assert (by_reader.group, getattr(by_reader, "cmd", None)) == (argv[0], argv[1] if depth == 2 else None)
 
 
 def _answer(capsys, argv):
@@ -938,7 +955,6 @@ def _answer(capsys, argv):
 def test_malformed_argv_answers_alike_on_both_routes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     parser = build_parser()
-    leaves = parser.leaves
     corpus = [
         (), ("--help",), ("-h",), ("nonsense",), ("eo", "bogus"), ("atlas", "list"),
         ("-x", "eo", "list", "--g", "1"), ("eo", "-h", "list"),
@@ -950,21 +966,27 @@ def test_malformed_argv_answers_alike_on_both_routes(tmp_path, capsys, monkeypat
         ("eo", "list", "--", "--g", "1"), ("eo", "list", "--g", "1", "--"),
         ("eo", "list", "--g", "1", "--", "extra"), ("atlas", "--", "--g-max", "1", "--out", "a.csv"),
         ("atlas", "--g-m", "0", "--out", "a.csv"), ("eo", "list", "--g", "1", "--fo", "csv"),
-        ("eo", "list", "--g", "1", "--f", "a=1"), ("build", "ss", "--g", "2", "--s", "0", "--p", "3"),
+        ("eo", "list", "--g", "1", "--f", "a=1"),
         ("eo", "list", "--g", "3", "--g", "1", "--format", "json", "--format", "csv"),
         ("build", "ss", "--g", "2", "--s", "0", "--p", "3", "--p", "5"),
         ("curve", "hyp2", "--poles", "3", "--oracle", "--oracle"),
+        ("eo", "list", "--g=1"), ("eo", "list", "--g", "-1"), ("eo", "list", "--g", "1_0"),
+        ("eo", "list", "--g", "1", "--format", "xml"), ("eo", "module", "--nu", "-1"),
+        ("curve", "hyp2", "--poles", "3", "--oracle", "x"), ("build", "ss", "--g", "2", "--s", "0", "-h"),
     ]
     for group, group_parser in _subcommands(parser).items():
         corpus += [(group,), (group, "--help"), (group, "-h")]
         corpus += [(group, cmd, flag) for cmd in _subcommands(group_parser) for flag in ("--help", "-h")]
-    for argv in corpus:
-        by_leaf = _answer(capsys, argv)
-        monkeypatch.setattr(parser, "leaves", {})
-        by_tree = _answer(capsys, argv)
-        monkeypatch.setattr(parser, "leaves", leaves)
-        assert by_leaf == by_tree, argv
-        assert by_leaf[0] in (0, 1, 2), argv
+    well_formed = [("build", "ss", "--g", "2", "--s", "0", "--p", "3"), ("eo", "list", "--g", "1"),
+                   ("atlas", "--out", "a.csv", "--g-max", "1"), ("eo", "module", "--nu", "0,2")]
+    assert all(_read_argv(argv) is None for argv in corpus)
+    assert all(_read_argv(argv) is not None for argv in well_formed)
+    for argv in corpus + well_formed:
+        answer = _answer(capsys, argv)
+        with monkeypatch.context() as declining:
+            declining.setattr(cli, "_read_argv", lambda argv: None)
+            assert _answer(capsys, argv) == answer, argv
+        assert answer[0] in (0, 1, 2), argv
 
 
 def test_in_process_responses_match_a_fresh_process(capsys):
@@ -977,6 +999,10 @@ def test_in_process_responses_match_a_fresh_process(capsys):
 
     lazy = fresh("-c", "import ssrank.cli as c; print(c.build_parser.cache_info().currsize)")
     assert lazy.stdout == b"0\n"  # importing the CLI builds no parser
+    # nor does a well-formed request, which is read off the command table
+    lazy = fresh("-c", "import ssrank.cli as c; c.main(['build', 'ss', '--g', '2', '--s', '0']); "
+                       "print(c.build_parser.cache_info().currsize)")
+    assert lazy.returncode == 0 and lazy.stdout.endswith(b"\n0\n"), lazy
     commands = (("eo", "list", "--g", "3", "--format", "csv"),
                 ("eo", "module", "--nu", "0,1", "--p", "3"),
                 ("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"),
