@@ -101,11 +101,43 @@ def zero_module(field: PrimeField) -> DieudonneModule:
     return DieudonneModule(m, m, m)
 
 
+def _node_maps(op: Matrix) -> dict[int, tuple[int, int]] | None:
+    """{j: (i, c)} with op e_j = c e_i, c = 1 or p - 1, for each nonzero column j; None unless
+    every nonzero column is such a signed unit.  Columns that op kills are left out.
+
+    A packed column (entry i in slot i) is a signed unit at i exactly when shifting out
+    the slots below its lowest set bit leaves 1 or p - 1.
+    """
+    bits, minus = op.field._bits, op.field.p - 1
+    maps = {}
+    for j, col in enumerate(op._columns()):
+        if col:
+            i = ((col & -col).bit_length() - 1) // bits
+            c = col >> bits * i
+            if c != 1 and c != minus:
+                return None
+            maps[j] = (i, c)
+    return maps
+
+
 def validate_bt1(m: DieudonneModule) -> list[str]:
-    """All violated axioms, as strings; empty means the module is valid BT1."""
+    """All violated axioms, as strings; empty means the module is valid BT1.
+
+    A module in word form, F and V each with node maps (`_node_maps`), is decided off
+    the maps with no row reduction.  A matrix whose nonzero columns are c_j e_(i_j),
+    c_j != 0, has the span of the distinct e_(i_j) as its image, so its rank is the
+    number of distinct rows hit; and F kills im V, spanned by the nodes V hits, iff it
+    kills each of them, that is iff no node V hits has an F-image.  Any other module
+    has its columns of F and of V reduced to echelon bases of im F and im V.
+    """
     f, v = m.frobenius, m.verschiebung
-    im_f, im_v = (_echelon(m.field, op._columns(), m.dim).values() for op in (f, v))
-    fv_zero, vf_zero = not any(f._images(im_v)), not any(v._images(im_f))
+    f_map, v_map = _node_maps(f), _node_maps(v)
+    if f_map is not None and v_map is not None:
+        im_f, im_v = {i for i, _ in f_map.values()}, {i for i, _ in v_map.values()}
+        fv_zero, vf_zero = im_v.isdisjoint(f_map), im_f.isdisjoint(v_map)
+    else:
+        im_f, im_v = (_echelon(m.field, op._columns(), m.dim).values() for op in (f, v))
+        fv_zero, vf_zero = not any(f._images(im_v)), not any(v._images(im_f))
     # FV = 0 iff F kills a basis of im V, and then ker F = im V iff rank V = n - rank F;
     # if FV != 0 they differ anyway.  Likewise VF = 0 for ker V and im F.
     ranks_fill = len(im_f) + len(im_v) == m.dim
@@ -124,17 +156,50 @@ def validate_bt1(m: DieudonneModule) -> list[str]:
 
 
 def _form_violations(m: DieudonneModule) -> list[str]:
+    """The violated form axioms of a module that carries a form, as strings.
+
+    When F, V and the Gram matrix G all have node maps (`_node_maps`), each check reads
+    the maps' entries (i, j, c), G e_j = c e_i, with no row reduction.  G is
+    antisymmetric iff every entry (i, j, c) has a partner (j, i, -c): an entry without
+    one is a pair where G^T != -G, and a nonzero (j, i) has its own partner at (i, j).
+    The partners, keyed by their column i, are G's map exactly then: each entry's
+    partner is G's entry in column i, and two entries in one row i, whose partners
+    would share column i, leave fewer keys than G has entries.  The keys are the
+    distinct rows G hits, and their number is its rank (see `validate_bt1`).  Every entry
+    of a product A B of two such matrices has at most one term, as column j of B has
+    one nonzero entry: (F^T G)_ij = a c where F e_i = a e_k and G e_j = c e_k, and
+    (G V)_ij = c b where V e_j = b e_k and G e_k = c e_i.  Any other module goes
+    through dense transposes, products and the rank of G.
+    """
     gram = m.form
     assert gram is not None
+    g_map, f_map, v_map = map(_node_maps, (gram, m.frobenius, m.verschiebung))
     out = []
-    if gram.transpose() != gram.neg():
+    if g_map is None or f_map is None or v_map is None:
+        if gram.transpose() != gram.neg():
+            out.append("form is not antisymmetric")
+        bits = gram.field._bits  # entry (i, i) is slot i of packed row i
+        if any(row >> bits * i & (1 << bits) - 1 for i, row in enumerate(gram._rows)):
+            out.append("form has a nonzero diagonal entry")
+        if gram.rank() != m.dim:
+            out.append("form is degenerate")
+        if m.frobenius.transpose() @ gram != gram @ m.verschiebung:
+            out.append("form does not satisfy <Fx,y> = <x,Vy>")
+        return out
+    p = m.field.p
+    partners = {i: (j, p - c) for j, (i, c) in g_map.items()}  # one per row G hits
+    if partners != g_map:
         out.append("form is not antisymmetric")
-    bits = gram.field._bits  # entry (i, i) is slot i of packed row i
-    if any(row >> bits * i & (1 << bits) - 1 for i, row in enumerate(gram._rows)):
+    if any(i == j for j, (i, _) in g_map.items()):
         out.append("form has a nonzero diagonal entry")
-    if gram.rank() != m.dim:
+    if len(partners) < m.dim:
         out.append("form is degenerate")
-    if m.frobenius.transpose() @ gram != gram @ m.verschiebung:
+    hit_by = {}  # row k -> the (j, c) with G e_j = c e_k
+    for j, (k, c) in g_map.items():
+        hit_by.setdefault(k, []).append((j, c))
+    ftg = {(i, j): a * c % p for i, (k, a) in f_map.items() for j, c in hit_by.get(k, ())}
+    gv = {(g_map[k][0], j): g_map[k][1] * b % p for j, (k, b) in v_map.items() if k in g_map}
+    if ftg != gv:
         out.append("form does not satisfy <Fx,y> = <x,Vy>")
     return out
 
@@ -344,12 +409,16 @@ def invariants(m: DieudonneModule) -> InvariantBundle:
     return InvariantBundle(g=g, f=f, a=m.dim - stacked, u=u)
 
 
+# the str.translate table of `_json_rows` over odd p
+_JSON_ENTRIES = [f"{b}," for b in range(255)] + ["],["]
+
+
 def _json_rows(m: Matrix) -> str:
     """A square matrix's entries as nested JSON lists without spaces, read off its packed rows."""
     n = m.ncols
+    if not n:
+        return "[]"
     if m.field.p == 2:
-        if not n:
-            return "[]"
         # row i shifted by n*i, so that entry (i, j) is bit n*i + j: the binary digits reversed
         # are the entries row after row, and each row is a 2n - 1 slice of them comma-joined
         stacked = 0
@@ -357,7 +426,10 @@ def _json_rows(m: Matrix) -> str:
             stacked = stacked << n | r
         entries = ",".join(format(stacked, f"0{n * n}b")[::-1])
         return "[[" + "],[".join([entries[i:i + 2 * n - 1] for i in range(0, 2 * n * n, 2 * n)]) + "]]"
-    return repr([list(r.to_bytes(n, "little")) for r in m._rows]).replace(" ", "")
+    # entries are below p <= 97, so byte 0xFF can split the rows: each entry b reads "b,"
+    # and each split "],[", and then the comma that ends each row is dropped
+    text = b"\xff".join([r.to_bytes(n, "little") for r in m._rows]).decode("latin-1")
+    return "[[" + text.translate(_JSON_ENTRIES).replace(",]", "]")[:-1] + "]]"
 
 
 def to_json(m: DieudonneModule) -> str:

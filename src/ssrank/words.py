@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .bt1 import DieudonneModule, InvariantBundle, require_valid
+from .bt1 import DieudonneModule, InvariantBundle, _node_maps, require_valid
 from .eo import EOType, _final_profile, riffle
 from .ffmat import Matrix, PrimeField, _set, _Value
 
@@ -165,12 +165,11 @@ def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
 
 
 def _word_census(m: DieudonneModule) -> WordCensus | None:
-    """Census of a valid module in word form, read straight off its packed columns, else None.
+    """Census of a valid module in word form, read straight off its node maps, else None.
 
-    None unless every operator column is zero or a signed unit; a packed
-    column (entry i in slot i) is a signed unit at i exactly when shifting
-    out the slots below its lowest set bit leaves 1 or p - 1.  Validity then
-    does the rest.  im V is spanned by the nodes V hits, so ker F = im V is
+    None unless every operator column is zero or a signed unit, the test that
+    `bt1._node_maps`, which validation reads too, makes.  Validity then does
+    the rest.  im V is spanned by the nodes V hits, so ker F = im V is
     spanned by nodes, and F e_a = +-F e_b with a != b would put e_a -+ e_b,
     hence e_a, in ker F though F e_a != 0: F hits no node twice, and ker F
     is spanned by the nodes F kills.  Likewise, by ker V = im F, for V.
@@ -179,20 +178,13 @@ def _word_census(m: DieudonneModule) -> WordCensus | None:
     F-image or a V-preimage, never both, and ker V = im F makes each node
     hit by F or not killed by V, never both.
     """
-    bits, units = m.field._bits, {1, m.field.p - 1}
-    maps = []
-    for op in (m.frobenius, m.verschiebung):
-        targets = {}  # node -> the node the operator sends it to; killed nodes left out
-        for j, col in enumerate(op._columns()):
-            if col:
-                i = ((col & -col).bit_length() - 1) // bits
-                if col >> bits * i not in units:
-                    return None
-                targets[j] = i
-        maps.append(targets)
-    f_next, v_next = maps
-    succ, letters = [f_next.get(j) for j in range(m.dim)], ["F"] * m.dim
-    for j, k in v_next.items():
+    f_next, v_next = _node_maps(m.frobenius), _node_maps(m.verschiebung)
+    if f_next is None or v_next is None:
+        return None
+    succ, letters = [None] * m.dim, ["F"] * m.dim
+    for j, (i, _) in f_next.items():
+        succ[j] = i
+    for j, (k, _) in v_next.items():
         succ[k], letters[k] = j, "V"
     return _cycle_census(succ, letters)
 

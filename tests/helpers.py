@@ -10,7 +10,7 @@ import itertools
 import json
 from collections.abc import Mapping
 
-from ssrank.bt1 import DieudonneModule, _form_violations, require_valid
+from ssrank.bt1 import DieudonneModule, require_valid
 from ssrank.eo import EOType, FiltrationError
 from ssrank.ffmat import Matrix, PrimeField
 from ssrank.words import CyclicWord, WordCensus, _least_rotation, word_module
@@ -174,7 +174,8 @@ def reference_preimage(op: Matrix, basis):
 
 
 def reference_validate_bt1(m: DieudonneModule) -> list[str]:
-    """BT1 violations found by comparing dense kernels with dense images."""
+    """BT1 violations found by comparing dense kernels with dense images, and form violations
+    from the dense Gram entries: a transpose, a diagonal, a kernel and two products."""
     f, v, p, n = m.frobenius.entries, m.verschiebung.entries, m.field.p, m.dim
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     violations = []
@@ -187,7 +188,15 @@ def reference_validate_bt1(m: DieudonneModule) -> list[str]:
     if reference_kernel(v, n, p) != reference_image(m.frobenius, identity):
         violations.append("ker(V) != im(F)")
     if m.form is not None:
-        violations.extend(_form_violations(m))
+        gram = m.form.entries
+        if any((gram[i][j] + gram[j][i]) % p for i in range(n) for j in range(n)):
+            violations.append("form is not antisymmetric")
+        if any(gram[i][i] for i in range(n)):
+            violations.append("form has a nonzero diagonal entry")
+        if reference_kernel(gram, n, p):
+            violations.append("form is degenerate")
+        if reference_product([list(col) for col in zip(*f)], gram, p) != reference_product(gram, v, p):
+            violations.append("form does not satisfy <Fx,y> = <x,Vy>")
     return violations
 
 

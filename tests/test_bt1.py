@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ssrank import bt1
+from ssrank import bt1, ffmat
 from ssrank.bt1 import (
     Bt1ValidationError,
     DieudonneModule,
@@ -24,7 +24,8 @@ from ssrank.bt1 import (
     validate_bt1,
     zero_module,
 )
-from ssrank.build import h_rs, i11, j_rs, ord1
+from ssrank.build import ProfileQuery, feasible, h_rs, i11, j_rs, ord1, realize, supersingular_profile
+from ssrank.curves import PoleDivisor, hyp2_module_oracle
 from ssrank.eo import EOType, FiltrationError, canonical_module, enumerate_types, eo_type_of
 from ssrank.ffmat import Matrix, PrimeField, Subspace, block_diag
 from ssrank.words import CyclicWord, decompose, superspecial_rank, word_module
@@ -643,6 +644,108 @@ def test_rank_form_validation_matches_the_kernel_image_reference():
             assert ("F*V != 0" in violations) != ("V*F != 0" in violations)
             assert validate_bt1(short) == reference_validate_bt1(short) == [
                 "ker(F) != im(V)", "ker(V) != im(F)"]
+
+
+def _signed_unit_matrix(rng, field, n, density):
+    """An n x n matrix whose columns are each, with the given chance, a random signed unit,
+    else zero: nodes hit twice, and rows hit by no column, come by chance."""
+    p = field.p
+    return Matrix._sparse(field, n, [(rng.randrange(n), j, rng.choice((1, p - 1)))
+                                     for j in range(n) if rng.random() < density])
+
+
+def _with_column(mat: Matrix, j: int, col: dict[int, int]) -> Matrix:
+    """mat with column j replaced by the entries {row: value}."""
+    rows = [list(r) for r in mat.entries]
+    for i, row in enumerate(rows):
+        row[j] = col.get(i, 0)
+    return Matrix.build(mat.field, rows, mat.ncols)
+
+
+def _word_form_corpus(rng, field):
+    """Modules of dim n <= 8 whose F, V and form columns are each zero or a signed unit:
+    random ones, and canonical modules in a random signed-permutation basis, valid and
+    with F, V or the form spoiled one column at a time."""
+    p = field.p
+    for _ in range(60):
+        n = rng.randrange(9)
+        d = rng.random()
+        f, v = _signed_unit_matrix(rng, field, n, d), _signed_unit_matrix(rng, field, n, 1 - d)
+        yield DieudonneModule(f, v)
+        yield DieudonneModule(f, v, _signed_unit_matrix(rng, field, n, rng.random()))
+    for g in range(5):
+        for t in enumerate_types(g):
+            n = 2 * g
+            perm = rng.sample(range(n), n)
+            change = Matrix._sparse(field, n, [(perm[j], j, rng.choice((1, p - 1))) for j in range(n)])
+            inv = change.inverse()
+            m = canonical_module(t, field)
+            f, v = change @ m.frobenius @ inv, change @ m.verschiebung @ inv
+            form = inv.transpose() @ m.form @ inv
+            yield DieudonneModule(f, v, form)
+            if not n:
+                continue
+            j, k = rng.sample(range(n), 2)
+            f_cols = {c: e for c, e in enumerate(f.transpose().entries[k]) if e}
+            yield DieudonneModule(_with_column(f, j, f_cols), v, form)  # F hits a node twice
+            yield DieudonneModule(_with_column(f, j, {}), v, form)  # F and V fall short of n
+            yield DieudonneModule(f, _with_column(v, j, {}), form)
+            yield DieudonneModule(v, f, form)  # F and V swapped
+            i = next(i for i, e in enumerate(form.transpose().entries[j]) if e)
+            yield DieudonneModule(f, v, _with_column(form, j, {i: -form.entries[i][j] % p}))
+            yield DieudonneModule(f, v, _with_column(form, j, {j: 1}))  # a diagonal entry
+            yield DieudonneModule(f, v, _with_column(form, j, {}))
+            pairing = rng.sample(range(n), n)  # another perfect pairing, antisymmetric
+            signs = [rng.choice((1, p - 1)) for _ in range(g)]
+            pairs = zip(pairing[::2], pairing[1::2], signs)
+            yield DieudonneModule(f, v, Matrix._sparse(field, n, [entry for a, b, c in pairs
+                                                                  for entry in ((a, b, c), (b, a, -c))]))
+
+
+def test_word_form_validation_matches_the_dense_reference():
+    rng = random.Random(3434)
+    seen = set()
+    for p in (2, 3, 5, 97):
+        field = PrimeField(p)
+        for m in _word_form_corpus(rng, field):
+            assert all(bt1._node_maps(op) is not None for op in (m.frobenius, m.verschiebung, m.form)
+                       if op is not None)
+            violations = validate_bt1(m)
+            assert violations == reference_validate_bt1(m), (p, to_json(m))
+            assert check_polarization(m) == (m.form is not None and not any(
+                "form" in text for text in violations))
+            seen.add(tuple(violations))
+    assert len(seen) >= 40, len(seen)
+    assert () in seen
+    for message in ("F*V != 0", "V*F != 0", "ker(F) != im(V)", "ker(V) != im(F)",
+                    "form is not antisymmetric", "form has a nonzero diagonal entry",
+                    "form is degenerate", "form does not satisfy <Fx,y> = <x,Vy>"):
+        assert any(message in v for v in seen), message
+    assert ("form does not satisfy <Fx,y> = <x,Vy>",) in seen  # a pairing that is otherwise sound
+
+
+def test_built_word_form_modules_validate_without_row_reduction(monkeypatch):
+    modules = []
+    for p in (2, 3, 97):
+        field = PrimeField(p)
+        modules += [canonical_module(t, field) for g in range(7) for t in enumerate_types(g)]
+        modules += [realize(q, field) for g in range(6) for f in range(g + 1) for a in range(g - f + 1)
+                    for s in range(a + 1) if feasible(q := ProfileQuery(g, f, a, s))]
+        modules += [supersingular_profile(g, s, field) for g in range(6) for s in range(g + 1)
+                    if s <= g - 2 or s == g]
+    modules.append(hyp2_module_oracle(PoleDivisor.of([1, 3, 9])))
+    fresh = [DieudonneModule(m.frobenius, m.verschiebung, m.form) for m in modules]
+
+    def no_row_reduction(*args, **kwargs):
+        raise AssertionError("row reduction on a module in word form")
+
+    monkeypatch.setattr(bt1, "_echelon", no_row_reduction)
+    monkeypatch.setattr(ffmat, "_echelon", no_row_reduction)
+    monkeypatch.setattr(Matrix, "__matmul__", no_row_reduction)
+    for m in fresh:
+        assert m.form is not None
+        bt1.require_valid(m)
+        assert m._validated
 
 
 def _dense_a_and_u(m: DieudonneModule) -> tuple[int, int]:
