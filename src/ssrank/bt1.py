@@ -286,25 +286,33 @@ def check_polarization(m: DieudonneModule) -> bool:
 
 
 def _compatible_forms(m: DieudonneModule) -> list[Row]:
-    """Echelon basis of the compatible alternating Gram matrices, packed row-major (entry (a, b)
-    in slot a * n + b): G -> F^T G - G V sends E_ij = e_i e_j^T - e_j e_i^T, i < j in combinations
-    order, to f_i e_j^T - f_j e_i^T - e_i v_j^T + e_j v_i^T (f_i, v_i the rows of F and V).  A
-    kernel vector c on the pairs is the Gram matrix's upper triangle: the pairs (i, j > i) are
-    the contiguous slots from i * n - i(i + 1) / 2, placed in row i and, negated, in column i."""
+    """Canonical RREF basis of the compatible alternating Gram matrices, on the pairs i < j in
+    combinations order, each packed row-major (entry (a, b) in slot a * n + b).
+
+    G -> F^T G - G V sends E_ij = e_i e_j^T - e_j e_i^T to f_i e_j^T - f_j e_i^T - e_i v_j^T +
+    e_j v_i^T (f_i, v_i the rows of F and V).  The system takes the pairs in reverse order, and
+    one reduction gives its null vectors: in the RREF of the reversed columns, the vector of
+    free column f' has 1 at f' and its other entries at pivot columns before f'.  Read in
+    combinations order, its lowest slot is its own free column, with entry 1, and it is zero
+    at every other free column; so these vectors, by free column, are the kernel's canonical
+    RREF, whose order `find_polarization`'s greedy picks follow.  `_null_rows` yields them by
+    increasing reversed column, hence the reversal.  A vector c on the pairs is the Gram
+    matrix's upper triangle: the pairs (i, j > i) are the contiguous slots from
+    i * n - i(i + 1) / 2, placed in row i and, negated, in column i."""
     field, n = m.field, m.dim
     p, bits, n2 = field.p, field._bits, n * n
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = list(itertools.combinations(range(n), 2))[::-1]
     f_col = _combine(field, [1 << bits * n * a for a in range(n)], n2, m.frobenius._rows)  # f_i e_0^T
     v, signs = m.verschiebung._rows, 1 | (p - 1) << bits | (p - 1) << 2 * bits | 1 << 3 * bits
     images = [_combine(field, [f_col[i] << bits * j, f_col[j] << bits * i, v[j] << bits * n * i,
                                v[i] << bits * n * j], n2, [signs])[0] for i, j in pairs]
     system = [r for r in Matrix._from_rows(field, len(pairs), n2, images).transpose()._rows if r]
-    solutions = Matrix._from_rows(field, len(system), len(pairs), system).kernel()
-    if p == 2:  # cheaper: the XOR of the units E_ij at each kernel vector's set bits
-        return _combine(field, [1 << i * n + j | 1 << j * n + i for i, j in pairs], n2, solutions._rows)
+    solutions = Matrix._from_rows(field, len(system), len(pairs), system)._null_rows()[::-1]
+    if p == 2:  # cheaper: the XOR of the units E_ij at each null vector's set bits
+        return _combine(field, [1 << i * n + j | 1 << j * n + i for i, j in pairs], n2, solutions)
     neg, forms = _scale_table(p, p - 1), []
-    for c in solutions._rows:
-        upper, gram = field._unpack(c, len(pairs)), bytearray(n2)
+    for c in solutions:
+        upper, gram = field._unpack(c, len(pairs))[::-1], bytearray(n2)
         for i in range(n):
             start = i * n - i * (i + 1) // 2
             row = upper[start:start + n - 1 - i]
@@ -326,7 +334,8 @@ def find_polarization(m: DieudonneModule) -> Matrix | None:
     """Search for a compatible principal quasipolarization.
 
     Solves the homogeneous system {alternating, <Fx,y> = <x,Vy>} for the Gram
-    matrix, with echelon basis B_1, ..., B_d, and looks for a nondegenerate
+    matrix, with its canonical RREF basis B_1, ..., B_d (a subspace has one, and
+    the greedy picks follow its order), and looks for a nondegenerate
     G(c) = sum c_k B_k.  A greedy pass grows the rank one basis form at a
     time (c_k is the first value in 1..min(p - 1, g) that raises the rank of
     G(c), else 0); then a sweep tries every nonzero c with 0 <= c_k < p and

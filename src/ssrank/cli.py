@@ -38,8 +38,8 @@ HERMITIAN_N_CAP = 20
 # modules are dense 2g x 2g matrices (build profile at g = 64, p = 97: 0.2 s);
 # also bounds table feasibility, whose O(g^3) rows are 3.8 MB of JSON at g = 64
 MODULE_G_CAP = 64
-# module polarize solves for g(2g - 1) unknowns: 0.18-0.32 s at g = 12 and 0.45-0.69 s at g = 14 at
-# p = 97, 0.04 and 0.06 s at p = 2 (worst of three conjugated canonical modules, 2-core x86-64, CPython 3.11)
+# module polarize solves for g(2g - 1) unknowns: 0.11 s at g = 12 and 0.25 s at g = 14 at p = 97,
+# 0.013 and 0.023 s at p = 2 (worst of three conjugated canonical modules, 2-core x86-64, CPython 3.11)
 POLARIZE_G_CAP = 12
 # curve hyp2 lists one summand entry per unit of genus (g = 10^5: 0.1 s, 1.3 MB)
 HYP2_G_CAP = 100_000

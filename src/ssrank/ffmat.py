@@ -2,8 +2,9 @@
 
 Matrices act on column vectors: column j of a matrix is the image of the
 j-th standard basis vector.  Inside the library a subspace is its echelon
-rows; `Subspace`, what `Matrix.kernel` and `Subspace.span` return, holds
-canonical RREF rows, so equal subspaces compare and hash identically.
+rows, and the library builds no `Subspace`: it is what the public
+`Matrix.kernel` and `Subspace.span` return, and holds canonical RREF rows,
+so equal subspaces compare and hash identically.
 
 Every row, column and vector is one Python int with entry j in slot j, bit j
 over F_2 and byte j over odd p (`PrimeField._bits`), always reduced, so equal

@@ -373,8 +373,18 @@ def test_modules_without_a_type_have_no_form():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
-def test_packed_compatible_forms_match_the_matrix_product_reference(p):
-    field, rng = PrimeField(p), random.Random(p)
+def test_packed_compatible_forms_match_the_matrix_product_reference(p, monkeypatch):
+    """The packed basis equals the reference's canonical one, read off one reduction: one
+    `rref`, and neither `Matrix.kernel` nor a second reduction into a `Subspace`."""
+    field, rng, rref, rrefs = PrimeField(p), random.Random(p), ffmat.rref, []
+
+    def counted_rref(*args):
+        rrefs.append(args)
+        return rref(*args)
+
+    def untouched(*args):
+        raise AssertionError("_compatible_forms reached Matrix.kernel, _span or Subspace")
+
     modules = [conjugated(canonical_module(t, field), rng) for g in range(4) for t in enumerate_types(g)]
     twisted = [twisted_word_module(w, lam, field) for w in ("FV", "FFVV", "FFVFVV", "FFFVV")
                for lam in sorted({1, 2 % p, p - 1} - {0})]
@@ -385,8 +395,15 @@ def test_packed_compatible_forms_match_the_matrix_product_reference(p):
     for m in modules:
         n = m.dim
         pairs = list(itertools.combinations(range(n), 2))
-        coefficients = []
-        for form in bt1._compatible_forms(m):
+        coefficients, rrefs[:] = [], []
+        with monkeypatch.context() as patched:
+            patched.setattr(ffmat, "rref", counted_rref)
+            patched.setattr(Matrix, "kernel", untouched)
+            patched.setattr(ffmat, "_span", untouched)
+            patched.setattr(Subspace, "_from_rows", untouched)
+            forms = bt1._compatible_forms(m)
+        assert len(rrefs) == 1
+        for form in forms:
             entries = field._unpack(form, n * n)
             assert all(entries[i * n + i] == 0 for i in range(n))
             assert all((entries[i * n + j] + entries[j * n + i]) % p == 0 for i, j in pairs)

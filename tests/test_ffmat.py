@@ -106,7 +106,12 @@ def assert_kernels_match_the_reference(p, rows, ncols, span):
     field = PrimeField(p)
     assert packed_rref(p, rows, ncols) == reference_rref_modp(rows, ncols, p)
     m = Matrix.build(field, rows, ncols)
-    assert m.kernel().basis == reference_kernel(rows, ncols, p)
+    null_space = reference_kernel(rows, ncols, p)
+    assert m.kernel().basis == null_space
+    # the null vectors of the reversed columns, last first and read back in column order, are
+    # already the kernel's canonical RREF rows, as `bt1._compatible_forms` reads them
+    flipped = Matrix.build(field, [row[::-1] for row in rows], ncols)._null_rows()[::-1]
+    assert tuple(tuple(v[::-1]) for v in entry_lists(field, ncols, flipped)) == null_space
     s_basis = reference_rref_modp(span, ncols, p)[0]
     image, sources, kernel = m._image_sources_kernel(Matrix.build(field, span, ncols)._rows)
     images = [[sum(a * b for a, b in zip(row, v)) % p for row in rows] for v in s_basis]
