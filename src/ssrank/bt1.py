@@ -20,8 +20,8 @@ import itertools
 import json
 from collections.abc import Iterator
 
-from .ffmat import (_ENTRIES_TO_DIGITS, Matrix, PrimeField, Row, _combine, _echelon, _scale_table, _set,
-                    _Value, block_diag)
+from .ffmat import (_ENTRIES_TO_DIGITS, _SMALL_PRIMES, Matrix, PrimeField, Row, _combine, _echelon,
+                    _scale_table, _set, _Value, block_diag)
 
 
 class Bt1ValidationError(ValueError):
@@ -452,11 +452,24 @@ def to_json(m: DieudonneModule) -> str:
             f'"V":{_json_rows(m.verschiebung)},"form":{form}}}')
 
 
+def _entries_matrix(field: PrimeField, entries: bytes, dim: int) -> Matrix:
+    """The dim x dim matrix of `entries`, one reduced entry byte each, row after row: its rows are slices
+    and its columns strides of the entries (over F_2, of their binary digits, reversed once so that entry
+    j is bit j).  Both module readers end here."""
+    if field.p == 2:
+        digits = entries.translate(_ENTRIES_TO_DIGITS)[::-1]
+        rows = [int(digits[(dim - 1 - i) * dim:(dim - i) * dim], 2) for i in range(dim)]
+        cols = [int(digits[dim - 1 - j::dim], 2) for j in range(dim)]
+    else:
+        rows = [int.from_bytes(entries[i * dim:(i + 1) * dim], "little") for i in range(dim)]
+        cols = [int.from_bytes(entries[j::dim], "little") for j in range(dim)]
+    return Matrix._from_rows(field, dim, dim, rows, tuple(cols))
+
+
 def _read_matrix(field: PrimeField, raw, dim: int) -> Matrix:
-    """A JSON dim x dim array of integers as a matrix, entries reduced mod p, checked and read whole:
-    its rows are slices and its columns strides of one entry string (over F_2, of its binary digits,
-    reversed once so that entry j is bit j).  On a fault the rows are gone through in order, and the
-    first bad one decides the message, its shape before its entries."""
+    """A JSON dim x dim array of integers as a matrix, entries reduced mod p, checked and read whole into
+    one string of entry bytes (`_entries_matrix`).  On a fault the rows are gone through in order, and
+    the first bad one decides the message, its shape before its entries."""
     shaped = (isinstance(raw, list) and len(raw) == dim and set(map(type, raw)) <= {list}
               and set(map(len, raw)) <= {dim})
     flat = list(itertools.chain.from_iterable(raw)) if shaped else []
@@ -473,18 +486,64 @@ def _read_matrix(field: PrimeField, raw, dim: int) -> Matrix:
         entries = bytes(flat).translate(_scale_table(p, 1))
     except ValueError:
         entries = bytes(map(p.__rmod__, flat))
-    if p == 2:
-        digits = entries.translate(_ENTRIES_TO_DIGITS)[::-1]
-        rows = [int(digits[(dim - 1 - i) * dim:(dim - i) * dim], 2) for i in range(dim)]
-        cols = [int(digits[dim - 1 - j::dim], 2) for j in range(dim)]
-    else:
-        rows = [int.from_bytes(entries[i * dim:(i + 1) * dim], "little") for i in range(dim)]
-        cols = [int.from_bytes(entries[j::dim], "little") for j in range(dim)]
-    return Matrix._from_rows(field, dim, dim, rows, tuple(cols))
+    return _entries_matrix(field, entries, dim)
+
+
+# the bytes.translate table of `_read_compact` that writes every digit as 0
+_ZEROED_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _json_natural(text: str, width: int) -> int | None:
+    """The value of an ASCII text of at most `width` digits that JSON reads as an integer, with no
+    sign and no leading zero; else None."""
+    if text.isdigit() and len(text) <= width and (text[0] != "0" or text == "0"):
+        return int(text)
+    return None
+
+
+def _read_compact(text: str, max_dim: int | None) -> DieudonneModule | None:
+    """The module of a text in `to_json`'s layout, read without a JSON parser, or None for any other text.
+
+    The layout is {"p":P,"dim":D,"F":M,"V":M,"form":null|M} with at most one newline after it, P and D
+    written as JSON writes them, D below 1000, and each M a D x D array of single ASCII digits.  Such a
+    text is the JSON of a module that the json route reads with no fault once p is a supported prime
+    and D within max_dim, so those two are checked first, and this route raises nothing: any other text
+    is None, and json gives its answer.  A single-digit M is exactly 2D^2 + 2D + 1 characters ("[]" at
+    D = 0), so the text's length tells a form from null, and declines wider entries, before a character
+    is read.  Then the text with each digit written as 0 must be the layout's own, character for
+    character, and each M with its brackets and commas deleted is its entry bytes, digit k read as
+    k mod p.
+    """
+    head, _, body = text.partition(',"F":')
+    p_text, _, d_text = head.partition(',"dim":')
+    if not text.isascii() or p_text[:5] != '{"p":':
+        return None
+    p, dim = _json_natural(p_text[5:], 2), _json_natural(d_text, 3)
+    if p not in _SMALL_PRIMES or dim is None or max_dim is not None and dim > max_dim:
+        return None
+    n, body = max(2 * dim * (dim + 1) + 1, 2), body.removesuffix("\n")
+    has_form = len(body) == 3 * n + 14
+    if not has_form and len(body) != 2 * n + 18:
+        return None
+    shape = "[" + ",".join(["[" + ",".join("0" * dim) + "]"] * dim) + "]"
+    layout, data = f'{shape},"V":{shape},"form":{shape if has_form else "null"}}}', body.encode()
+    if data.translate(_ZEROED_DIGITS) != layout.encode():
+        return None
+    field = PrimeField(p)
+    values = bytes.maketrans(b"0123456789", bytes(range(10)).translate(_scale_table(p, 1)))
+    frob, ver, *form = [_entries_matrix(field, data[start:start + n].translate(values, b"[],"), dim)
+                        for start in (0, n + 5, 2 * n + 13)[:2 + has_form]]
+    return DieudonneModule(frob, ver, *form)
 
 
 def from_json(text: str, max_dim: int | None = None) -> DieudonneModule:
-    """Parse the canonical module serialization; integer entries are reduced mod p."""
+    """Parse the canonical module serialization; integer entries are reduced mod p.
+
+    `to_json`'s own text with single-digit entries is read directly (`_read_compact`); every other
+    layout goes through `json`, with the same answers and the same messages."""
+    compact = _read_compact(text, max_dim)
+    if compact is not None:
+        return compact
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("module JSON must be an object")

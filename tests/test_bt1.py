@@ -534,6 +534,10 @@ def test_json_reader_reduces_every_integer():
         assert m.verschiebung == Matrix.build(field, [[e % p for e in row] for row in raw[::-1]])
 
 
+# json.dumps's own spacing, which the json route reads, and to_json's, which the direct route reads
+LAYOUTS = (None, (",", ":"))
+
+
 def test_json_rejects_malformed():
     good = {"p": 3, "dim": 2, "F": [[0, 0], [1, 0]], "V": [[0, 0], [2, 0]], "form": [[0, 1], [2, 0]]}
     shape, integers = "matrix must be a dim x dim array", "matrix entries must be integers"
@@ -560,11 +564,12 @@ def test_json_rejects_malformed():
     cases = [({**good, **change}, message) for change, message in changes]
     cases += [({k: v for k, v in good.items() if k != key}, f"module JSON is missing key '{key}'")
               for key in ("p", "dim", "F", "V")]
-    for obj, message in cases:
-        with pytest.raises(ValueError) as exc:
-            from_json(json.dumps(obj))
-        assert str(exc.value) == message, obj
-    assert from_json(json.dumps({**good, "form": None})).form is None
+    for separators in LAYOUTS:
+        for obj, message in cases:
+            with pytest.raises(ValueError) as exc:
+                from_json(json.dumps(obj, separators=separators))
+            assert str(exc.value) == message, obj
+        assert from_json(json.dumps({**good, "form": None}, separators=separators)).form is None
     with pytest.raises(ValueError, match="module JSON must be an object"):
         from_json("[1,2,3]")
 
@@ -576,13 +581,81 @@ def test_json_reads_rows_and_columns_of_the_entries_reduced_mod_p():
         draws = (lambda: rng.randrange(p), lambda: p - 1, lambda: rng.randrange(-2 * p, p),
                  lambda: rng.choice((rng.randrange(p, 256), 2 ** 64 + rng.randrange(p), rng.randrange(p))))
         for dim in (0, 1, 2, 3, 8, 13, 24, 128):
-            for draw in draws:
+            for draw, separators in itertools.product(draws, LAYOUTS):
                 raw = [[draw() for _ in range(dim)] for _ in range(dim)]
-                m = from_json(json.dumps({"p": p, "dim": dim, "F": raw, "V": raw, "form": raw}))
+                m = from_json(json.dumps({"p": p, "dim": dim, "F": raw, "V": raw, "form": raw},
+                                         separators=separators))
                 expected = Matrix.build(field, [[e % p for e in row] for row in raw], dim)._rows
                 for op in (m.frobenius, m.verschiebung, m.form):
                     assert op._rows == expected
                     assert op._cols == Matrix._from_rows(field, dim, dim, expected)._columns()
+
+
+def _routes_agree(text, max_dim, monkeypatch):
+    """Whether from_json answers a text alike on the direct route, if it takes the text, and on the
+    json route: the same field, packed rows and cached columns, or the same error type and message."""
+    def answer():
+        try:
+            m = from_json(text, max_dim)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        ops = (m.frobenius, m.verschiebung, m.form)
+        return m.field, [(op._rows, op._cols) if op is not None else None for op in ops]
+
+    direct = answer()
+    with monkeypatch.context() as declining:
+        declining.setattr(bt1, "_read_compact", lambda text, max_dim: None)
+        return direct == answer()
+
+
+def test_compact_and_json_routes_answer_alike(monkeypatch):
+    rng = random.Random(9173)
+    texts, mutants = [], []
+    for p in (2, 3, 5, 97):
+        field = PrimeField(p)
+        for dim in (0, 1, 2, 8, 20, 128):
+            # single-digit entries, which the direct route reads
+            f, v, form = (Matrix.build(field, [[rng.randrange(min(p, 10)) for _ in range(dim)]
+                                               for _ in range(dim)], dim) for _ in range(3))
+            for m in (DieudonneModule(f, v), DieudonneModule(f, v, form)):
+                text = to_json(m)
+                assert bt1._read_compact(text, None) == m
+                for max_dim in (dim, dim - 1):
+                    assert _routes_agree(text, max_dim, monkeypatch), (text, max_dim)
+                # seeded one-character changes: replaced, inserted, deleted, or swapped with the next
+                for _ in range(60 if dim <= 20 else 3):
+                    i = rng.randrange(len(text) - 1)
+                    c = rng.choice('0123456789,[]{}":-.e \ntrufalsn\u0661\u00b2')
+                    mutants.append(rng.choice((text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
+                                               text[:i] + text[i + 1:],
+                                               text[:i] + text[i + 1] + text[i] + text[i + 2:])))
+    # texts as long as a 4 x 4 single-digit layout that are not in it: faults, or modules only json reads
+    layout = '{"p":2,"dim":4,"F":%s,"V":[[0,1,1,1],[1,1,0,1],[1,1,1,0],[1,0,1,1]],"form":null}'
+    good = layout % "[[0,0,1,1],[1,1,0,1],[1,1,1,0],[1,0,1,1]]"
+    same_length = [layout % f for f in (
+        "[[0,1,1,1],[1,011111011,1110],[1,0,1,11]]",  # an early cut that checked only the odd places
+                                                       # for commas read this directly, and crashed
+        "[[0,1,1,1],[1,11111011,1110],[1,0,1,1,1]]", "[[0,1,1,1,1],[1,0,1],[1,1,1,0],[1,0,1,1]]",
+        "[[0,1,1,1],[1,1,0,1],[1,1,1,0],[1,0,1,\u0661]]", "[[0,1,1,1],[1,1,0,1],[1,1,1,0],[1,0,1,\u00b2]]",
+        "[[0,1,1,1],[1,1,0,1],[1,1,1,0],[01,1,11]]", "[[0,1,1,1],[1,1,0,1],[1,1,1,0],[-1,1,11]]")]
+    assert {len(text) for text in same_length} == {len(good)}
+    texts += same_length + [
+        good + " ", good + "\n\n", " " + good, good.replace("[[0,0", "[[true,0"),
+        good.replace("[[0,0", "[[-1,0"), good.replace("[[0,0", "[[01,0"), good.replace("[[0,0", "[[10,0"),
+        good.replace('"p":2', '"p":2.9'), good.replace('"p":2', '"p":02'), good.replace('"p":2', '"p":4'),
+        good.replace('"p":2', '"p":\u0662'), good.replace('"p":2', '"p":\u00b2'),
+        good.replace('"dim":4', '"dim":04'),
+        good.replace('{"p":2,"dim":4', '{"dim":4,"p":2'), good.replace('{"p":2', '{"p":3,"p":2'),
+        good.replace("null}", 'null,"p":3}'),
+        to_json(DieudonneModule(*[Matrix.build(PrimeField(97), [[96, 0], [0, 40]])] * 3)),
+    ]
+    for text in texts + mutants:
+        assert _routes_agree(text, None, monkeypatch), text
+    assert all(bt1._read_compact(text, None) is None for text in texts)
+    # a digit for a digit keeps the layout, so some mutants are read directly
+    assert any(bt1._read_compact(text, None) is not None for text in mutants)
+    # one trailing newline stays in the layout, and a space does not; both texts are one module
+    assert bt1._read_compact(good + "\n", None) == from_json(good + " ") == from_json(good)
 
 
 def test_zero_module_invariants(gf2):

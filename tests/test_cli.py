@@ -676,17 +676,22 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise ValueError("heavy work started")
 
-    def module_file(dim):
-        path = tmp_path / f"zero{dim}.json"
+    def module_file(dim, separators):
+        # json.dumps's own spacing goes through json, and to_json's is read directly
+        path = tmp_path / f"zero{dim}-{len(separators[0])}.json"
         zero = [[0] * dim for _ in range(dim)]
-        path.write_text(json.dumps({"p": 97, "dim": dim, "F": zero, "V": zero, "form": None}))
+        path.write_text(json.dumps({"p": 97, "dim": dim, "F": zero, "V": zero, "form": None},
+                                   separators=separators))
+        assert (bt1._read_compact(path.read_text(), dim) is None) == (separators[0] == ", ")
         return str(path)
 
-    module_caps = [(("module", cmd, "--in", module_file(128)),
-                    ("module", cmd, "--in", module_file(129)))
-                   for cmd in ("invariants", "decompose", "check")]
-    module_caps.append((("module", "polarize", "--in", module_file(24)),
-                        ("module", "polarize", "--in", module_file(25))))
+    module_caps = []
+    for separators in ((", ", ": "), (",", ":")):
+        module_caps += [(("module", cmd, "--in", module_file(128, separators)),
+                         ("module", cmd, "--in", module_file(129, separators)))
+                        for cmd in ("invariants", "decompose", "check")]
+        module_caps.append((("module", "polarize", "--in", module_file(24, separators)),
+                            ("module", "polarize", "--in", module_file(25, separators))))
 
     for owner, name in ((eo, "enumerate_types"), (words, "_type_entries"),
                         (curves, "doubling_orbits"),
@@ -696,7 +701,7 @@ def test_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch):
                         (build, "feasible")):
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(Matrix, "build", refuse)
-    monkeypatch.setattr(bt1, "_read_matrix", refuse)  # a module file's first matrix
+    monkeypatch.setattr(bt1, "_entries_matrix", refuse)  # a module file's first matrix, on either route
 
     for at_cap, above in (
             (("eo", "list", "--g", "12"), ("eo", "list", "--g", "13")),
