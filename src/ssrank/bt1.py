@@ -101,37 +101,18 @@ def zero_module(field: PrimeField) -> DieudonneModule:
     return DieudonneModule(m, m, m)
 
 
-def _node_maps(op: Matrix) -> dict[int, tuple[int, int]] | None:
-    """{j: (i, c)} with op e_j = c e_i, c = 1 or p - 1, for each nonzero column j; None unless
-    every nonzero column is such a signed unit.  Columns that op kills are left out.
-
-    A packed column (entry i in slot i) is a signed unit at i exactly when shifting out
-    the slots below its lowest set bit leaves 1 or p - 1.
-    """
-    bits, minus = op.field._bits, op.field.p - 1
-    maps = {}
-    for j, col in enumerate(op._columns()):
-        if col:
-            i = ((col & -col).bit_length() - 1) // bits
-            c = col >> bits * i
-            if c != 1 and c != minus:
-                return None
-            maps[j] = (i, c)
-    return maps
-
-
 def validate_bt1(m: DieudonneModule) -> list[str]:
     """All violated axioms, as strings; empty means the module is valid BT1.
 
-    A module in word form, F and V each with node maps (`_node_maps`), is decided off
-    the maps with no row reduction.  A matrix whose nonzero columns are c_j e_(i_j),
-    c_j != 0, has the span of the distinct e_(i_j) as its image, so its rank is the
-    number of distinct rows hit; and F kills im V, spanned by the nodes V hits, iff it
-    kills each of them, that is iff no node V hits has an F-image.  Any other module
-    has its columns of F and of V reduced to echelon bases of im F and im V.
+    A module in word form, each column of F and V with one nonzero entry or none, is
+    decided off their node maps (`Matrix._node_map`).  A matrix whose nonzero columns are
+    c_j e_(i_j), any c_j != 0, has the span of the distinct e_(i_j) as its image, so its
+    rank is the number of distinct rows hit; and F kills im V, spanned by the nodes V hits,
+    iff no node V hits has an F-image.  Any other module has its columns of F and of V
+    reduced to echelon bases of im F and im V.
     """
     f, v = m.frobenius, m.verschiebung
-    f_map, v_map = _node_maps(f), _node_maps(v)
+    f_map, v_map = f._node_map(), v._node_map()
     if f_map is not None and v_map is not None:
         im_f, im_v = {i for i, _ in f_map.values()}, {i for i, _ in v_map.values()}
         fv_zero, vf_zero = im_v.isdisjoint(f_map), im_f.isdisjoint(v_map)
@@ -158,8 +139,8 @@ def validate_bt1(m: DieudonneModule) -> list[str]:
 def _form_violations(m: DieudonneModule) -> list[str]:
     """The violated form axioms of a module that carries a form, as strings.
 
-    When F, V and the Gram matrix G all have node maps (`_node_maps`), each check reads
-    the maps' entries (i, j, c), G e_j = c e_i, with no row reduction.  G is
+    When F, V and the Gram matrix G all have node maps (`Matrix._node_map`), each check
+    reads the maps' entries (i, j, c), G e_j = c e_i, any c != 0, with no row reduction.  G is
     antisymmetric iff every entry (i, j, c) has a partner (j, i, -c): an entry without
     one is a pair where G^T != -G, and a nonzero (j, i) has its own partner at (i, j).
     The partners, keyed by their column i, are G's map exactly then: each entry's
@@ -173,7 +154,7 @@ def _form_violations(m: DieudonneModule) -> list[str]:
     """
     gram = m.form
     assert gram is not None
-    g_map, f_map, v_map = map(_node_maps, (gram, m.frobenius, m.verschiebung))
+    g_map, f_map, v_map = gram._node_map(), m.frobenius._node_map(), m.verschiebung._node_map()
     out = []
     if g_map is None or f_map is None or v_map is None:
         if gram.transpose() != gram.neg():

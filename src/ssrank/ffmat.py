@@ -12,7 +12,9 @@ rows are equal ints.  Over F_2 the kernels XOR rows; over odd p they add integer
 multiples of whole rows with delayed modular reduction (Dumas, Giorgi and
 Pernet, TOMS 2008; Dumas, Fousse and Salvy, JSC 2011): sums go into slots just
 wide enough for their worst case, and each result is reduced once.  Entries are
-unpacked, and not kept, on every read of `Matrix.entries` and `Subspace.basis`.
+unpacked, and not kept, on every read of `Matrix.entries` and `Subspace.basis`;
+a matrix's columns, and its node map (`Matrix._node_map`: each column's one
+nonzero entry, when no column has two), are read at most once and kept.
 
 Input is checked once, where it enters: the public `Matrix(...)` and
 `Subspace(...)` constructors (one shared entry check), `Matrix.build` and
@@ -40,6 +42,7 @@ _SMALL_PRIMES = frozenset({
 Row = int
 
 _set = object.__setattr__
+_UNREAD = object()  # a `Matrix._node_map` memo before its one read
 
 
 class _Value:
@@ -338,7 +341,7 @@ def _span(field: PrimeField, ambient_dim: int, rows: Iterable[Row]) -> "Subspace
 class Matrix(_Value):
     """Dense matrix over F_p with the column-action convention."""
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols", "_nodes")
     _fields = ("field", "nrows", "ncols", "entries")
     _compared = ("field", "nrows", "ncols", "_rows")
 
@@ -355,6 +358,7 @@ class Matrix(_Value):
             raise ValueError("row count does not match entries")
         _set(self, "_rows", _checked_rows(self.field, entries, self.ncols))
         _set(self, "_cols", None)
+        _set(self, "_nodes", _UNREAD)
 
     @classmethod
     def _from_rows(cls, field: PrimeField, nrows: int, ncols: int, rows: Iterable[Row],
@@ -366,6 +370,7 @@ class Matrix(_Value):
         _set(m, "ncols", ncols)
         _set(m, "_rows", tuple(rows))
         _set(m, "_cols", cols)
+        _set(m, "_nodes", _UNREAD)
         return m
 
     @classmethod
@@ -399,6 +404,21 @@ class Matrix(_Value):
                 cols = [int.from_bytes(flat[j::n], "little") for j in range(n)]
             _set(self, "_cols", tuple(cols))
         return self._cols
+
+    def _node_map(self) -> dict[int, tuple[int, int]] | None:
+        """{j: (i, c)} with M e_j = c e_i, over the nonzero columns j, when each holds one nonzero entry c;
+        else None.  Computed once.  Such a packed column holds nothing above its lowest nonzero slot, i."""
+        if self._nodes is _UNREAD:
+            bits, nodes = self.field._bits, {}
+            for j, col in enumerate(self._columns()):
+                if col:
+                    i = ((col & -col).bit_length() - 1) // bits
+                    if col >> bits * (i + 1):
+                        nodes = None
+                        break
+                    nodes[j] = (i, col >> bits * i)
+            _set(self, "_nodes", nodes)
+        return self._nodes
 
     @classmethod
     def build(cls, field: PrimeField, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "Matrix":

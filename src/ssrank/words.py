@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .bt1 import DieudonneModule, InvariantBundle, _node_maps, require_valid
+from .bt1 import DieudonneModule, InvariantBundle, require_valid
 from .eo import EOType, _final_profile, riffle
 from .ffmat import Matrix, PrimeField, _set, _Value
 
@@ -167,18 +167,18 @@ def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
 def _word_census(m: DieudonneModule) -> WordCensus | None:
     """Census of a valid module in word form, read straight off its node maps, else None.
 
-    None unless every operator column is zero or a signed unit, the test that
-    `bt1._node_maps`, which validation reads too, makes.  Validity then does
-    the rest.  im V is spanned by the nodes V hits, so ker F = im V is
-    spanned by nodes, and F e_a = +-F e_b with a != b would put e_a -+ e_b,
-    hence e_a, in ker F though F e_a != 0: F hits no node twice, and ker F
-    is spanned by the nodes F kills.  Likewise, by ker V = im F, for V.
+    None unless every operator column has one nonzero entry or none (the node
+    maps of `Matrix._node_map`, which validation reads too).  Validity then does
+    the rest.  im V is spanned by the nodes V hits, so ker F = im V is spanned
+    by nodes, and F e_a = c e_i, F e_b = d e_i with a != b would put d e_a - c e_b,
+    hence e_a, in ker F though F e_a != 0: F hits no node twice, and ker F is
+    spanned by the nodes F kills.  Likewise, by ker V = im F, for V.
     Walking forward along F and backward along V then gives each node one
     successor, and they form a permutation: ker F = im V gives each node an
     F-image or a V-preimage, never both, and ker V = im F makes each node
     hit by F or not killed by V, never both.
     """
-    f_next, v_next = _node_maps(m.frobenius), _node_maps(m.verschiebung)
+    f_next, v_next = m.frobenius._node_map(), m.verschiebung._node_map()
     if f_next is None or v_next is None:
         return None
     succ, letters = [None] * m.dim, ["F"] * m.dim
@@ -345,12 +345,11 @@ def _type_entries(g: int, f: int | None = None, a: int | None = None,
 def decompose(m: DieudonneModule) -> WordCensus:
     """Cyclic-word census of a valid module, each word primitive.
 
-    Word-form inputs (every operator column a signed unit vector or zero) are
-    walked directly; any other goes through census_of_type on its final
-    profile, whose riffle's cycles read the primitive words of the census
-    (Gessel-Reutenauer; Mantaci, Restivo, Rosone and Sciortino).  The
-    census forgets each band's monodromy: F e0 = e1, V e0 = c e1 has census
-    FV for every c != 0, and a compatible form only for c = -1.
+    Word-form inputs, every operator column with one nonzero entry or none (`Matrix._node_map`),
+    twisted bands too, are walked directly; any other goes through census_of_type on its final
+    profile, whose riffle's cycles read the primitive words of the census (Gessel-Reutenauer;
+    Mantaci, Restivo, Rosone and Sciortino).  The census forgets each band's monodromy:
+    F e0 = e1, V e0 = c e1 has census FV for every c != 0, and a compatible form only for c = -1.
     """
     require_valid(m)
     census = _word_census(m)

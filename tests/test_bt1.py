@@ -736,11 +736,10 @@ def test_rank_form_validation_matches_the_kernel_image_reference():
                 "ker(F) != im(V)", "ker(V) != im(F)"]
 
 
-def _signed_unit_matrix(rng, field, n, density):
-    """An n x n matrix whose columns are each, with the given chance, a random signed unit,
-    else zero: nodes hit twice, and rows hit by no column, come by chance."""
-    p = field.p
-    return Matrix._sparse(field, n, [(rng.randrange(n), j, rng.choice((1, p - 1)))
+def _monomial_matrix(rng, field, n, density):
+    """An n x n matrix whose columns are each, with the given chance, a random unit vector times a
+    random nonzero scalar, else zero: nodes hit twice, and rows hit by no column, come by chance."""
+    return Matrix._sparse(field, n, [(rng.randrange(n), j, rng.randrange(1, field.p))
                                      for j in range(n) if rng.random() < density])
 
 
@@ -753,21 +752,21 @@ def _with_column(mat: Matrix, j: int, col: dict[int, int]) -> Matrix:
 
 
 def _word_form_corpus(rng, field):
-    """Modules of dim n <= 8 whose F, V and form columns are each zero or a signed unit:
-    random ones, and canonical modules in a random signed-permutation basis, valid and
-    with F, V or the form spoiled one column at a time."""
+    """Modules of dim n <= 8 whose F, V and form columns each have one nonzero entry or none:
+    random ones, and canonical modules in a random monomial basis (a permutation with any
+    nonzero scalars), valid and with F, V or the form spoiled one column at a time."""
     p = field.p
     for _ in range(60):
         n = rng.randrange(9)
         d = rng.random()
-        f, v = _signed_unit_matrix(rng, field, n, d), _signed_unit_matrix(rng, field, n, 1 - d)
+        f, v = _monomial_matrix(rng, field, n, d), _monomial_matrix(rng, field, n, 1 - d)
         yield DieudonneModule(f, v)
-        yield DieudonneModule(f, v, _signed_unit_matrix(rng, field, n, rng.random()))
+        yield DieudonneModule(f, v, _monomial_matrix(rng, field, n, rng.random()))
     for g in range(5):
         for t in enumerate_types(g):
             n = 2 * g
             perm = rng.sample(range(n), n)
-            change = Matrix._sparse(field, n, [(perm[j], j, rng.choice((1, p - 1))) for j in range(n)])
+            change = Matrix._sparse(field, n, [(perm[j], j, rng.randrange(1, p)) for j in range(n)])
             inv = change.inverse()
             m = canonical_module(t, field)
             f, v = change @ m.frobenius @ inv, change @ m.verschiebung @ inv
@@ -786,8 +785,8 @@ def _word_form_corpus(rng, field):
             yield DieudonneModule(f, v, _with_column(form, j, {j: 1}))  # a diagonal entry
             yield DieudonneModule(f, v, _with_column(form, j, {}))
             pairing = rng.sample(range(n), n)  # another perfect pairing, antisymmetric
-            signs = [rng.choice((1, p - 1)) for _ in range(g)]
-            pairs = zip(pairing[::2], pairing[1::2], signs)
+            scalars = [rng.randrange(1, p) for _ in range(g)]
+            pairs = zip(pairing[::2], pairing[1::2], scalars)
             yield DieudonneModule(f, v, Matrix._sparse(field, n, [entry for a, b, c in pairs
                                                                   for entry in ((a, b, c), (b, a, -c))]))
 
@@ -798,7 +797,7 @@ def test_word_form_validation_matches_the_dense_reference():
     for p in (2, 3, 5, 97):
         field = PrimeField(p)
         for m in _word_form_corpus(rng, field):
-            assert all(bt1._node_maps(op) is not None for op in (m.frobenius, m.verschiebung, m.form)
+            assert all(op._node_map() is not None for op in (m.frobenius, m.verschiebung, m.form)
                        if op is not None)
             violations = validate_bt1(m)
             assert violations == reference_validate_bt1(m), (p, to_json(m))

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import ssrank
-from ssrank import bt1, build, cli, curves, eo, words
+from ssrank import bt1, build, cli, curves, eo, ffmat, words
 from ssrank.build import feasible, ProfileQuery, i11
 from ssrank.cli import (MODULE_G_CAP, POLARIZE_G_CAP, _int_option, _module_file_cap, _read_argv,
                         build_parser, main)
@@ -199,12 +199,15 @@ def _metamorphic_modules(field: PrimeField):
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_module_answers_do_not_depend_on_the_basis(tmp_path, capsys, p):
     # invariants, decompose and check answer alike in a seeded random basis; polarize, up to
-    # dim 12, exits alike, and every module it returns passes module check
+    # dim 12, exits alike, and every module it returns passes module check.  Every word-basis
+    # file, twisted bands at p = 97 by 2 included, is read off its node maps, so each request
+    # compares that route with the rank route of a general basis
     field, rng = PrimeField(p), random.Random(2121 + p)
     paths = tmp_path / "word.json", tmp_path / "conjugate.json"
     for label, m in _metamorphic_modules(field):
         for path, basis in zip(paths, (m, conjugated(m, rng))):
             path.write_text(bt1.to_json(basis), encoding="ascii")
+        assert words._word_census(bt1.from_json(paths[0].read_text())) is not None, (p, label)
         for cmd in ("invariants", "decompose", "check"):
             word, conjugate = (run(capsys, "module", cmd, "--in", str(path))[:2] for path in paths)
             assert word == conjugate, (p, label, cmd)
@@ -252,15 +255,25 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
         counted(bt1, name, calls)
     for name in measures:
         counted(words if name == "decompose" else bt1, name, measures)
+    scans = []  # the matrix of each node-map read that scans columns, not the memo
+    read_node_map = Matrix._node_map
+
+    def scanned(mat):
+        if mat._nodes is ffmat._UNREAD:
+            scans.append(mat)
+        return read_node_map(mat)
+    monkeypatch.setattr(Matrix, "_node_map", scanned)
     expected = {"invariants": {"p": 2, "dim": 6, "g": 3, "f": 0, "a": 2, "u": 0},
                 "decompose": {"census": words.census_of_type(t).as_dict(),
                               "g": 3, "f": 0, "a": 2, "s": 0},
                 "check": {"valid": True, "violations": []}}
     for cmd, payload in expected.items():
         calls.update(dict.fromkeys(calls, 0))
+        scans.clear()
         code, out, _ = run(capsys, "module", cmd, "--in", str(path))
         assert (code, json.loads(out)) == (0, payload)
         assert list(calls.values()) == [1, 1], cmd
+        assert len(scans) == len(set(map(id, scans))) <= 3, cmd
     # a built module is validated once, where the command finishes it; its parts are not, and
     # the formless j_rs and word modules have no form to check
     for argv, counts in ((("build", "profile", "--g", "4", "--f", "1", "--a", "2", "--s", "1"), [1, 1]),
@@ -271,8 +284,11 @@ def test_each_module_request_validates_once(tmp_path, capsys, monkeypatch):
                          (("build", "word", "--w", "FFVFV"), [1, 0])):
         calls.update(dict.fromkeys(calls, 0))
         measures.update(dict.fromkeys(measures, 0))
+        scans.clear()
         assert run(capsys, *argv)[0] == 0, argv
         assert list(calls.values()) == counts, argv
+        # F, V and any form are each scanned once, by validation; the census reads the memo
+        assert len(scans) == len(set(map(id, scans))) == 2 + counts[1], argv
         if argv[1] in ("profile", "ss"):  # one word census measures the built module
             assert measures == {"decompose": 1, "p_rank": 0, "a_number": 0}, argv
 

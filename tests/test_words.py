@@ -119,14 +119,19 @@ def test_word_maps_read_back_the_letters():
                 assert words._word_census(word_module(w, field)).as_dict() == {root: k}, (p, w)
 
 
-def test_word_maps_refuse_columns_that_are_not_signed_units():
+def test_word_maps_read_any_scalar_and_refuse_columns_with_two_entries():
+    # a column with one nonzero entry is read whatever its scalar, so twisted bands are in
+    # word form; one with two nonzero entries is not
     field = PrimeField(97)
     frob = Matrix.build(field, [[0, 0], [1, 0]])
     for ver, word_form in (([[0, 0], [96, 0]], True), ([[0, 0], [1, 0]], True),
-                           ([[0, 0], [2, 0]], False), ([[0, 0], [95, 0]], False),
-                           ([[1, 0], [1, 0]], False), ([[96, 0], [96, 0]], False)):
+                           ([[0, 0], [2, 0]], True), ([[0, 0], [95, 0]], True),
+                           ([[1, 0], [1, 0]], False), ([[96, 0], [96, 0]], False),
+                           ([[2, 0], [95, 0]], False)):
         census = words._word_census(DieudonneModule(frob, Matrix.build(field, ver)))
         assert (census is not None) == word_form, ver
+        if word_form:
+            assert census.as_dict() == {"FV": 1}, ver
     # a target hit twice breaks ker F = im V, so validity already rules it out
     hit_twice = DieudonneModule(Matrix.build(field, [[0, 0], [1, 1]]), Matrix.zeros(field, 2, 2))
     assert validate_bt1(hit_twice) != []
