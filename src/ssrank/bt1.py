@@ -434,12 +434,13 @@ def to_json(m: DieudonneModule) -> str:
 
 
 def _entries_matrix(field: PrimeField, entries: bytes, dim: int) -> Matrix:
-    """The dim x dim matrix of `entries`, one reduced entry byte each, row after row: its rows are slices
-    and its columns strides of the entries (over F_2, of their binary digits, reversed once so that entry
-    j is bit j).  Both module readers end here."""
+    """The dim x dim matrix of `entries`, one reduced entry byte each, row after row: its columns are
+    strides of the entries and its rows slices (over F_2, dim-bit fields of their binary digits, reversed
+    once and read as one integer, so entry (i, j) is bit i dim + j).  Both module readers end here."""
     if field.p == 2:
         digits = entries.translate(_ENTRIES_TO_DIGITS)[::-1]
-        rows = [int(digits[(dim - 1 - i) * dim:(dim - i) * dim], 2) for i in range(dim)]
+        whole, mask = int(digits or b"0", 2), (1 << dim) - 1
+        rows = [whole >> i * dim & mask for i in range(dim)]
         cols = [int(digits[dim - 1 - j::dim], 2) for j in range(dim)]
     else:
         rows = [int.from_bytes(entries[i * dim:(i + 1) * dim], "little") for i in range(dim)]

@@ -27,7 +27,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import bt1, build, curves, eo, words
 from .ffmat import PrimeField
@@ -95,45 +95,34 @@ def _parse_filter(text: str | None) -> dict[str, int]:
     return out
 
 
-# nu of each length up to the catalogue cap as a %-template: semicolon-joined for CSV,
-# and as json.dumps(indent=2) lays out a list nested in a list item
-_NU_CSV = [";".join(["%d"] * g) for g in range(ATLAS_G_CAP + 1)]
-_NU_JSON = ["[\n      " + ",\n      ".join(["%d"] * g) + "\n    ]" if g else "[]"
-            for g in range(ATLAS_G_CAP + 1)]
+def _csv_lines(g: int, rows: Iterable[tuple]) -> Iterator[str]:
+    """The atlas lines, newline included, of the walk's rows of length g.  The words field is
+    the letters of a row's sorted census entries joined by ";", so a word of multiplicity m
+    comes m times, in census order, and the empty census gives the empty string."""
+    for nu, f, a, s, entries in rows:
+        yield f"{g},{nu},{f},{a},{s},{';'.join([e[1] for e in entries])}\n"
 
 
-def _csv_line(nu: tuple[int, ...], f: int, a: int, s: int, entries: list) -> str:
-    """One atlas row from a type's sorted census entries; the words field is their letters
-    joined by ";", so a word of multiplicity m comes m times, in census order, and the empty
-    census gives the empty string."""
-    return f"{len(nu)},{_NU_CSV[len(nu)] % nu},{f},{a},{s},{';'.join([e[1] for e in entries])}"
-
-
-def _json_row(nu: tuple[int, ...], f: int, a: int, s: int, entries: list) -> str:
-    """One row laid out exactly as json.dumps(rows, indent=2) lays out a list item.
-
-    The word counts are the runs of equal letters in the sorted census entries.
-    Word keys are letters F and V only, so they need no escaping.
-    """
-    counts, last, m = [], None, 0
-    for _, letters, _ in entries:
-        if letters != last:
-            if m:
-                counts.append(f'"{last}": {m}')
-            last, m = letters, 0
-        m += 1
-    if m:
-        counts.append(f'"{last}": {m}')
-    words_json = "{\n      " + ",\n      ".join(counts) + "\n    }" if counts else "{}"
-    return (f'  {{\n    "g": {len(nu)},\n    "nu": {_NU_JSON[len(nu)] % nu},\n    "f": {f},\n'
-            f'    "a": {a},\n    "s": {s},\n    "words": {words_json}\n  }}')
-
-
-def _write_json_rows(rows: Iterable[tuple]) -> None:
-    """Write rows as they come, byte for byte as json.dumps(list(rows), indent=2)."""
+def _write_json_rows(g: int, rows: Iterable[tuple]) -> None:
+    """Write the walk's rows of length g as they come, byte for byte as json.dumps(rows, indent=2)
+    with each nu a list: its text with each ";" laid out as a list separator.  The word counts are
+    the runs of equal letters in the sorted entries, keys F and V only, which need no escaping."""
+    head = f'  {{\n    "g": {g},\n    "nu": ' + ("[\n      " if g else "[")
+    nu_end, comma = ("\n    ]" if g else "]"), ",\n      "
     separator = "[\n"
-    for row in rows:
-        sys.stdout.write(separator + _json_row(*row))
+    for nu, f, a, s, entries in rows:
+        counts, last, m = [], None, 0
+        for _, letters, _ in entries:
+            if letters != last:
+                if m:
+                    counts.append(f'"{last}": {m}')
+                last, m = letters, 0
+            m += 1
+        if m:
+            counts.append(f'"{last}": {m}')
+        words_json = "{\n      " + comma.join(counts) + "\n    }" if counts else "{}"
+        sys.stdout.write(f'{separator}{head}{nu.replace(";", comma)}{nu_end},\n    "f": {f},\n'
+                         f'    "a": {a},\n    "s": {s},\n    "words": {words_json}\n  }}')
         separator = ",\n"
     sys.stdout.write("[]\n" if separator == "[\n" else "\n]\n")
 
@@ -145,7 +134,7 @@ def emit_atlas(g_max: int, path: str) -> None:
         raise ValueError("g_max must be at least 1")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         for g in range(1, g_max + 1):
-            handle.writelines(_csv_line(*row) + "\n" for row in words._type_entries(g))
+            handle.writelines(_csv_lines(g, words._type_entries(g)))
 
 
 def _print(text: str) -> None:
@@ -207,9 +196,9 @@ def _run_eo(args: argparse.Namespace) -> int:
         _check_cap("g", args.g, ATLAS_G_CAP)
         rows = words._type_entries(args.g, **_parse_filter(args.filter))
         if args.format == "csv":
-            sys.stdout.writelines(_csv_line(*row) + "\n" for row in rows)
+            sys.stdout.writelines(_csv_lines(args.g, rows))
         else:
-            _write_json_rows(rows)
+            _write_json_rows(args.g, rows)
         return 0
     # module; the command table holds no other eo command
     nu = _parse_int_list(args.nu, "--nu")

@@ -143,9 +143,6 @@ def _entry(raw: str) -> tuple[int, str, CyclicWord]:
     return entry
 
 
-_FV_ENTRY = _entry("FV")
-
-
 def _tally(entries: list[tuple[int, str, CyclicWord]]) -> WordCensus:
     """The census of cycles given by their entries, sorted by (length, letters): a run is a word.
 
@@ -209,25 +206,29 @@ def _cycle_census(succ: list[int | None], letters: Sequence[str]) -> WordCensus:
     return _tally(cycles)
 
 
-def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, rise: int) -> None:
+def _step(ends: list[tuple[int, str]], closed: list, g: int, j: int, p: int, rise: int) -> int:
     """Add the two riffle edges that step j of nu fixes, from psi(j) = p; see _type_entries.
 
     ends[t] is (head, letters) for the fragment whose tail is t, and ends[2g + h]
     is (tail, letters) for the one whose head is h; entries of nodes that stopped
-    being ends are stale and never read again.  A closed cycle's entry goes to closed.
+    being ends are stale and never read again.  A closed cycle's entry goes to closed,
+    and the number of closed cycles that read FV is returned.
     """
-    n = 2 * g
+    n, fv = 2 * g, 0
     r = p if rise else g + j - p
     for pos in (j, n - 1 - j):
         head, front = ends[r]
         tail, back = ends[n + pos]
         if head == pos:  # r's own fragment starts at pos: the edge closes it
-            closed.append(_entry(front))
+            entry = _entry(front)
+            closed.append(entry)
+            fv += entry[1] == "FV"
         else:
             word = front + back
             ends[tail] = (head, word)
             ends[n + head] = (tail, word)
         r = n - 1 - r  # the mirror edge
+    return fv
 
 
 def census_of_type(psi: EOType | Sequence[int]) -> WordCensus:
@@ -238,11 +239,12 @@ def census_of_type(psi: EOType | Sequence[int]) -> WordCensus:
 
 
 def _type_entries(g: int, f: int | None = None, a: int | None = None,
-                  s: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int, int, list]]:
-    """(nu, f, a, s, entries) for every type of length g with the given f, a and s, nu-lex.
+                  s: int | None = None) -> Iterator[tuple[str, int, int, int, list]]:
+    """(nu_text, f, a, s, entries) for every type of length g with the given f, a and s, nu-lex.
 
-    entries is the census as a list of the shared entries (length, letters,
-    word) of _entry, one per summand, sorted by (length, letters): word u of
+    nu_text is nu_1..nu_g joined by ";", as a CSV row prints it.  entries is
+    the census as a list of the shared entries (length, letters, word) of
+    _entry, one per summand, sorted by (length, letters): word u of
     multiplicity m comes m times, and s is the number of FV entries.  The
     list is the caller's own.
 
@@ -279,7 +281,9 @@ def _type_entries(g: int, f: int | None = None, a: int | None = None,
     those are one fragment, the edge closes a cycle, whose letters read from
     its head are a rotation of its word.  A closed cycle takes no more edges,
     so its word is shared by every type below that node, and the FV words
-    closed so far bound s from below, which prunes a wanted s as well.
+    closed so far bound s from below, which prunes a wanted s as well.  Each
+    node carries its nu prefix as text, j, p = nu_j and that FV count, which
+    _step adds to by the entry's letters (a closing FV reads FV or VF).
 
     The last step, j = g - 1, is taken in closed form, and both leaves are
     yielded from the node at depth g - 1, flat first.  Steps 0..g - 2 reached
@@ -302,44 +306,45 @@ def _type_entries(g: int, f: int | None = None, a: int | None = None,
         raise ValueError("g must be nonnegative")
     if g == 0:  # the one empty type, with f = a = s = 0
         if not (f or a or s):
-            yield (), 0, 0, 0, []
+            yield "", 0, 0, 0, []
         return
     n = 2 * g
-    # (nu prefix, leading rises, fragment ends, closed); before any step each node k is a
-    # fragment of its own, reading V iff k < g, at both ends
-    todo = [((), 0, [(k, "V" if k < g else "F") for k in range(n)] * 2, [])]
+    digits = [str(k) for k in range(g + 1)]
+    marks = [k + ";" for k in digits]
+    # (nu prefix text, j, p, leading rises, fragment ends, closed, closed FVs); before any
+    # step each node k is a fragment of its own, reading V iff k < g, at both ends
+    todo = [("", 0, 0, 0, [(k, "V" if k < g else "F") for k in range(n)] * 2, [], 0)]
     while todo:
-        nu, lead, ends, closed = todo.pop()
-        j = len(nu)
-        p = nu[-1] if nu else 0
+        text, j, p, lead, ends, closed, fv = todo.pop()
         if f is not None and not lead <= f <= (g if lead == j else lead):
             continue
         if a is not None and not j - p <= a <= g - p:
             continue
-        if s is not None and closed.count(_FV_ENTRY) > s:
+        if s is not None and fv > s:
             continue
         if j < g - 1:
             # the rise child copies the lists; the flat child, pushed last so walked first,
             # takes them over, as this node reads them no more
             rise_ends, rise_closed = ends[:], closed[:]
-            _step(rise_ends, rise_closed, g, j, p, 1)
-            todo.append((nu + (p + 1,), lead + 1 if lead == j else lead, rise_ends, rise_closed))
-            _step(ends, closed, g, j, p, 0)
-            todo.append((nu + (p,), lead, ends, closed))
+            rise_fv = fv + _step(rise_ends, rise_closed, g, j, p, 1)
+            todo.append((text + marks[p + 1], j + 1, p + 1, lead + 1 if lead == j else lead,
+                         rise_ends, rise_closed, rise_fv))
+            fv += _step(ends, closed, g, j, p, 0)
+            todo.append((text + marks[p], j + 1, p, lead, ends, closed, fv))
             continue
         # the last step in closed form: w1 heads at g - 1, w2 at g
         tail, w1 = ends[n + j]
         w2 = ends[n + g][1]
-        apart, joined = [_entry(w1), _entry(w2)], [_entry(w2 + w1)]
-        fv = closed.count(_FV_ENTRY)
-        for rise, new in ((0, joined), (1, apart)) if tail == p else ((0, apart), (1, joined)):
+        e1, e2, e12 = _entry(w1), _entry(w2), _entry(w2 + w1)
+        apart = ([e1, e2], fv + (e1[1] == "FV") + (e2[1] == "FV"))
+        joined = ([e12], fv + (e12[1] == "FV"))
+        for rise, (new, leaf_s) in ((0, joined), (1, apart)) if tail == p else ((0, apart), (1, joined)):
             leaf_lead = lead + rise if lead == j else lead
-            leaf_s = fv + new.count(_FV_ENTRY)
             if ((f is None or f == leaf_lead) and (a is None or a == g - p - rise)
                     and (s is None or s == leaf_s)):
                 entries = closed + new
                 entries.sort()
-                yield nu + (p + rise,), leaf_lead, g - p - rise, leaf_s, entries
+                yield text + digits[p + rise], leaf_lead, g - p - rise, leaf_s, entries
 
 
 def decompose(m: DieudonneModule) -> WordCensus:

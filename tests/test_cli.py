@@ -90,6 +90,16 @@ def test_module_subcommands(tmp_path, capsys):
     assert code == 0
     assert bt1.check_polarization(bt1.from_json(out.strip()))
 
+    # the dim-0 module round-trips: the F_2 reader has no digits to parse
+    for p in ("2", "3"):
+        code, out, _ = run(capsys, "build", "profile", "--g", "0", "--f", "0", "--a", "0", "--s", "0",
+                           "--p", p)
+        assert code == 0 and out == f'{{"p":{p},"dim":0,"F":[],"V":[],"form":[]}}\n'
+        path0 = tmp_path / f"zero-p{p}.json"
+        path0.write_text(out, encoding="ascii")
+        code, out, _ = run(capsys, "module", "check", "--in", str(path0))
+        assert code == 0 and json.loads(out) == {"valid": True, "violations": []}
+
 
 def test_polarize_says_exists_only_after_a_proof(tmp_path, capsys, monkeypatch):
     # FFVFVV has a 3-dimensional space of compatible forms, all degenerate, and an

@@ -198,7 +198,7 @@ def test_type_entries_list_enumeration_order_with_the_node_map_walk():
         want = []
         for t in enumerate_types(g):
             census = reference_census_of_type(t)
-            want.append((t.nu, t.p_rank(), t.a_number(), dict(census).get("FV", 0),
+            want.append((";".join(map(str, t.nu)), t.p_rank(), t.a_number(), dict(census).get("FV", 0),
                          [w for w, m in census for _ in range(m)]))
         assert got == want, g
     with pytest.raises(ValueError):
@@ -237,7 +237,7 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
     # the walk's last step makes three _entry calls per pair of leaves
     for g in range(8):
         for t, (nu, *_, entries) in zip(enumerate_types(g), words._type_entries(g), strict=True):
-            assert nu == t.nu
+            assert nu == ";".join(map(str, t.nu))
             assert [(w.letters, m) for w, m in words._tally(entries).counts] == reference_census_of_type(t)
             assert len(words._entries) <= 4
     # catalogue rows are read off the walk's sorted entries, where the emptied cache leaves
@@ -267,6 +267,23 @@ def test_census_entries_stay_bounded_and_count_across_an_emptied_cache(monkeypat
             counts = {CyclicWord(root): 2 * k}
             counts[fv] = counts.get(fv, 0) + 1
             assert decompose(m) == census_from_counter(counts), w
+
+
+def test_carried_fv_count_filters_on_s_across_an_emptied_cache(monkeypatch):
+    # the walk counts closed FV cycles as it goes; with the cache emptied, equal entries are
+    # distinct objects and a closing FV cycle reads FV or VF from its head, so the reference
+    # counts FV by the entries' letters, and every s filter keeps what filtering afterwards keeps
+    monkeypatch.setattr(words, "_entries", {})
+    monkeypatch.setattr(words, "_ENTRY_CAP", 4)
+    for g in range(10):
+        rows = [(nu, f, a, s, [letters for _, letters, _ in entries])
+                for nu, f, a, s, entries in words._type_entries(g)]
+        assert [s for *_, s, letters in rows] == [letters.count("FV") for *_, letters in rows], g
+        for wanted in range(-1, g + 2):
+            kept = [(nu, f, a, s, [letters for _, letters, _ in entries])
+                    for nu, f, a, s, entries in words._type_entries(g, s=wanted)]
+            assert kept == [row for row in rows if row[3] == wanted], (g, wanted)
+        assert len(words._entries) <= 4
 
 
 def test_asymmetric_census_is_not_quasipolarizable(gf2, gf3):
