@@ -17,8 +17,8 @@ class ProfileQuery(_Value):
 
     __slots__ = _fields = ("g", "f", "a", "s")
 
-    def __init__(self, g: int, f: int, a: int, s: int) -> None:  # one per feasibility table row
-        _set(self, "g", g)
+    def __init__(self, g: int, f: int, a: int, s: int) -> None:
+        _set(self, "g", g)  # hand-written: one per feasibility table row, where `_assign` costs 0.4 us more
         _set(self, "f", f)
         _set(self, "a", a)
         _set(self, "s", s)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bt1 import DieudonneModule, direct_sum, zero_module
 from .eo import EOType, canonical_module
-from .ffmat import GF2, PrimeField, _set, _Value
+from .ffmat import GF2, PrimeField, _Value
 from .build import ord1
 
 
@@ -27,7 +27,7 @@ class PoleDivisor(_Value):
         for d in orders:
             if d < 1 or d % 2 == 0:
                 raise ValueError(f"pole orders must be odd positive integers, got {d}")
-        _set(self, "orders", orders)
+        self._assign(orders)
 
     @classmethod
     def of(cls, orders) -> "PoleDivisor":

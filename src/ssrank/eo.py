@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate, product
 
 from .bt1 import DieudonneModule, require_valid
-from .ffmat import Matrix, PrimeField, _combine, _set, _Value
+from .ffmat import Matrix, PrimeField, _combine, _Value
 
 
 class FiltrationError(ValueError):
@@ -43,18 +43,11 @@ class EOType(_Value):
         nu = tuple(nu)
         if not validate_sequence(nu):
             raise ValueError(f"not a valid EO type: {list(nu)}")
-        _set(self, "nu", nu)
+        self._assign(nu)
 
     @classmethod
     def of(cls, nu: Sequence[int]) -> "EOType":
         return cls(tuple(int(x) for x in nu))
-
-    @classmethod
-    def _trusted(cls, nu: tuple[int, ...]) -> "EOType":
-        """Trusted constructor for a tuple already known to be a valid EO type."""
-        t = object.__new__(cls)
-        _set(t, "nu", nu)
-        return t
 
     @property
     def g(self) -> int:

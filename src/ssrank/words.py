@@ -12,7 +12,7 @@ from collections.abc import Iterator, Sequence
 
 from .bt1 import DieudonneModule, InvariantBundle, require_valid
 from .eo import EOType, _final_profile, riffle
-from .ffmat import Matrix, PrimeField, _set, _Value
+from .ffmat import Matrix, PrimeField, _Value
 
 
 class CyclicWord(_Value):
@@ -24,20 +24,13 @@ class CyclicWord(_Value):
         _check_letters(letters)
         if letters != _least_rotation(letters):
             raise ValueError("word is not in canonical rotation; use CyclicWord.of")
-        _set(self, "letters", letters)
+        self._assign(letters)
 
     @classmethod
     def of(cls, letters: str) -> "CyclicWord":
         """The cyclic word of letters, in least rotation; a power u^k stays one word u^k."""
         _check_letters(letters)
         return cls._trusted(_least_rotation(letters))
-
-    @classmethod
-    def _trusted(cls, letters: str) -> "CyclicWord":
-        """Trusted constructor for letters already over {F, V} in least rotation."""
-        w = object.__new__(cls)
-        _set(w, "letters", letters)
-        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -73,14 +66,7 @@ class WordCensus(_Value):
         keys = [(len(w.letters), w.letters) for w, _ in counts]
         if any(a >= b for a, b in zip(keys, keys[1:])) or any(m <= 0 for _, m in counts):
             raise ValueError("census must list distinct words in order, with positive multiplicities")
-        _set(self, "counts", counts)
-
-    @classmethod
-    def _trusted(cls, counts: tuple[tuple[CyclicWord, int], ...]) -> "WordCensus":
-        """Trusted constructor for counts already sorted with positive multiplicities."""
-        census = object.__new__(cls)
-        _set(census, "counts", counts)
-        return census
+        self._assign(counts)
 
     def multiplicity(self, word: CyclicWord) -> int:
         for w, m in self.counts:

@@ -400,7 +400,7 @@ def test_packed_compatible_forms_match_the_matrix_product_reference(p, monkeypat
             patched.setattr(ffmat, "rref", counted_rref)
             patched.setattr(Matrix, "kernel", untouched)
             patched.setattr(ffmat, "_span", untouched)
-            patched.setattr(Subspace, "_from_rows", untouched)
+            patched.setattr(Subspace, "_trusted", untouched)
             forms = bt1._compatible_forms(m)
         assert len(rrefs) == 1
         for form in forms:

@@ -406,7 +406,7 @@ def _random_rows(rng, nrows, ncols):
 
 def _image_of(m, rows):
     """The image half of `_image_sources_kernel`, as the canonical subspace it is."""
-    return Subspace._from_rows(m.field, m.nrows, m._image_sources_kernel(rows)[0])
+    return Subspace._trusted(m.field, m.nrows, m._image_sources_kernel(rows)[0])
 
 
 def _assert_same_subspace(packed, dense_basis, n):

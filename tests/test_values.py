@@ -97,6 +97,19 @@ def test_value_pickle_and_copy_round_trip(cls):
 
 
 @PARAMETRIZE
+def test_trusted_constructor_rebuilds_from_the_slots(cls):
+    """`_Value._trusted` stores `__slots__` in order, which differ from `_fields` for
+    Matrix (_rows, _cols, _nodes), Subspace (_rows) and DieudonneModule (_validated)."""
+    a = CASES[cls][0]()
+    rebuilt = cls._trusted(*(getattr(a, name) for name in cls.__slots__))
+    assert type(rebuilt) is cls and rebuilt is not a
+    assert all(getattr(rebuilt, name) is getattr(a, name) for name in cls.__slots__)
+    assert rebuilt == a and hash(rebuilt) == hash(a) and repr(rebuilt) == repr(a)
+    clone = pickle.loads(pickle.dumps(rebuilt))
+    assert type(clone) is cls and clone == a and hash(clone) == hash(a) and repr(clone) == repr(a)
+
+
+@PARAMETRIZE
 def test_value_keyword_and_positional_construction(cls):
     make, _, names, _ = CASES[cls]
     a = make()
