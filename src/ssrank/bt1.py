@@ -15,6 +15,10 @@ u = rank [F; V] - rank (F + V).
 
 from __future__ import annotations
 
+__all__ = ["Bt1ValidationError", "DieudonneModule", "InvariantBundle", "PolarizationSearchError",
+           "a_number", "check_polarization", "direct_sum", "dual", "from_json", "invariants",
+           "p_rank", "to_json", "unpolarized_ss_rank", "validate_bt1", "zero_module"]
+
 import functools
 import itertools
 import json

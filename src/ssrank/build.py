@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["InfeasibleProfileError", "ProfileQuery", "feasible", "h_rs", "i11", "j_rs", "ord1",
+           "realize", "supersingular_profile"]
+
 from .bt1 import DieudonneModule, direct_sum, dual, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import Matrix, PrimeField, _set, _Value
@@ -50,10 +53,8 @@ def j_rs(r: int, s: int, field: PrimeField) -> DieudonneModule:
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
     frob = [(i + 1, i, 1) for i in range(r)]
-    if s == 1:
-        ver = [(r, 0, -1)]
-    else:  # x -> Vx -> ... -> V^(s-1) x -> -F^r x
-        ver = [(r + 1, 0, 1), *((r + j + 1, r + j, 1) for j in range(1, s - 1)), (r, r + s - 1, -1)]
+    chain = [0, *range(r + 1, r + s)]  # x -> Vx -> ... -> V^(s-1) x -> -F^r x
+    ver = [(b, a, 1) for a, b in zip(chain, chain[1:])] + [(r, chain[-1], -1)]
     return DieudonneModule(Matrix._sparse(field, r + s, frob), Matrix._sparse(field, r + s, ver))
 
 

@@ -9,6 +9,10 @@ with the indecomposable factors indexed by doubling orbits on Z/(2^n+1).
 
 from __future__ import annotations
 
+__all__ = ["HermitianReport", "HyperellipticReport", "PoleDivisor", "doubling_orbits",
+           "ekedahl_bound", "hermitian_analyze", "hyp2_analyze", "hyp2_module_oracle",
+           "hyp2_rank0_type"]
+
 from .bt1 import DieudonneModule, direct_sum, zero_module
 from .eo import EOType, canonical_module
 from .ffmat import GF2, PrimeField, _Value

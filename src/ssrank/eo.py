@@ -11,6 +11,8 @@ canonical filtration, and the type of a quasipolarizable one.
 
 from __future__ import annotations
 
+__all__ = ["EOType", "canonical_module", "enumerate_types", "eo_type_of"]
+
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, product
 

@@ -28,6 +28,8 @@ results are safe to share between threads.
 
 from __future__ import annotations
 
+__all__ = ["GF2", "Matrix", "PrimeField", "Subspace"]
+
 import sys
 from collections.abc import Iterable, Sequence
 from functools import cache, partial

@@ -8,6 +8,9 @@ that census.
 
 from __future__ import annotations
 
+__all__ = ["CyclicWord", "WordCensus", "census_invariants", "census_of_type", "decompose",
+           "superspecial_rank", "word_module"]
+
 from collections.abc import Iterator, Sequence
 
 from .bt1 import DieudonneModule, InvariantBundle, require_valid

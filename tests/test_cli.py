@@ -897,6 +897,21 @@ def test_star_import_binds_no_submodule():
     assert not any(isinstance(value, type(ssrank)) for value in star.values())
 
 
+def test_each_submodule_declares_the_public_names_it_defines():
+    submodules = (ffmat, bt1, eo, words, build, curves)
+    for module in submodules:
+        assert len(module.__all__) == len(set(module.__all__))
+        for name in module.__all__:
+            value = getattr(module, name)
+            # GF2 is a PrimeField, so it is checked through its class
+            owner = value if callable(value) else type(value)
+            assert owner.__module__ == module.__name__, name
+        star: dict = {}
+        exec(f"from {module.__name__} import *", star)
+        assert set(star) - {"__builtins__"} == set(module.__all__)
+    assert ssrank.__all__ == [name for module in submodules for name in module.__all__]
+
+
 def test_parser_is_reused_without_carrying_state(capsys):
     assert build_parser() is build_parser()
     code, out, _ = run(capsys, "eo", "list", "--g", "2", "--format", "csv")

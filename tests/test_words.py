@@ -163,13 +163,16 @@ def test_decompose_matches_type_census(gf2, gf3):
                 assert decompose(canonical_module(t, field)) == census_of_type(t)
 
 
-def test_decompose_at_p97_g32_on_a_conjugated_canonical_module():
-    rng = random.Random(3232)
+@pytest.mark.parametrize("g, p, seed", [(32, 2, 322), (32, 3, 323), (32, 97, 3232),
+                                        (64, 2, 642), (64, 3, 643), (64, 97, 6497)])
+def test_decompose_on_a_conjugated_canonical_module_at_size(g, p, seed):
+    # a random basis sends decompose through the canonical filtration, on a random-walk nu
+    rng = random.Random(seed)
     nu = [0]
-    for _ in range(31):
+    for _ in range(g - 1):
         nu.append(nu[-1] + rng.randrange(2))
     t = EOType.of(nu)
-    m = conjugated(canonical_module(t, PrimeField(97)), rng)
+    m = conjugated(canonical_module(t, PrimeField(p)), rng)
     assert decompose(m) == census_of_type(t)
 
 
